@@ -17,6 +17,7 @@ the x0=0 slice.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -385,9 +386,9 @@ class PathRealizer:
     """Continuation cache along a deformation path.
 
     Solutions are anchored once (trying a few interior path points) and
-    then marched to any requested parameter with warm starts, halving
-    the step on failure.  Requests issued in a fixed order produce
-    bit-identical results.
+    then marched to any requested parameter with warm starts from the
+    nearest cached parameter, halving the step on failure.  Requests
+    issued in a fixed order produce bit-identical results.
     """
 
     MAX_STEPS = 64
@@ -395,27 +396,41 @@ class PathRealizer:
     def __init__(self, p: AbstractPolyhedron, path, anchor_candidates=(0.5, 0.75, 0.25, 1.0, 0.125)):
         self.p = p
         self.path = path
-        self.cache: dict[float, np.ndarray] = {}
+        # t -> (stacked normals, Newton iterations of the solves that reached t)
+        self.cache: dict[float, tuple[np.ndarray, int]] = {}
+        self._ts: list[float] = []  # the cached t, ascending
         self._anchor(anchor_candidates)
+
+    def _store(self, t: float, X: np.ndarray, iters: int) -> None:
+        self.cache[t] = (X, iters)
+        bisect.insort(self._ts, t)
 
     def _anchor(self, candidates):
         last = None
         for t in candidates:
             try:
-                X, rmax, _ = solve_at(self.p, self.path.angles_at(t))
+                X, _, iters = solve_at(self.p, self.path.angles_at(t))
             except NonConvergence as exc:
                 last = exc
                 continue
-            self.cache[t] = X
+            self._store(t, X, iters)
             return
         raise last if last is not None else NonConvergence("no anchor candidates", math.inf)
 
+    def _nearest(self, t: float) -> float:
+        i = bisect.bisect_left(self._ts, t)
+        if i == 0:
+            return self._ts[0]
+        if i == len(self._ts):
+            return self._ts[-1]
+        lo, hi = self._ts[i - 1], self._ts[i]
+        return lo if t - lo <= hi - t else hi
+
     def solution_at(self, t: float) -> np.ndarray:
         if t in self.cache:
-            return self.cache[t]
-        t0 = min(self.cache, key=lambda s: abs(s - t))
-        X = self.cache[t0]
-        cur = t0
+            return self.cache[t][0]
+        cur = self._nearest(t)
+        X, iters = self.cache[cur]
         steps = 0
         dt = t - cur
         while cur != t:
@@ -423,15 +438,15 @@ class PathRealizer:
                 raise NonConvergence(f"continuation exceeded {self.MAX_STEPS} steps", math.inf)
             nxt = t if abs(dt) >= abs(t - cur) else cur + dt
             try:
-                X, _, _ = solve_at(self.p, self.path.angles_at(nxt), warm_start=X)
+                X, _, k = solve_at(self.p, self.path.angles_at(nxt), warm_start=X)
             except NonConvergence:
                 dt *= 0.5
                 if abs(dt) < 1e-6:
                     raise
-                X = self.cache[min(self.cache, key=lambda s: abs(s - cur))]
                 continue
             cur = nxt
-            self.cache[cur] = X
+            iters += k
+            self._store(cur, X, iters)
             steps += 1
         return X
 
@@ -440,7 +455,8 @@ class PathRealizer:
         sys_ = _System(self.p)
         angles = self.path.angles_at(t)
         r = sys_.residual(X, sys_.targets(angles))
-        return build_realization(self.p, angles, X, float(np.max(np.abs(r))), 0)
+        return build_realization(self.p, angles, X, float(np.max(np.abs(r))),
+                                 self.cache[t][1])
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

@@ -8,6 +8,10 @@ linearly from the collapse configuration obtained by shrinking every
 angle's deviation from pi/2 until an admissibility constraint becomes
 an equality.
 
+Near the collapse end the integrand grows like sqrt(t); integrating
+each path segment [a, b] in u, with t = a + (b - a) u^2, makes it smooth
+on all of [0, 1], where Gauss-Legendre rules converge in a few dozen nodes.
+
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
 integrable (their infinite edges all carry constant right angles).
@@ -15,22 +19,23 @@ integrable (their infinite edges all carry constant right angles).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import andreev as _andreev
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
-from .realization import (IdealEndpoint, NonConvergence, PathRealizer,
-                          RealizationError, TIMELIKE, _System,
-                          _compute_vertices, _expected_vertex_kinds, edge_length,
-                          build_realization)
+from .realization import (NonConvergence, PathRealizer, RealizationError,
+                          RESIDUAL_TOL, TIMELIKE, _compute_vertices,
+                          _expected_vertex_kinds, edge_length, mdot)
 
 DEFAULT_TOL = 1e-8
-DEFAULT_EPS = 1e-6
 COLLAPSE_LENGTH_THRESHOLD = 0.05
+# path parameter at which the start of the path is checked for collapse
+COLLAPSE_CHECK_T = 1e-6
+QUAD_START_NODES = 8
+QUAD_MAX_NODES = 256
 
 
 class VolumeError(PolyhedronError):
@@ -183,25 +188,32 @@ def default_path(lp_or_p, target_angles: dict[Edge, float] | None = None) -> Def
 # quadrature
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+@functools.cache
+def _squared_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-point Gauss-Legendre rule in u on [0, 1], mapped through
+    t = u^2: (t nodes ascending, weights w_i * u_i summing to 1)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    u = 0.5 * (x + 1.0)
+    return tuple((u * u).tolist()), tuple((w * u).tolist())
 
 
-def _gl(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def segment_quadrature(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Integrate f over [a, b] in u, with t = a + (b - a) u^2, which
+    absorbs a sqrt(t - a) behaviour at a.
 
-
-def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> tuple[float, float]:
-    whole = _gl(f, a, b)
-    m = 0.5 * (a + b)
-    halves = _gl(f, a, m) + _gl(f, m, b)
-    err = abs(whole - halves)
-    if err <= tol or depth >= 30:
-        return halves, err
-    left, el = _adaptive_gl(f, a, m, tol / 2, depth + 1)
-    right, er = _adaptive_gl(f, m, b, tol / 2, depth + 1)
-    return left + right, el + er
+    Gauss-Legendre rules of 8, 16, 32, ... nodes in u, each evaluating f
+    in ascending t, run until two successive rules agree within tol or
+    QUAD_MAX_NODES is reached.  Returns the finer value and |Q_2n - Q_n|.
+    """
+    prev = None
+    n = QUAD_START_NODES
+    while True:
+        nodes, weights = _squared_rule(n)
+        q = (b - a) * sum(w * f(a + (b - a) * s) for s, w in zip(nodes, weights))
+        if prev is not None and (abs(q - prev) <= tol or n >= QUAD_MAX_NODES):
+            return q, abs(q - prev)
+        prev = q
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +244,6 @@ class _Integrand:
         self.p = p
         self.path = path
         self.walker = PathRealizer(p, path)
-        self.sys = _System(p)
         self.calls = 0
         varying = path.varying_edges
         kinds = _expected_vertex_kinds(p, path.target_angles)
@@ -252,12 +263,8 @@ class _Integrand:
         E = X.reshape(len(self.p.faces), 4)
         needed = {v for e in self.varying for v in e}
         verts = _compute_vertices(self.p, E, kinds, only=needed)
-        out = {}
-        for e in self.varying:
-            va, vb = verts[e[0]][0], verts[e[1]][0]
-            c = -float(np.dot(va * np.array([-1.0, 1, 1, 1]), vb))
-            out[e] = math.acosh(max(c, 1.0))
-        return out
+        return {e: math.acosh(max(-mdot(verts[e[0]][0], verts[e[1]][0]), 1.0))
+                for e in self.varying}
 
     def __call__(self, t: float) -> float:
         self.calls += 1
@@ -269,15 +276,18 @@ class _Integrand:
 def schlafli_volume(lp_target: LabeledPolyhedron | None,
                     path: DeformationPath | None = None,
                     tol: float = DEFAULT_TOL,
-                    eps: float = DEFAULT_EPS,
-                    collapse_threshold: float = COLLAPSE_LENGTH_THRESHOLD,
-                    check_collapse: bool = True) -> VolumeResult:
+                    collapse_threshold: float = COLLAPSE_LENGTH_THRESHOLD) -> VolumeResult:
     """Integrate -1/2 sum len_e dtheta_e along the path.
 
     Either a labeled target (default path built automatically) or an
-    explicit path must be given.  Integration runs over [eps, 1]; the
-    omitted [0, eps] mass is bounded by eps * |integrand(eps)| and folded
-    into the error estimate.
+    explicit path must be given.  Each path segment is integrated over
+    its whole length by segment_quadrature, with tol per unit of t.
+
+    The error estimate is half the summed |Q_2n - Q_n| of the last two
+    rules, plus a realization floor: every length comes from a Newton
+    solve stopped at a residual of RESIDUAL_TOL, so both rules carry
+    errors of that order, weighted by the total angle travel
+    sum_e |dtheta_e| of the path.
     """
     if path is None:
         if lp_target is None:
@@ -288,27 +298,19 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0, path=path)
 
     f = _Integrand(p, path)
+    worst = max(f.lengths_at(COLLAPSE_CHECK_T).values())
+    if worst > collapse_threshold:
+        raise NonCollapsingStart(
+            f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "
+            f"{collapse_threshold}; path start is not degenerate")
 
-    if check_collapse:
-        start_lengths = f.lengths_at(eps)
-        worst = max(start_lengths.values()) if start_lengths else 0.0
-        if worst > collapse_threshold:
-            raise NonCollapsingStart(
-                f"max varying-edge length {worst:.3g} at t={eps} exceeds "
-                f"{collapse_threshold}; path start is not degenerate")
-
-    # split at waypoint times so derivative jumps sit on interval ends
-    cuts = sorted({eps, 1.0} | {t for t in path.times if eps < t < 1.0})
-    total = 0.0
-    err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        seg, seg_err = _adaptive_gl(f, a, b, tol * (b - a))
-        total += seg
-        err += seg_err
-    tail_bound = eps * abs(f(eps))
-    volume = -0.5 * total
-    return VolumeResult(volume=volume,
-                        error_estimate=0.5 * err + 0.5 * tail_bound,
+    # one rule per waypoint segment, so derivative jumps sit on segment ends
+    segments = [segment_quadrature(f, a, b, tol * (b - a))
+                for a, b in zip(path.times, path.times[1:])]
+    travel = sum(abs(y - x) for wa, wb in zip(path.waypoints, path.waypoints[1:])
+                 for (_, x), (_, y) in zip(wa, wb))
+    return VolumeResult(volume=-0.5 * sum(q for q, _ in segments),
+                        error_estimate=0.5 * (sum(d for _, d in segments) + RESIDUAL_TOL * travel),
                         nodes=f.calls, path=path)
 
 
@@ -326,14 +328,11 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
     if delta_angle == 0.0:
         return 0.0, 0.0
     base = schlafli_volume(lp, tol=tol)
-    target = lp.angles()
-    perturbed = dict(target)
-    perturbed[edge] = perturbed[edge] + delta_angle
-    pert_path = default_path(lp.base, perturbed)
-    v2 = schlafli_volume(None, path=pert_path, tol=tol)
+    perturbed = lp.angles()
+    perturbed[edge] += delta_angle
+    v2 = schlafli_volume(None, path=default_path(lp.base, perturbed), tol=tol)
     # edge length at the unperturbed target
-    walker = PathRealizer(lp.base, default_path(lp))
-    r = walker.realization_at(1.0)
+    r = PathRealizer(lp.base, default_path(lp)).realization_at(1.0)
     pred = -0.5 * edge_length(r, edge) * delta_angle
     return v2.volume - base.volume, pred
 

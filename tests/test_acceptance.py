@@ -18,9 +18,9 @@ from coxvol.haken import classify, find_compressions, orbifolds_of
 from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import (build_realization, dof_audit, realize, solve_at)
-from coxvol.volume import (DeformationPath, _Integrand, _adaptive_gl,
-                           default_path, hyperbolic_triangle_area,
-                           monotonicity_probe, orb_convention, schlafli_volume)
+from coxvol.volume import (DeformationPath, _Integrand, default_path,
+                           hyperbolic_triangle_area, monotonicity_probe,
+                           orb_convention, schlafli_volume, segment_quadrature)
 
 
 def report(n, text):
@@ -151,7 +151,7 @@ def test_criterion_7_differential_self_consistency(lambert_cube):
     f = _Integrand(p, path)
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
-        acc = lambda u: -0.5 * _adaptive_gl(f, 1e-6, u, 1e-10)[0]
+        acc = lambda u: -0.5 * segment_quadrature(f, 0.0, u, 1e-10)[0]
         deriv = (acc(t + h) - acc(t - h)) / (2 * h)
         assert deriv == pytest.approx(-0.5 * f(t), rel=1e-6)
 

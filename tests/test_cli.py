@@ -78,6 +78,7 @@ def test_realize_report(capsys, data_dir):
     assert sum(ln.startswith("vertex ") for ln in out.splitlines()) == 8
     assert "dof audit: unknowns=24 constraints=18 gauge=6 dof=0" in out
     assert "dof=0" in result_line(out)
+    assert int(result_line(out).split("iters=")[1].split()[0]) > 0
 
 
 def test_realize_rejected(capsys, data_dir):

@@ -88,3 +88,28 @@ def test_ideal_tetrahedron_regular_is_maximal():
 def test_ideal_tetrahedron_rejects_bad_angle_sum():
     with pytest.raises(ValueError):
         ideal_tetrahedron_volume(1.0, 1.0, 1.0)
+
+
+def test_zeta_coefficients_match_scipy():
+    from scipy.special import zeta
+
+    from coxvol import lobachevsky
+
+    n = np.arange(1, lobachevsky._N_TERMS + 1)
+    ref = np.array([zeta(2 * k) for k in n]) / (n * (2 * n + 1))
+    assert np.max(np.abs(lobachevsky._ZETA_COEFF / ref - 1.0)) <= 1e-15
+
+
+def test_lob_unchanged_with_scipy_coefficients(monkeypatch):
+    # lob built on the local zeta values against lob built on scipy's
+    from scipy.special import zeta
+
+    from coxvol import lobachevsky
+
+    grid = np.linspace(-2 * math.pi, 2 * math.pi, 1001)
+    ours = [lob(t) for t in grid]
+    n = np.arange(1, lobachevsky._N_TERMS + 1)
+    monkeypatch.setattr(lobachevsky, "_ZETA_COEFF",
+                        np.array([zeta(2 * k) for k in n]) / (n * (2 * n + 1)))
+    for t, v in zip(grid, ours):
+        assert abs(lob(t) - v) <= 1e-15

@@ -37,6 +37,23 @@ def test_lambert_cube_realization(lambert_cube):
         assert vec[0] > 0  # future sheet
 
 
+def test_realize_reports_newton_iterations(lambert_cube):
+    # the anchor solve and the continuation step to t=1 both iterate
+    assert realize(lambert_cube).newton_iters > 0
+
+
+def test_path_realizer_is_deterministic(lambert_cube):
+    # requests in a fixed order give bit-identical solutions
+    path = default_path(lambert_cube)
+    ts = (0.9, 0.1, 0.55, 1e-3, 0.3, 0.95)
+    runs = []
+    for _ in range(2):
+        walker = PathRealizer(lambert_cube.base, path)
+        runs.append([walker.solution_at(t).copy() for t in ts])
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
 def test_prism_realization(triangular_prism):
     r = realize(triangular_prism)
     assert r.residual <= 1e-10

@@ -3,11 +3,12 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from coxvol.volume import (DeformationPath, IdealEdge, NonCollapsingStart,
-                           _Integrand, _adaptive_gl, collapse_fraction,
-                           default_path, hyperbolic_triangle_area,
-                           monotonicity_probe, orb_convention, schlafli_volume)
+                           _Integrand, collapse_fraction, default_path,
+                           hyperbolic_triangle_area, monotonicity_probe,
+                           orb_convention, schlafli_volume, segment_quadrature)
 
 
 def test_triangle_area_identity():
@@ -130,7 +131,8 @@ def test_quadrature_error_estimate(lambert_cube):
 
 
 def test_adaptive_quadrature_on_known_integral():
-    val, err = _adaptive_gl(math.sin, 0.0, math.pi, 1e-12)
+    # the per-segment rule of schlafli_volume, doubled until converged
+    val, err = segment_quadrature(math.sin, 0.0, math.pi, 1e-12)
     assert val == pytest.approx(2.0, abs=1e-12)
     assert err < 1e-12
 
@@ -143,6 +145,54 @@ def test_accumulated_integral_derivative(lambert_cube):
     f = _Integrand(p, path)
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
-        acc = lambda u: _adaptive_gl(f, 1e-6, u, 1e-10)[0]
+        acc = lambda u: segment_quadrature(f, 0.0, u, 1e-10)[0]
         deriv = (acc(t + h) - acc(t - h)) / (2 * h)
         assert deriv == pytest.approx(f(t), rel=1e-6)
+
+
+def _lob_quad(theta):
+    """-int_0^theta log|2 sin u| du by adaptive quadrature, independent
+    of coxvol.lobachevsky.  The function is odd and pi-periodic, so the
+    argument is reduced to r in [-pi/2, pi/2]; on (0, |r|) the singular
+    part log(2u) is integrated in closed form, leaving log(sin u / u)."""
+    r = math.remainder(theta, math.pi)
+    if r == 0.0:
+        return 0.0
+    x = abs(r)
+    smooth, err = quad(lambda u: math.log(math.sin(u) / u), 0.0, x,
+                       epsabs=1e-14, epsrel=1e-12)
+    assert err < 1e-11
+    val = x * math.log(2.0 * x) - x + smooth
+    return -val if r > 0 else val
+
+
+def _kellerhals_lambert(alpha, beta, gamma):
+    """Kellerhals' closed form for the Lambert cube with essential
+    angles alpha, beta, gamma (Math. Ann. 1989)."""
+    tans = [math.tan(x) for x in (alpha, beta, gamma)]
+    K = sum(t * t for t in tans) + 1.0
+    L = tans[0] * tans[1] * tans[2]
+    theta = math.atan(math.sqrt((K + math.sqrt(K * K + 4.0 * L * L)) / 2.0))
+    s = sum(_lob_quad(x + theta) - _lob_quad(x - theta) for x in (alpha, beta, gamma))
+    return 0.25 * (s - _lob_quad(2.0 * theta) + 2.0 * _lob_quad(math.pi / 2 - theta))
+
+
+@pytest.mark.parametrize("lmn", [(3, 3, 3), (3, 4, 5), (4, 4, 4), (3, 3, 8),
+                                 (5, 6, 7), (8, 8, 8)])
+def test_lambert_family_closed_form(lambert_cube, lmn):
+    from coxvol.poly_model import LabeledPolyhedron
+
+    labels = dict(lambert_cube.labels)
+    essential = sorted(e for e, n in labels.items() if n == 3)
+    for e, n in zip(essential, lmn):
+        labels[e] = n
+    res = schlafli_volume(LabeledPolyhedron(base=lambert_cube.base, labels=labels))
+    err = res.volume - _kellerhals_lambert(*(math.pi / n for n in lmn))
+    assert abs(err) <= 1e-10
+    assert abs(err) <= res.error_estimate
+
+
+def test_pyramid_volume_pinned(pyramid):
+    # agrees with an adaptive GL-10 integration of the same path to 1e-11
+    res = schlafli_volume(pyramid)
+    assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
