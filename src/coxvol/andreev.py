@@ -1,18 +1,30 @@
 """The five admissibility conditions for non-obtuse edge labelings.
 
-All angle-sum comparisons are done in exact rational arithmetic on the
-fractions alpha/pi = 1/n, so compact/ideal boundaries are decided
-without any floating point.
+Conditions 2-5 are linear inequalities on the angles pi/n of sets of
+edges, and which edges and bounds depend only on the combinatorics.
+``constraints(p)`` compiles them once per polyhedron into one table;
+each row holds its edges, a bound in units of pi, its condition and a
+witness.  Three evaluators read that table:
+
+- ``check`` sums each row in exact rationals (alpha/pi = 1/n), so
+  compact/ideal boundaries are decided without any floating point;
+- the census screen sums each row's columns of an integer array of
+  angles in units of pi/U, U a common denominator of all 1/n;
+- the volume integrator's collapse path compares float angle sums with
+  bound*pi.
+
+Condition 1 (positive angles) holds for every label n >= 2 and has no
+rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuits import enumerate_circuits
-from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron
+from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, edge_key
 
 STRICT_COMPACT = "strict-compact"
 ALLOW_IDEAL = "allow-ideal"
@@ -24,6 +36,8 @@ INADMISSIBLE = "inadmissible"
 
 FACE_COUNT_TOO_SMALL = "FaceCountTooSmall"
 
+VERTEX = 2  # the condition number of vertex rows
+
 
 def angle_of(label: int) -> float:
     """Dihedral angle pi/n for an integer edge label n >= 2."""
@@ -32,8 +46,89 @@ def angle_of(label: int) -> float:
     return math.pi / label
 
 
-def _unit(label: int) -> Fraction:
-    return Fraction(1, label)
+@dataclass(frozen=True)
+class Constraint:
+    """One row of the admissibility table: the angle sum over ``edges``,
+    in units of pi, against ``bound``.
+
+    A vertex row (condition 2) needs the sum above the bound, and
+    equality makes the vertex ideal.  Circuit rows (3 and 4) and
+    quadrilateral-face rows (5) need it strictly below.  ``witness`` is
+    the vertex id, the Circuit, or (face id, branch).  An informational
+    row is reported but never rejects.
+    """
+
+    condition: int
+    edges: tuple[Edge, ...]
+    bound: int
+    witness: object
+    informational: bool = False
+
+    def angle_sum(self, labels: dict[Edge, int]) -> Fraction:
+        """Exact sum of the row's angles in units of pi."""
+        ns = [labels[e] for e in self.edges]
+        unit = math.lcm(*ns)
+        return Fraction(sum(unit // n for n in ns), unit)
+
+    def holds(self, s, allow_ideal: bool, unit: int = 1):
+        """Whether angle sum ``s``, in units of pi/unit, satisfies the row;
+        ``s`` may be a number or a numpy array."""
+        bound = self.bound * unit
+        if self.condition != VERTEX:
+            return s < bound
+        return s >= bound if allow_ideal else s > bound
+
+
+def constraints(p: AbstractPolyhedron) -> tuple[Constraint, ...]:
+    """The admissibility table of ``p``, compiled on first use and kept
+    on ``p`` (which is immutable).
+
+    Rows run by condition: vertices by id; prismatic 3-circuits, then
+    4-circuits, in enumeration order; then both branches of each
+    quadrilateral face whose vertices are all trivalent.  Condition 5 is
+    only decisive on five-faced polyhedra; with more faces its rows are
+    informational.
+    """
+    table = vars(p).get("_constraints")
+    if table is None:
+        table = vars(p)["_constraints"] = _compile(p)
+    return table
+
+
+def _compile(p: AbstractPolyhedron) -> tuple[Constraint, ...]:
+    rows = []
+    for v in p.vertices:
+        d = p.valence(v)
+        if d not in (3, 4):
+            raise ValueError(f"vertex {v} has valence {d}, expected 3 or 4")
+        if d == 4 and v not in p.ideal_candidates:
+            raise ValueError(f"vertex {v} is 4-valent but not an ideal candidate")
+        rows.append(Constraint(VERTEX, p.vertex_edges[v], d - 2, v))
+    for k in (3, 4):
+        rows += [Constraint(k, c.crossed_edges, k - 2, c)
+                 for c in enumerate_circuits(p, k) if c.prismatic]
+    # each branch is a pair of opposite face edges (alpha1+alpha3, then
+    # alpha2+alpha4) plus the four edges entering the face's vertices
+    informational = len(p.faces) > 5
+    for fid, cyc in enumerate(p.faces):
+        if len(cyc) != 4 or any(p.valence(v) != 3 for v in cyc):
+            continue
+        boundary = [edge_key(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
+        entering = tuple(next(e for e in p.vertex_edges[v] if e not in boundary)
+                         for v in cyc)
+        for branch in (0, 1):
+            rows.append(Constraint(5, (boundary[branch], boundary[branch + 2]) + entering,
+                                   3, (fid, branch), informational))
+    return tuple(rows)
+
+
+def vertex_kind(s: Fraction, bound: int) -> str:
+    """Compact above the bound, ideal at exact equality, inadmissible below."""
+    if s > bound:
+        return COMPACT
+    if s == bound:
+        return IDEAL
+    return INADMISSIBLE
 
 
 def vertex_type(lp: LabeledPolyhedron, v: int) -> str:
@@ -41,26 +136,14 @@ def vertex_type(lp: LabeledPolyhedron, v: int) -> str:
 
     A d-valent vertex is compact if the sum exceeds (d-2)*pi, ideal at
     exact equality, inadmissible below.  Valence 4 is only allowed for
-    declared ideal candidates, and then all four labels must be 2 (the
-    only 4-valent configuration supported).
+    declared ideal candidates; as every angle is at most pi/2, such a
+    vertex is ideal exactly when all four labels are 2.
     """
-    p = lp.base
-    edges = p.vertex_edges[v]
-    d = len(edges)
-    if d not in (3, 4):
-        raise ValueError(f"vertex {v} has valence {d}, expected 3 or 4")
-    if d == 4:
-        if v not in p.ideal_candidates:
-            raise ValueError(f"vertex {v} is 4-valent but not an ideal candidate")
-        if any(lp.labels[e] != 2 for e in edges):
-            return INADMISSIBLE
-    s = sum((_unit(lp.labels[e]) for e in edges), Fraction(0))
-    bound = Fraction(d - 2)  # in units of pi
-    if s > bound:
-        return COMPACT
-    if s == bound:
-        return IDEAL
-    return INADMISSIBLE
+    row = next((r for r in constraints(lp.base) if r.condition == VERTEX and r.witness == v),
+               None)
+    if row is None:
+        raise KeyError(v)
+    return vertex_kind(row.angle_sum(lp.labels), row.bound)
 
 
 @dataclass(frozen=True)
@@ -96,110 +179,40 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     p = lp.base
-    F = len(p.faces)
-    vtypes = {v: vertex_type(lp, v) for v in p.vertices}
-    if F <= 4:
+    sums = [(row, row.angle_sum(lp.labels)) for row in constraints(p)]
+    vertices = [(row.witness, s) for row, s in sums if row.condition == VERTEX]
+    vtypes = {row.witness: vertex_kind(s, row.bound)
+              for row, s in sums if row.condition == VERTEX}
+    if len(p.faces) <= 4:
         return AndreevReport(
             outcome="rejected", regime=regime, conditions=(),
             vertex_types=vtypes, reason=FACE_COUNT_TOO_SMALL)
 
-    conditions: list[ConditionResult] = []
-    rejected = False
-    reason = ""
-
     # 1: all angles positive -- automatic for integer labels >= 2.
-    conditions.append(ConditionResult(1, True, False, (),
-                                      note="automatic: labels >= 2 give 0 < angle <= pi/2"))
-
-    # 2: vertex angle sums.
-    bad = []
-    ideal_vs = []
-    for v in sorted(vtypes):
-        t = vtypes[v]
-        s = sum((_unit(lp.labels[e]) for e in p.vertex_edges[v]), Fraction(0))
-        if t == INADMISSIBLE:
-            bad.append((v, s))
-        elif t == IDEAL:
-            ideal_vs.append((v, s))
-    c2_fail = list(bad)
+    conditions = [ConditionResult(1, True, False, (),
+                                  note="automatic: labels >= 2 give 0 < angle <= pi/2")]
+    # 2: inadmissible vertices, then (strict regime) ideal ones.
+    fails = [w for w in vertices if vtypes[w[0]] == INADMISSIBLE]
     if regime == STRICT_COMPACT:
-        c2_fail += ideal_vs
-    conditions.append(ConditionResult(2, not c2_fail, False, tuple(c2_fail)))
-    if c2_fail:
-        rejected = True
-        reason = reason or "condition 2"
+        fails += [w for w in vertices if vtypes[w[0]] == IDEAL]
+    conditions.append(ConditionResult(2, not fails, False, tuple(fails)))
+    # 3, 4: prismatic circuits; 5: quadrilateral faces, witnessed by
+    # (face id, branch, sum).
+    for cond in (3, 4, 5):
+        rows = [(row, s) for row, s in sums if row.condition == cond]
+        fails = [(*row.witness, s) if cond == 5 else (row.witness, s)
+                 for row, s in rows if not s < row.bound]
+        note = f"vacuous: no prismatic {cond}-circuits" if cond < 5 and not rows else ""
+        conditions.append(ConditionResult(cond, not fails, cond == 5 and len(p.faces) > 5,
+                                          tuple(fails), note=note))
 
-    # 3: prismatic 3-circuit sums strictly below pi.
-    tri = [c for c in enumerate_circuits(p, 3) if c.prismatic]
-    fails3 = []
-    for c in tri:
-        s = sum((_unit(lp.labels[e]) for e in c.crossed_edges), Fraction(0))
-        if not s < 1:
-            fails3.append((c, s))
-    note3 = "vacuous: no prismatic 3-circuits" if not tri else ""
-    conditions.append(ConditionResult(3, not fails3, False, tuple(fails3), note=note3))
-    if fails3:
-        rejected = True
-        reason = reason or "condition 3"
-
-    # 4: prismatic 4-circuit sums strictly below 2 pi.
-    quad = [c for c in enumerate_circuits(p, 4) if c.prismatic]
-    fails4 = []
-    for c in quad:
-        s = sum((_unit(lp.labels[e]) for e in c.crossed_edges), Fraction(0))
-        if not s < 2:
-            fails4.append((c, s))
-    note4 = "vacuous: no prismatic 4-circuits" if not quad else ""
-    conditions.append(ConditionResult(4, not fails4, False, tuple(fails4), note=note4))
-    if fails4:
-        rejected = True
-        reason = reason or "condition 4"
-
-    # 5: quadrilateral faces.  Decisive only when F == 5.
-    informational = F > 5
-    fails5 = []
-    for fid, sums in _quad_face_sums(lp):
-        for branch, s in enumerate(sums):
-            if not s < 3:
-                fails5.append((fid, branch, s))
-    conditions.append(ConditionResult(5, not fails5, informational, tuple(fails5)))
-    if fails5 and not informational:
-        rejected = True
-        reason = reason or "condition 5"
-
-    if rejected:
+    failed = [c.condition for c in conditions if not c.passed and not c.informational]
+    if failed:
         outcome = "rejected"
-    elif any(t == IDEAL for t in vtypes.values()):
+    elif IDEAL in vtypes.values():
         outcome = "realizable-with-ideal-vertices"
     else:
         outcome = "realizable-compact"
     return AndreevReport(outcome=outcome, regime=regime,
-                         conditions=tuple(conditions),
-                         vertex_types=vtypes, reason=reason)
-
-
-def _quad_face_sums(lp: LabeledPolyhedron):
-    """For each quadrilateral face, the two branch sums of condition 5.
-
-    The branches are (alpha1+alpha3) and (alpha2+alpha4), each plus the
-    four angles of the edges entering the face's vertices.  Vertices of
-    valence other than 3 (a declared ideal apex) have no single entering
-    edge; such faces are skipped.
-    """
-    p = lp.base
-    for fid, cyc in enumerate(p.faces):
-        if len(cyc) != 4:
-            continue
-        if any(p.valence(v) != 3 for v in cyc):
-            continue
-        from .poly_model import edge_key
-        boundary = [edge_key(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
-        entering = []
-        for i in range(4):
-            v = cyc[i]
-            others = [e for e in p.vertex_edges[v] if e not in boundary]
-            entering.append(others[0])
-        ent_sum = sum((_unit(lp.labels[e]) for e in entering), Fraction(0))
-        s13 = _unit(lp.labels[boundary[0]]) + _unit(lp.labels[boundary[2]]) + ent_sum
-        s24 = _unit(lp.labels[boundary[1]]) + _unit(lp.labels[boundary[3]]) + ent_sum
-        yield fid, (s13, s24)
+                         conditions=tuple(conditions), vertex_types=vtypes,
+                         reason=f"condition {failed[0]}" if failed else "")

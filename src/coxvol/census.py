@@ -3,27 +3,31 @@
 Covers three searches: the general orbit census of admissible labelings
 up to a label bound, the cube-specific placement search for exactly
 three 3-labels, and the ideal-apex pyramid table with its comparison
-against the published row list.  Candidate screening is vectorized with
-integer angle units (a common denominator of all 1/n), so every
-comparison stays exact; only survivors are re-checked with the full
-rational-arithmetic checker.
+against the published row list.  All three read the admissibility
+constraint table of ``andreev.constraints``.  The orbit census screens
+candidates vectorized, summing each table row over integer angle units
+(a common denominator of all 1/n), so every comparison stays exact;
+only survivors are re-checked with the full rational-arithmetic checker.
+The pyramid table evaluates the rows of the bundled pyramid with its
+apex edges at 2 and its base edges labeled from each sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from . import andreev as _andreev
+from . import corpus
 from .circuits import enumerate_circuits
-from .haken import HakenVerdict, classify
+from .haken import classify
 from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
-                         apply_automorphism_to_edges, automorphisms, edge_key,
-                         validate)
+                         apply_automorphism_to_edges, automorphisms, canonical_cycle,
+                         edge_key, validate)
 
 DEFAULT_BUDGET = 4_000_000
 
@@ -54,44 +58,18 @@ def _edge_perms(p: AbstractPolyhedron) -> list[tuple[int, ...]]:
 
 def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
                      regime: str) -> np.ndarray:
-    """Exact vectorized admissibility over an (N, E) label array."""
+    """Exact vectorized admissibility over an (N, E) label array: each
+    decisive row of the constraint table sums its columns of angles in
+    units of pi/U."""
     U = math.lcm(*range(2, max_label + 1))
-    units = (U // labels).astype(np.int64)  # angle in units of pi/U
-    edges = p.edges
-    eidx = {e: i for i, e in enumerate(edges)}
-    ok = np.ones(len(labels), dtype=bool)
-
+    unit = np.array([0, 0] + [U // n for n in range(2, max_label + 1)], dtype=np.int64)
+    eidx = {e: i for i, e in enumerate(p.edges)}
     allow_ideal = regime == _andreev.ALLOW_IDEAL
-    for v in p.vertices:
-        d = p.valence(v)
-        cols = [eidx[e] for e in p.vertex_edges[v]]
-        s = units[:, cols].sum(axis=1)
-        bound = (d - 2) * U
-        if d == 4:
-            # declared apex: all labels 2 and exactly ideal
-            ok &= (labels[:, cols] == 2).all(axis=1)
-            ok &= np.full(len(labels), allow_ideal)
-        elif allow_ideal:
-            ok &= s >= bound
-        else:
-            ok &= s > bound
-    for k, bound_mult in ((3, 1), (4, 2)):
-        for c in enumerate_circuits(p, k):
-            if not c.prismatic:
-                continue
-            cols = [eidx[e] for e in c.crossed_edges]
-            ok &= units[:, cols].sum(axis=1) < bound_mult * U
-    if len(p.faces) == 5:
-        for fid, cyc in enumerate(p.faces):
-            if len(cyc) != 4 or any(p.valence(v) != 3 for v in cyc):
-                continue
-            boundary = [edge_key(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
-            entering = [next(e for e in p.vertex_edges[v] if e not in boundary)
-                        for v in cyc]
-            ent = units[:, [eidx[e] for e in entering]].sum(axis=1)
-            for a, b in ((0, 2), (1, 3)):
-                s = units[:, eidx[boundary[a]]] + units[:, eidx[boundary[b]]] + ent
-                ok &= s < 3 * U
+    ok = np.ones(len(labels), dtype=bool)
+    for row in _andreev.constraints(p):
+        if not row.informational:
+            s = sum(unit[labels[:, eidx[e]]] for e in row.edges)
+            ok &= row.holds(s, allow_ideal, U)
     return ok
 
 
@@ -246,51 +224,54 @@ class PyramidTableDiff:
         return all(r.admissible for r in self.published_rows)
 
 
+@functools.cache
+def _pyramid() -> tuple[tuple[Edge, ...], dict[Edge, int], tuple]:
+    """The bundled square pyramid as a base sequence sees it: its base
+    edges in cyclic order, its apex edges at label 2, and the constraint
+    rows holding base edges, each with the sequence positions (i, j) of
+    those two edges, in report order.
+
+    The apex row holds apex edges only; at label 2 they make the apex
+    ideal by construction, so it is left out.
+    """
+    p = corpus.load("pyramid").base
+    cyc = canonical_cycle(next(f for f in p.faces if p.ideal_candidates.isdisjoint(f)))
+    base = tuple(edge_key(cyc[i], cyc[(i + 1) % 4]) for i in range(4))
+    rows = []
+    for row in _andreev.constraints(p):
+        at = sorted(base.index(e) for e in row.edges if e in base)
+        if at:
+            i, j = (3, 0) if at == [0, 3] else at  # (3, 0): the vertex closing the cycle
+            rows.append((row, (i, j)))
+    rows.sort(key=lambda r: (r[0].condition, r[1][0]))
+    return base, {e: 2 for e in p.edges if e not in base}, tuple(rows)
+
+
 def _pyramid_base_analysis(seq: tuple[int, int, int, int]) -> tuple[bool, bool, list[str]]:
     """Exact admissibility of one cyclic base-label sequence.
 
     Returns (strictly compact, admissible with ideal base vertices,
-    reasons).  Apex edges are right angles and the apex itself is ideal
-    by construction, so only base-vertex sums and the quadrilateral-face
-    condition are in play.
+    reasons), from the constraint table of the bundled pyramid with the
+    apex edges at 2 and the base edges labeled from ``seq``.
     """
+    base, labels, rows = _pyramid()
+    labels = {**labels, **dict(zip(base, seq))}
     reasons: list[str] = []
-    strict = True
-    relaxed = True
-    for i in range(4):
-        a, b = seq[i], seq[(i + 1) % 4]
-        s = Fraction(1, a) + Fraction(1, b) + Fraction(1, 2)
-        if s > 1:
-            kind = "compact"
-        elif s == 1:
-            kind = "ideal"
-            strict = False
+    strict = relaxed = True
+    for row, (i, j) in rows:
+        a, b = seq[i], seq[j]
+        s = row.angle_sum(labels)
+        if row.condition == _andreev.VERTEX:
+            kind = _andreev.vertex_kind(s, row.bound)
+            strict &= kind == _andreev.COMPACT
+            relaxed &= kind != _andreev.INADMISSIBLE
+            reasons.append(f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}")
+        elif s < row.bound:
+            reasons.append(f"quad-face pair ({a},{b}): {s}*pi < {row.bound}*pi ok")
         else:
-            kind = "inadmissible"
-            strict = relaxed = False
-        reasons.append(
-            f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}")
-    for i in (0, 1):
-        a, b = seq[i], seq[i + 2]
-        s = Fraction(1, a) + Fraction(1, b) + 2  # + four apex right angles
-        if s < 3:
-            reasons.append(
-                f"quad-face pair ({a},{b}): {s}*pi < 3*pi ok")
-        else:
-            reasons.append(
-                f"quad-face pair ({a},{b}): {s}*pi not < 3*pi -> rejected")
+            reasons.append(f"quad-face pair ({a},{b}): {s}*pi not < {row.bound}*pi -> rejected")
             strict = relaxed = False
     return strict, relaxed, reasons
-
-
-def _necklace_canon(seq: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for s in (seq, seq[::-1]):
-        for i in range(4):
-            rot = s[i:] + s[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
 
 
 def pyramid_census(max_label: int,
@@ -304,23 +285,23 @@ def pyramid_census(max_label: int,
         raise ValueError(f"unknown convention {convention!r}")
     strict_regime = regime == _andreev.STRICT_COMPACT
 
-    def admissible_seq(seq) -> bool:
-        strict, relaxed, _ = _pyramid_base_analysis(seq)
-        return strict if strict_regime else relaxed
+    def verdict(seq) -> tuple[bool, list[str]]:
+        strict, relaxed, reasons = _pyramid_base_analysis(seq)
+        return (strict if strict_regime else relaxed), reasons
 
     def admissible(row) -> tuple[bool, tuple[str, ...]]:
         if convention == AS_LISTED_CYCLIC:
-            strict, relaxed, reasons = _pyramid_base_analysis(row)
-            return (strict if strict_regime else relaxed), tuple(reasons)
+            ok, reasons = verdict(row)
+            return ok, tuple(reasons)
         # any-arrangement: the multiset passes if some cyclic order does
-        arrangements = {_necklace_canon(perm) for perm in _all_orders(row)}
-        good = [a for a in sorted(arrangements) if admissible_seq(a)]
+        good = False
         reasons = []
-        for a in sorted(arrangements):
-            _, rel, rs = _pyramid_base_analysis(a)
-            tag = "admissible" if admissible_seq(a) else "rejected"
-            reasons.append(f"arrangement {a}: {tag}; " + "; ".join(rs))
-        return bool(good), tuple(reasons)
+        for a in sorted({canonical_cycle(perm) for perm in permutations(row)}):
+            ok, rs = verdict(a)
+            good |= ok
+            reasons.append(f"arrangement {a}: {'admissible' if ok else 'rejected'}; "
+                           + "; ".join(rs))
+        return good, tuple(reasons)
 
     published = tuple(
         PyramidRowResult(row=row, admissible=adm, reasons=rs)
@@ -329,37 +310,13 @@ def pyramid_census(max_label: int,
     )
 
     # our full enumeration, canonicalized per the convention
-    if convention == AS_LISTED_CYCLIC:
-        listed = {_necklace_canon(r.row) for r in published}
-        ours = {
-            _necklace_canon(seq)
-            for seq in product(range(2, max_label + 1), repeat=4)
-            if admissible_seq(seq)
-        }
-    else:
-        listed = {tuple(sorted(r.row)) for r in published}
-        ours = set()
-        for seq in product(range(2, max_label + 1), repeat=4):
-            if admissible_seq(seq):
-                ours.add(tuple(sorted(seq)))
-
-    extras = tuple(sorted(o for o in ours if o not in _closure(listed, convention)))
+    canon = canonical_cycle if convention == AS_LISTED_CYCLIC else lambda r: tuple(sorted(r))
+    listed = {canon(r.row) for r in published}
+    ours = {canon(seq) for seq in product(range(2, max_label + 1), repeat=4)
+            if verdict(seq)[0]}
+    extras = tuple(sorted(o for o in ours if o not in listed))
     return PyramidTableDiff(convention=convention, regime=regime,
                             published_rows=published, extra_rows=extras)
-
-
-def _all_orders(row):
-    from itertools import permutations
-    return set(permutations(row))
-
-
-def _closure(listed, convention):
-    if convention == ANY_ARRANGEMENT:
-        return listed
-    out = set()
-    for row in listed:
-        out.add(_necklace_canon(row))
-    return out
 
 
 def format_pyramid_diff(diff: PyramidTableDiff) -> str:

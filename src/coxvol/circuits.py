@@ -9,9 +9,8 @@ when the 2k endpoints of the crossed edges are pairwise distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .poly_model import AbstractPolyhedron, Edge
+from .poly_model import AbstractPolyhedron, Edge, canonical_cycle
 
 DEFAULT_CIRCUIT_CAP = 12
 
@@ -32,19 +31,8 @@ class Circuit:
         return f"circuit k={self.k} prismatic={self.prismatic} faces={fs} edges={es}"
 
 
-def _canonical_cycle(faces: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest rotation/reflection of the face sequence."""
-    best = None
-    for seq in (faces, faces[::-1]):
-        for i in range(len(seq)):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
 def _build_circuit(p: AbstractPolyhedron, faces: tuple[int, ...]) -> Circuit:
-    faces = _canonical_cycle(faces)
+    faces = canonical_cycle(faces)
     k = len(faces)
     edges = tuple(p.face_adjacency[(faces[i], faces[(i + 1) % k])] for i in range(k))
     ends = [v for e in edges for v in e]

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import andreev, census, corpus
-from .circuits import circuits_up_to, enumerate_circuits
+from .circuits import DEFAULT_CIRCUIT_CAP, circuits_up_to, enumerate_circuits
 from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
@@ -282,11 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("circuits", _cmd_circuits, help="enumerate dual-cycle circuits")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None, help="single circuit length")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_CIRCUIT_CAP)
 
     p = add("classify", _cmd_classify, help="Large/Small classification")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_CIRCUIT_CAP)
 
     p = add("realize", _cmd_realize, help="solve for face planes and vertices")
     p.add_argument("file")
@@ -296,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--doubled", action="store_true")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--path", choices=("linear",), default="linear")
 
     p = add("census", _cmd_census, help="orbit census of admissible labelings")
     p.add_argument("file")

@@ -476,7 +476,8 @@ def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
     return found
 
 
-def _canon_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
+def canonical_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
+    """Lexicographically smallest rotation or reflection of a cyclic sequence."""
     cyc = tuple(cyc)
     best = None
     for seq in (cyc, cyc[::-1]):
@@ -488,24 +489,11 @@ def _canon_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
 
 
 def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
-    face_set = {_canon_cycle(c) for c in p.faces}
+    face_set = {canonical_cycle(c) for c in p.faces}
     for cyc in p.faces:
-        if _canon_cycle(vmap[v] for v in cyc) not in face_set:
+        if canonical_cycle(vmap[v] for v in cyc) not in face_set:
             return False
     return True
-
-
-def automorphisms_brute(p: AbstractPolyhedron) -> list[dict[int, int]]:
-    """Exhaustive oracle: try every vertex bijection.  Test use only."""
-    from itertools import permutations
-
-    verts = p.vertices
-    out = []
-    for perm in permutations(verts):
-        vmap = dict(zip(verts, perm))
-        if _preserves_faces(p, vmap):
-            out.append(vmap)
-    return out
 
 
 def apply_automorphism_to_edges(p: AbstractPolyhedron, vmap: dict[int, int]) -> dict[Edge, Edge]:

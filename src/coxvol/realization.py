@@ -477,8 +477,12 @@ def edge_length(r: Realization, e: Edge) -> float:
     vb, kb = r.vertices[e[1]]
     if ka != TIMELIKE or kb != TIMELIKE:
         raise IdealEndpoint(f"edge {e} has an ideal endpoint; length is infinite")
-    c = -mdot(va, vb)
-    return math.acosh(max(c, 1.0))
+    return hyperbolic_distance(va, vb)
+
+
+def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Distance between two points of the hyperboloid <x,x> = -1."""
+    return math.acosh(max(-mdot(x, y), 1.0))
 
 
 def finite_edge_lengths(r: Realization) -> dict[Edge, float]:

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .andreev import VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 from .realization import (NonConvergence, PathRealizer, RealizationError,
                           RESIDUAL_TOL, TIMELIKE, _compute_vertices,
-                          _expected_vertex_kinds, edge_length, mdot)
+                          _expected_vertex_kinds, edge_length, hyperbolic_distance)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -117,51 +118,20 @@ class DeformationPath:
 # default (linear-from-collapse) path construction
 
 
-def _admissibility_constraints(p: AbstractPolyhedron):
-    """Linear angle constraints (coeffs, bound, kind) with kind '<' or '>'.
-
-    Each constraint is sum(angle_e for e in coeff edges) kind bound.
-    Quadrilateral-face constraints are included only when they are
-    decisive (F == 5), matching the checker.
-    """
-    from .circuits import enumerate_circuits
-
-    cons = []
-    for v in p.vertices:
-        d = p.valence(v)
-        if d == 4 and v in p.ideal_candidates:
-            continue  # held at exact equality along any admissible path
-        cons.append((tuple(p.vertex_edges[v]), (d - 2) * math.pi, ">"))
-    for c in enumerate_circuits(p, 3):
-        if c.prismatic:
-            cons.append((c.crossed_edges, math.pi, "<"))
-    for c in enumerate_circuits(p, 4):
-        if c.prismatic:
-            cons.append((c.crossed_edges, 2 * math.pi, "<"))
-    if len(p.faces) == 5:
-        from .poly_model import edge_key
-        for fid, cyc in enumerate(p.faces):
-            if len(cyc) != 4 or any(p.valence(v) != 3 for v in cyc):
-                continue
-            boundary = [edge_key(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
-            entering = []
-            for v in cyc:
-                entering.append(next(e for e in p.vertex_edges[v] if e not in boundary))
-            for pair in ((boundary[0], boundary[2]), (boundary[1], boundary[3])):
-                cons.append((pair + tuple(entering), 3 * math.pi, "<"))
-    return cons
-
-
 def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float:
     """Largest s in [0, 1) at which scaling every angle's deviation from
-    pi/2 by s makes some admissibility constraint an equality."""
+    pi/2 by s makes some decisive row of the admissibility table an
+    equality."""
     dev = {e: target[e] - math.pi / 2 for e in target}
     s0 = 0.0
-    for edges, bound, kind in _admissibility_constraints(p):
-        base = len(edges) * math.pi / 2
-        slope = sum(dev[e] for e in edges)
+    for row in constraints(p):
+        if row.informational:
+            continue
+        base = len(row.edges) * math.pi / 2
+        bound = row.bound * math.pi
+        slope = sum(dev[e] for e in row.edges)
         if abs(slope) < 1e-14:
-            if abs(base - bound) < 1e-12 and kind == "<":
+            if abs(base - bound) < 1e-12 and row.condition != VERTEX:
                 raise VolumeError(
                     "target sits on an admissibility boundary with no way to move off it")
             continue
@@ -263,7 +233,7 @@ class _Integrand:
         E = X.reshape(len(self.p.faces), 4)
         needed = {v for e in self.varying for v in e}
         verts = _compute_vertices(self.p, E, kinds, only=needed)
-        return {e: math.acosh(max(-mdot(verts[e[0]][0], verts[e[1]][0]), 1.0))
+        return {e: hyperbolic_distance(verts[e[0]][0], verts[e[1]][0])
                 for e in self.varying}
 
     def __call__(self, t: float) -> float:

@@ -1,14 +1,16 @@
 """Labeling censuses and the pyramid table comparison."""
 
-from itertools import combinations
+import hashlib
+from itertools import combinations, product
 
 import pytest
 
 from coxvol import andreev
 from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            CensusBudgetExceeded, PUBLISHED_PYRAMID_ROWS,
-                           cube_three_threes, enumerate_labelings,
-                           format_pyramid_diff, pyramid_census)
+                           _pyramid_base_analysis, cube_three_threes,
+                           enumerate_labelings, format_pyramid_diff,
+                           pyramid_census)
 from coxvol.poly_model import LabeledPolyhedron
 
 
@@ -139,3 +141,37 @@ def test_pyramid_reasons_are_exact():
         assert len(r.reasons) >= 4
         for reason in r.reasons:
             assert "pi" in reason
+
+
+# sha256 of format_pyramid_diff at max_label 6, recorded when the reason
+# lines were still written out by hand for the pyramid
+PYRAMID_TEXT_SHA256 = {
+    (AS_LISTED_CYCLIC, andreev.STRICT_COMPACT):
+        "e0d477ef346cf48b2a04d48592c68721b2887a2efc1f76e4e054cc24b7ebd9be",
+    (AS_LISTED_CYCLIC, andreev.ALLOW_IDEAL):
+        "e762bce97432ca206e4c2c94f9d467ee34384138201c7ad5112fed53cce67b61",
+    (ANY_ARRANGEMENT, andreev.STRICT_COMPACT):
+        "1715cfe75949b35bcdf8afddde4fddc015238cfbb94fbc5d0e7644b03924b6b1",
+    (ANY_ARRANGEMENT, andreev.ALLOW_IDEAL):
+        "afdbd4b9cf1ee359e0407bf80f07b04f0907085c9f6fb3b5214b7f3adcac6d78",
+}
+
+
+@pytest.mark.parametrize("convention, regime", sorted(PYRAMID_TEXT_SHA256))
+def test_pyramid_table_text_pinned(convention, regime):
+    text = format_pyramid_diff(pyramid_census(6, convention=convention, regime=regime))
+    assert hashlib.sha256(text.encode()).hexdigest() == PYRAMID_TEXT_SHA256[convention, regime]
+
+
+def test_pyramid_verdicts_match_check(pyramid):
+    # the bundled pyramid's base runs 0-1-2-3 and its apex is vertex 4
+    p = pyramid.base
+    base = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    for seq in product(range(2, 7), repeat=4):
+        labels = {e: 2 for e in p.edges}
+        labels.update(zip(base, seq))
+        report = andreev.check(LabeledPolyhedron(base=p, labels=labels), andreev.ALLOW_IDEAL)
+        strict, relaxed, _ = _pyramid_base_analysis(seq)
+        assert relaxed == report.realizable, seq
+        assert strict == (report.realizable and all(
+            report.vertex_types[v] == andreev.COMPACT for v in range(4))), seq

@@ -1,14 +1,22 @@
 """Combinatorial model: parsing, validation, automorphisms."""
 
 import math
+from itertools import permutations
 
 import pytest
 
 from coxvol.corpus import CORPUS, corpus_text, load
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
-                               apply_automorphism_to_edges, automorphisms,
-                               automorphisms_brute, edge_key, parse_polyhedron,
+                               _preserves_faces, apply_automorphism_to_edges,
+                               automorphisms, edge_key, parse_polyhedron,
                                serialize_polyhedron, validate)
+
+
+def automorphisms_brute(p: AbstractPolyhedron) -> list[dict[int, int]]:
+    """Exhaustive oracle: try every vertex bijection."""
+    verts = p.vertices
+    return [vmap for vmap in (dict(zip(verts, perm)) for perm in permutations(verts))
+            if _preserves_faces(p, vmap)]
 
 
 @pytest.mark.parametrize("name", CORPUS)
