@@ -35,6 +35,7 @@ IDEAL = "ideal"
 INADMISSIBLE = "inadmissible"
 
 FACE_COUNT_TOO_SMALL = "FaceCountTooSmall"
+MIN_FACES = 5  # fewer faces are rejected outright (FaceCountTooSmall)
 
 VERTEX = 2  # the condition number of vertex rows
 
@@ -183,7 +184,7 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
     vertices = [(row.witness, s) for row, s in sums if row.condition == VERTEX]
     vtypes = {row.witness: vertex_kind(s, row.bound)
               for row, s in sums if row.condition == VERTEX}
-    if len(p.faces) <= 4:
+    if len(p.faces) < MIN_FACES:
         return AndreevReport(
             outcome="rejected", regime=regime, conditions=(),
             vertex_types=vtypes, reason=FACE_COUNT_TOO_SMALL)

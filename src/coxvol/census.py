@@ -6,8 +6,11 @@ three 3-labels, and the ideal-apex pyramid table with its comparison
 against the published row list.  All three read the admissibility
 constraint table of ``andreev.constraints``.  The orbit census screens
 candidates vectorized, summing each table row over integer angle units
-(a common denominator of all 1/n), so every comparison stays exact;
-only survivors are re-checked with the full rational-arithmetic checker.
+(a common denominator of all 1/n), so every comparison stays exact.
+Its rows are canonical by construction: candidate i spells i in mixed
+radix, so an orbit's lexicographically smallest member has the smallest
+id, one vectorized minimum over the group, and the sorted ids list the
+orbits in order.  Only these are re-checked with the exact checker.
 The pyramid table evaluates the rows of the bundled pyramid with its
 apex edges at 2 and its base edges labeled from each sequence.
 """
@@ -60,12 +63,13 @@ def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
                      regime: str) -> np.ndarray:
     """Exact vectorized admissibility over an (N, E) label array: each
     decisive row of the constraint table sums its columns of angles in
-    units of pi/U."""
+    units of pi/U, and below MIN_FACES faces every labeling is rejected,
+    as ``check`` does."""
     U = math.lcm(*range(2, max_label + 1))
     unit = np.array([0, 0] + [U // n for n in range(2, max_label + 1)], dtype=np.int64)
     eidx = {e: i for i, e in enumerate(p.edges)}
     allow_ideal = regime == _andreev.ALLOW_IDEAL
-    ok = np.ones(len(labels), dtype=bool)
+    ok = np.full(len(labels), len(p.faces) >= _andreev.MIN_FACES)
     for row in _andreev.constraints(p):
         if not row.informational:
             s = sum(unit[labels[:, eidx[e]]] for e in row.edges)
@@ -77,7 +81,9 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
                         regime: str = _andreev.STRICT_COMPACT,
                         budget: int = DEFAULT_BUDGET,
                         with_volumes: bool = False) -> list[CensusRow]:
-    """One census row per automorphism orbit of admissible labelings."""
+    """One census row per automorphism orbit of admissible labelings,
+    each the lexicographically smallest member of its orbit, in
+    ascending order."""
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
     if not validate(p).passed:
@@ -88,24 +94,24 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     if total > budget:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {budget}")
-    # mixed-radix expansion of all candidates
-    ids = np.arange(total, dtype=np.int64)
-    labels = np.empty((total, E), dtype=np.int64)
-    for j in range(E):
-        labels[:, E - 1 - j] = (ids // (nchoices ** j)) % nchoices + 2
-    ok = _admissible_mask(p, labels, max_label, regime)
-    passing = labels[ok]
+    # Row i spells i in mixed radix, the first edge most significant, so
+    # a row's id is (row - 2) @ weights and ids order rows lexicographically.
+    weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)
+    labels = np.arange(total, dtype=np.int64)[:, None] // weights
+    np.remainder(labels, nchoices, out=labels)
+    labels += 2
+    digits = labels[_admissible_mask(p, labels, max_label, regime)] - 2
 
-    perms = _edge_perms(p)
-    rows: list[CensusRow] = []
+    # orbit representative: the smallest id over the group; relabeling a
+    # row by perm moves its column j to position perm^-1(j)
+    canon = np.full(len(digits), total, dtype=np.int64)
+    for perm in _edge_perms(p):
+        np.minimum(canon, digits @ weights[np.argsort(perm)], out=canon)
+
     haken = classify(p)
-    seen: set[tuple[int, ...]] = set()
-    for row in map(tuple, passing.tolist()):
-        canon = min(tuple(row[i] for i in perm) for perm in perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, canon)))
+    rows: list[CensusRow] = []
+    for labs in map(tuple, labels[np.unique(canon)].tolist()):
+        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
         rep = _andreev.check(lp, regime)
         assert rep.realizable, "vectorized screen disagrees with exact checker"
         summary: dict[str, int] = {}
@@ -115,10 +121,9 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
         if with_volumes:
             from .volume import schlafli_volume
             vol = schlafli_volume(lp).volume
-        rows.append(CensusRow(labels=canon, outcome=rep.outcome,
+        rows.append(CensusRow(labels=labs, outcome=rep.outcome,
                               vertex_summary=summary, haken=haken.verdict,
                               volume=vol))
-    rows.sort(key=lambda r: r.labels)
     return rows
 
 

@@ -4,13 +4,16 @@ A k-circuit is a simple closed curve crossing k edges; in the dual
 picture it is a cycle of k distinct faces, consecutive ones adjacent,
 with the crossed edge recorded for each step.  A circuit is prismatic
 when the 2k endpoints of the crossed edges are pairwise distinct.
+Circuits come out canonical by construction, each face cycle its own
+``poly_model.canonical_cycle`` and the cycles in ascending order, so
+nothing downstream re-canonicalizes or re-sorts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly_model import AbstractPolyhedron, Edge, canonical_cycle
+from .poly_model import AbstractPolyhedron, Edge
 
 DEFAULT_CIRCUIT_CAP = 12
 
@@ -32,7 +35,6 @@ class Circuit:
 
 
 def _build_circuit(p: AbstractPolyhedron, faces: tuple[int, ...]) -> Circuit:
-    faces = canonical_cycle(faces)
     k = len(faces)
     edges = tuple(p.face_adjacency[(faces[i], faces[(i + 1) % k])] for i in range(k))
     ends = [v for e in edges for v in e]
@@ -40,11 +42,15 @@ def _build_circuit(p: AbstractPolyhedron, faces: tuple[int, ...]) -> Circuit:
 
 
 def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
-    """All length-k dual cycles, one representative per rotation/reversal class.
+    """All length-k dual cycles, one representative per rotation/reversal
+    class, in ascending order of their face tuples.
 
     Uses the standard smallest-start enumeration: cycles are grown from
     their minimal face id, and the direction is fixed by requiring the
-    second face to be smaller than the last.
+    second face to be smaller than the last, which makes each emitted
+    tuple its own canonical_cycle.  Starts run in ascending order and
+    every step tries neighbors in ascending order, so the depth-first
+    search emits the tuples sorted.
     """
     if k < 3:
         raise ValueError("k-circuits need k >= 3")
@@ -72,12 +78,11 @@ def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
 
     for start in range(nf):
         grow([start], {start})
-    out.sort(key=lambda c: c.faces)
     return out
 
 
 def circuits_up_to(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:
-    """All circuits with 3 <= k <= min(cap, F)."""
+    """All circuits with 3 <= k <= min(cap, F), ordered by k, then by faces."""
     out: list[Circuit] = []
     for k in range(3, min(cap, len(p.faces)) + 1):
         out.extend(enumerate_circuits(p, k))
@@ -122,12 +127,3 @@ def vertex_sides(p: AbstractPolyhedron, c: Circuit) -> tuple[frozenset[int], fro
             f"(got {len(comps)} components)")
     comps.sort(key=min)
     return frozenset(comps[0]), frozenset(comps[1])
-
-
-def faces_inside(p: AbstractPolyhedron, c: Circuit, side: frozenset[int]) -> frozenset[int]:
-    """Faces lying entirely on the given vertex side (circuit faces excluded)."""
-    on_curve = set(c.faces)
-    return frozenset(
-        fid for fid, cyc in enumerate(p.faces)
-        if fid not in on_curve and set(cyc) <= side
-    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 
 from . import andreev, census, corpus
 from .circuits import DEFAULT_CIRCUIT_CAP, circuits_up_to, enumerate_circuits
@@ -110,9 +109,10 @@ def _cmd_check(args) -> int:
         print(line)
         for w in c.witnesses:
             print(f"    witness: {w}")
+    vertex_rows = {row.witness: row for row in andreev.constraints(lp.base)
+                   if row.condition == andreev.VERTEX}
     for v in sorted(report.vertex_types):
-        s = sum((Fraction(1, lp.labels[e]) for e in lp.base.vertex_edges[v]),
-                Fraction(0))
+        s = vertex_rows[v].angle_sum(lp.labels)
         print(f"vertex {v}: {report.vertex_types[v]} sum={s}*pi")
     print(f"verdict: {report.outcome}")
     kv = {"regime": report.regime}
@@ -130,7 +130,6 @@ def _cmd_circuits(args) -> int:
         found = enumerate_circuits(lp.base, args.k)
     else:
         found = circuits_up_to(lp.base, args.cap)
-    found.sort(key=lambda c: (c.k, c.faces))
     for c in found:
         print(c.format_line())
     _result("circuits", "ok", count=len(found),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, circuits_up_to,
-                       faces_inside, separating_triangles, vertex_sides)
+                       separating_triangles, vertex_sides)
 from .poly_model import AbstractPolyhedron, Edge
 
 
@@ -21,7 +21,6 @@ from .poly_model import AbstractPolyhedron, Edge
 class TwoOrbifold:
     curve: Circuit
     disk_vertices: frozenset[int]
-    disk_side: frozenset[int]  # faces entirely inside the disk
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,7 @@ class CompressionArc:
 def orbifolds_of(p: AbstractPolyhedron, c: Circuit) -> tuple[TwoOrbifold, TwoOrbifold]:
     """The two 2-orbifolds bounded by a circuit (one per side)."""
     side_a, side_b = vertex_sides(p, c)
-    return (
-        TwoOrbifold(c, side_a, faces_inside(p, c, side_a)),
-        TwoOrbifold(c, side_b, faces_inside(p, c, side_b)),
-    )
+    return TwoOrbifold(c, side_a), TwoOrbifold(c, side_b)
 
 
 def find_compressions(p: AbstractPolyhedron, orb: TwoOrbifold) -> list[CompressionArc]:
@@ -124,8 +120,10 @@ def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerd
     tris = separating_triangles(p)
     if tris:
         return HakenVerdict(SMALL, tris[0], "separating-triangle", cap)
+    # circuits_up_to orders by k, then faces; a stable sort puts the
+    # prismatic ones first and keeps that order within each group
     circuits = circuits_up_to(p, cap)
-    circuits.sort(key=lambda c: (not c.prismatic, c.k, c.faces))
+    circuits.sort(key=lambda c: not c.prismatic)
     for c in circuits:
         for orb in orbifolds_of(p, c):
             if not is_compressible(p, orb):

@@ -129,21 +129,17 @@ class AbstractPolyhedron:
                 cyc = cyc[::-1]
             return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
 
-        order = list(range(n))
         stack = [0]
         decided[0] = True
-        adj_faces: dict[int, set[int]] = {i: set() for i in order}
+        adj_faces: dict[int, set[int]] = {i: set() for i in range(n)}
         for (a, b) in self.face_adjacency:
             adj_faces[a].add(b)
-        processed: list[int] = []
         while stack:
             fid = stack.pop()
-            processed.append(fid)
             for g in sorted(adj_faces[fid]):
                 if decided[g]:
                     continue
-                e = self.face_adjacency[(fid, g)]
-                # fid traverses e one way; g must traverse it the other way
+                # g must traverse the edge it shares with fid the other way
                 fd = darts(fid)
                 flip[g] = False
                 gd = darts(g)
@@ -258,9 +254,7 @@ def validate(p: AbstractPolyhedron) -> ValidationReport:
     for fa, fb in combinations(range(len(p.faces)), 2):
         sa, sb = set(p.faces[fa]), set(p.faces[fb])
         shared_v = sa & sb
-        shared_e = [e for e, fs in p.edge_faces.items()
-                    if set(fs) >= {fa, fb} and len(set(fs)) >= 2]
-        shared_e = [e for e in shared_e if fa in p.edge_faces[e] and fb in p.edge_faces[e]]
+        shared_e = [e for e, fs in p.edge_faces.items() if fa in fs and fb in fs]
         if len(shared_e) > 1:
             out.append(Violation("face-intersection", (fa, fb, tuple(shared_e)),
                                  f"faces {fa},{fb} share {len(shared_e)} edges"))

@@ -34,8 +34,12 @@ MIN_STEP = 1e-14
 TIMELIKE = "compact"
 NULL = "ideal"
 
-# classification margin for <v,v> of a normalized direction
+# classification margins for <v,v> of a normalized direction and for a
+# vertex's angle slack in radians
 _TYPE_TOL = 1e-7
+_SLACK_TOL = 1e-9
+
+SEED_SCALES = (0.3, 0.15, 0.5, 0.08, 0.7)  # sphere-lift heights a cold solve tries
 
 
 class RealizationError(PolyhedronError):
@@ -139,14 +143,13 @@ def _cofactor_matrix(M: np.ndarray) -> np.ndarray:
     return C
 
 
-def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray,
-            tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, float, int]:
+def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
     X = X0.copy()
     r = sys_.residual(X, targets)
     best = float(np.max(np.abs(r)))
     for it in range(MAX_NEWTON_ITERS):
         rmax = float(np.max(np.abs(r)))
-        if rmax <= tol:
+        if rmax <= RESIDUAL_TOL:
             return X, rmax, it
         J = sys_.jacobian(X)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
@@ -163,7 +166,7 @@ def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray,
             raise NonConvergence("Newton step stagnated", best)
         best = min(best, float(np.max(np.abs(r))))
     rmax = float(np.max(np.abs(r)))
-    if rmax <= tol:
+    if rmax <= RESIDUAL_TOL:
         return X, rmax, MAX_NEWTON_ITERS
     raise NonConvergence("Newton iteration limit reached", rmax)
 
@@ -234,16 +237,15 @@ def _meet(normals: list[np.ndarray]) -> np.ndarray:
     return vt[-1]
 
 
-def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float],
-                           tol: float = 1e-9) -> dict[int, str]:
+def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> dict[int, str]:
     kinds = {}
     for v in p.vertices:
         d = p.valence(v)
         s = sum(angles[e] for e in p.vertex_edges[v])
         slack = s - (d - 2) * math.pi
-        if slack > tol:
+        if slack > _SLACK_TOL:
             kinds[v] = TIMELIKE
-        elif slack >= -tol:
+        elif slack >= -_SLACK_TOL:
             kinds[v] = NULL
         else:
             raise RealizationError(
@@ -314,20 +316,18 @@ def _apply_gauge(p, E, vertices):
 
 
 def dof_audit(p: AbstractPolyhedron) -> dict[str, int]:
-    apexes = [v for v in p.ideal_candidates if p.valence(v) == 4]
-    unknowns = 4 * len(p.faces)
-    constraints = len(p.faces) + len(p.edges) + len(apexes)
+    sys_ = _System(p)
+    unknowns = 4 * sys_.nf
     return {
         "unknowns": unknowns,
-        "constraints": constraints,
+        "constraints": sys_.n_eq,
         "gauge": 6,
-        "dof": unknowns - constraints - 6,
+        "dof": unknowns - sys_.n_eq - 6,
     }
 
 
 def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
-             warm_start: np.ndarray | None = None,
-             seed_scales=(0.3, 0.15, 0.5, 0.08, 0.7)) -> tuple[np.ndarray, float, int]:
+             warm_start: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
     """Solve the Gram system at one angle assignment.
 
     Returns the raw (ungauged) stacked normals, max residual, iteration
@@ -339,7 +339,7 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     if warm_start is not None:
         return _newton(sys_, warm_start, targets)
     last: NonConvergence | None = None
-    for h in seed_scales:
+    for h in SEED_SCALES:
         try:
             return _newton(sys_, _seed(p, h), targets)
         except (NonConvergence, np.linalg.LinAlgError) as exc:
@@ -392,30 +392,31 @@ class PathRealizer:
     """
 
     MAX_STEPS = 64
+    ANCHOR_TS = (0.5, 0.75, 0.25, 1.0, 0.125)  # path points tried as the anchor
 
-    def __init__(self, p: AbstractPolyhedron, path, anchor_candidates=(0.5, 0.75, 0.25, 1.0, 0.125)):
+    def __init__(self, p: AbstractPolyhedron, path):
         self.p = p
         self.path = path
-        # t -> (stacked normals, Newton iterations of the solves that reached t)
-        self.cache: dict[float, tuple[np.ndarray, int]] = {}
+        # t -> (stacked normals, residual, Newton iterations of the solves that reached t)
+        self.cache: dict[float, tuple[np.ndarray, float, int]] = {}
         self._ts: list[float] = []  # the cached t, ascending
-        self._anchor(anchor_candidates)
+        self._anchor()
 
-    def _store(self, t: float, X: np.ndarray, iters: int) -> None:
-        self.cache[t] = (X, iters)
+    def _store(self, t: float, X: np.ndarray, rmax: float, iters: int) -> None:
+        self.cache[t] = (X, rmax, iters)
         bisect.insort(self._ts, t)
 
-    def _anchor(self, candidates):
+    def _anchor(self):
         last = None
-        for t in candidates:
+        for t in self.ANCHOR_TS:
             try:
-                X, _, iters = solve_at(self.p, self.path.angles_at(t))
+                X, rmax, iters = solve_at(self.p, self.path.angles_at(t))
             except NonConvergence as exc:
                 last = exc
                 continue
-            self._store(t, X, iters)
+            self._store(t, X, rmax, iters)
             return
-        raise last if last is not None else NonConvergence("no anchor candidates", math.inf)
+        raise last
 
     def _nearest(self, t: float) -> float:
         i = bisect.bisect_left(self._ts, t)
@@ -430,7 +431,7 @@ class PathRealizer:
         if t in self.cache:
             return self.cache[t][0]
         cur = self._nearest(t)
-        X, iters = self.cache[cur]
+        X, _, iters = self.cache[cur]
         steps = 0
         dt = t - cur
         while cur != t:
@@ -438,7 +439,7 @@ class PathRealizer:
                 raise NonConvergence(f"continuation exceeded {self.MAX_STEPS} steps", math.inf)
             nxt = t if abs(dt) >= abs(t - cur) else cur + dt
             try:
-                X, _, k = solve_at(self.p, self.path.angles_at(nxt), warm_start=X)
+                X, rmax, k = solve_at(self.p, self.path.angles_at(nxt), warm_start=X)
             except NonConvergence:
                 dt *= 0.5
                 if abs(dt) < 1e-6:
@@ -446,17 +447,14 @@ class PathRealizer:
                 continue
             cur = nxt
             iters += k
-            self._store(cur, X, iters)
+            self._store(cur, X, rmax, iters)
             steps += 1
         return X
 
     def realization_at(self, t: float) -> Realization:
-        X = self.solution_at(t)
-        sys_ = _System(self.p)
-        angles = self.path.angles_at(t)
-        r = sys_.residual(X, sys_.targets(angles))
-        return build_realization(self.p, angles, X, float(np.max(np.abs(r))),
-                                 self.cache[t][1])
+        self.solution_at(t)
+        X, rmax, iters = self.cache[t]
+        return build_realization(self.p, self.path.angles_at(t), X, rmax, iters)
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

@@ -245,8 +245,7 @@ class _Integrand:
 
 def schlafli_volume(lp_target: LabeledPolyhedron | None,
                     path: DeformationPath | None = None,
-                    tol: float = DEFAULT_TOL,
-                    collapse_threshold: float = COLLAPSE_LENGTH_THRESHOLD) -> VolumeResult:
+                    tol: float = DEFAULT_TOL) -> VolumeResult:
     """Integrate -1/2 sum len_e dtheta_e along the path.
 
     Either a labeled target (default path built automatically) or an
@@ -269,10 +268,10 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
 
     f = _Integrand(p, path)
     worst = max(f.lengths_at(COLLAPSE_CHECK_T).values())
-    if worst > collapse_threshold:
+    if worst > COLLAPSE_LENGTH_THRESHOLD:
         raise NonCollapsingStart(
             f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "
-            f"{collapse_threshold}; path start is not degenerate")
+            f"{COLLAPSE_LENGTH_THRESHOLD}; path start is not degenerate")
 
     # one rule per waypoint segment, so derivative jumps sit on segment ends
     segments = [segment_quadrature(f, a, b, tol * (b - a))

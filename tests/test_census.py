@@ -3,6 +3,7 @@
 import hashlib
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from coxvol import andreev
@@ -11,6 +12,7 @@ from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            _pyramid_base_analysis, cube_three_threes,
                            enumerate_labelings, format_pyramid_diff,
                            pyramid_census)
+from coxvol.corpus import load
 from coxvol.poly_model import LabeledPolyhedron
 
 
@@ -32,10 +34,30 @@ def test_census_rows_are_canonical_and_admissible(cube_all2):
     rows = enumerate_labelings(cube_all2.base, 3)
     perms = _edge_perms(cube_all2.base)
     edges = cube_all2.base.edges
-    for r in rows[:10]:
+    for r in rows:
         assert r.labels == min(tuple(r.labels[i] for i in perm) for perm in perms)
         lp = LabeledPolyhedron(base=cube_all2.base, labels=dict(zip(edges, r.labels)))
         assert andreev.check(lp).realizable
+
+
+@pytest.mark.parametrize("name, max_label, regime", [
+    ("cube_all2", 3, andreev.STRICT_COMPACT),
+    ("cube_all2", 3, andreev.ALLOW_IDEAL),
+    ("triangular_prism", 4, andreev.STRICT_COMPACT),
+])
+def test_census_orbits_match_brute_force(name, max_label, regime):
+    # oracle: screen every candidate, then take each survivor's tuple
+    # minimum over the group one row at a time
+    from coxvol.census import _admissible_mask, _edge_perms
+
+    p = load(name).base
+    candidates = np.array(list(product(range(2, max_label + 1), repeat=len(p.edges))))
+    perms = _edge_perms(p)
+    expected = sorted({min(tuple(row[i] for i in perm) for perm in perms)
+                       for row in map(tuple, candidates[
+                           _admissible_mask(p, candidates, max_label, regime)].tolist())})
+    rows = enumerate_labelings(p, max_label, regime)
+    assert [r.labels for r in rows] == expected
 
 
 def test_census_budget(cube_all2):

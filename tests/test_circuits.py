@@ -1,10 +1,13 @@
 """Dual-cycle circuit enumeration."""
 
+from itertools import permutations
+
 import pytest
 
 from coxvol.circuits import (circuits_up_to, enumerate_circuits,
                              separating_triangles, vertex_sides)
-from coxvol.poly_model import apply_automorphism_to_edges, automorphisms
+from coxvol.corpus import CORPUS, load
+from coxvol.poly_model import apply_automorphism_to_edges, automorphisms, canonical_cycle
 
 
 def test_cube_three_circuits(cube_all2):
@@ -92,3 +95,17 @@ def test_circuit_count_is_automorphism_invariant(triangular_prism):
 def test_k_below_three_rejected(cube_all2):
     with pytest.raises(ValueError):
         enumerate_circuits(cube_all2.base, 2)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_circuits_come_out_canonical_and_sorted(name):
+    p = load(name).base
+    nf = len(p.faces)
+    for k in range(3, nf + 1):
+        found = [c.faces for c in enumerate_circuits(p, k)]
+        assert all(faces == canonical_cycle(faces) for faces in found)
+        assert all(a < b for a, b in zip(found, found[1:]))
+        # oracle: every ordering of k distinct faces that closes up
+        brute = {canonical_cycle(seq) for seq in permutations(range(nf), k)
+                 if all((seq[i], seq[(i + 1) % k]) in p.face_adjacency for i in range(k))}
+        assert set(found) == brute

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, RESULT lines, exit codes, determinism."""
 
+import hashlib
 import importlib.resources
 
 import pytest
@@ -110,6 +111,33 @@ def test_census_tsv(capsys, data_dir):
     lines = out.strip().splitlines()
     assert lines[0] == "labels\toutcome\tvertex_summary\thaken\tvolume"
     assert "rows=34" in result_line(out)
+
+
+def test_census_tetrahedron_has_no_rows(capsys):
+    # four faces: every labeling is rejected, by the screen as by check
+    code, out = run(capsys, "census", "tetrahedron", "--max-label", "3")
+    assert code == 0
+    assert result_line(out) == "RESULT census ok rows=0 max_label=3 regime=strict-compact"
+
+
+# sha256 of the census report, recorded while orbits were still
+# canonicalized row by row and sorted afterwards
+CENSUS_TEXT_SHA256 = [
+    (("cube_all2", "--max-label", "4"), 436,
+     "3cd9e8dfa5b6d557a580bcbed8e33338a81da92c3e0aa2fdfe189b92b4432307"),
+    (("cube_all2", "--max-label", "3", "--regime", "ideal", "--format", "tsv"), 111,
+     "969d6e0f67fcd97926efeae43ec2597487ac78c376dfbce8a3ae2117e498395a"),
+    (("triangular_prism", "--max-label", "5"), 93,
+     "26d691bdc7e9fe9895d80dced4edff3041d6588a7273ad4742646dd1fbd070ee"),
+]
+
+
+@pytest.mark.parametrize("argv, rows, digest", CENSUS_TEXT_SHA256)
+def test_census_text_pinned(capsys, argv, rows, digest):
+    code, out = run(capsys, "census", *argv)
+    assert code == 0
+    assert f" rows={rows} " in result_line(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pyramid_table(capsys):

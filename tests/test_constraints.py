@@ -44,14 +44,15 @@ def test_ideal_apex_row_needs_all_twos(pyramid):
 
 # Labelings are drawn around a realizable one: with uniform labels
 # nearly every draw fails at some vertex and never reaches the circuit
-# and face boundaries.  The cube starts from the Lambert labeling.
+# and face boundaries.  The cube starts from the Lambert labeling.  The
+# tetrahedron has too few faces, so both evaluators reject all its draws.
 _SEEDS = [LabeledPolyhedron(base=load("cube_all2").base, labels=load("lambert_cube").labels),
-          load("triangular_prism"), load("pyramid")]
+          load("triangular_prism"), load("pyramid"), load("tetrahedron")]
 
 
 @st.composite
 def labelings(draw):
-    """A realizable labeling with up to four labels redrawn from 2..7."""
+    """A seed labeling with up to four labels redrawn from 2..7."""
     lp = draw(st.sampled_from(_SEEDS))
     redrawn = draw(st.dictionaries(st.sampled_from(lp.base.edges),
                                    st.integers(2, MAX_LABEL), max_size=4))

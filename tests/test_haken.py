@@ -1,8 +1,11 @@
 """Large/small classification and curve compressions."""
 
-from coxvol.circuits import enumerate_circuits
+import pytest
+
+from coxvol.circuits import circuits_up_to, enumerate_circuits
 from coxvol.haken import (base_form, classify, find_compressions,
                           is_compressible, orbifolds_of)
+from coxvol.poly_model import AbstractPolyhedron
 
 
 def equatorial_band(p):
@@ -85,3 +88,25 @@ def test_classification_stable_under_cap(cube_all2, tetrahedron):
         assert classify(cube_all2.base, cap=cap).verdict == "Large"
     for cap in (4, 6, 8, 12):
         assert classify(tetrahedron.base, cap=cap).verdict == "Small"
+
+
+def loebell(n):
+    """L(n): an n-gon, a ring of 2n pentagons, and a second n-gon."""
+    t, u, w, s = (lambda i, k=k: k * n + i % n for k in range(4))
+    faces = [tuple(t(i) for i in range(n))]
+    faces += [(t(i), t(i + 1), u(i + 1), w(i), u(i)) for i in range(n)]
+    faces += [(w(i), u(i + 1), w(i + 1), s(i + 1), s(i)) for i in range(n)]
+    faces.append(tuple(s(i) for i in reversed(range(n))))
+    return AbstractPolyhedron(name=f"L{n}", faces=tuple(faces))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_classify_witness_is_first_in_scan_order(n):
+    # L(n) has incompressible non-prismatic 5-circuits with smaller face
+    # tuples than the prismatic witness, so the scan order decides it
+    p = loebell(n)
+    v = classify(p, cap=6)
+    order = sorted(circuits_up_to(p, 6), key=lambda c: (not c.prismatic, c.k, c.faces))
+    first = next(c for c in order
+                 if any(not is_compressible(p, orb) for orb in orbifolds_of(p, c)))
+    assert v.witness == first and first.prismatic and first.k == 5
