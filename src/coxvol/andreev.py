@@ -11,7 +11,8 @@ witness.  Three evaluators read that table:
 - the census screen sums each row's columns of an integer array of
   angles in units of pi/U, U a common denominator of all 1/n;
 - the volume integrator's collapse path compares float angle sums with
-  bound*pi.
+  bound*pi, and so does the realization for the kind (compact or
+  ideal) each vertex should come out as.
 
 Condition 1 (positive angles) holds for every label n >= 2 and has no
 rows.

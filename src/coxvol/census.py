@@ -32,7 +32,7 @@ from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
                          apply_automorphism_to_edges, automorphisms, canonical_cycle,
                          edge_key, validate)
 
-DEFAULT_BUDGET = 4_000_000
+CANDIDATE_BUDGET = 4_000_000  # the most candidate labelings a census screens
 
 
 class CensusBudgetExceeded(Exception):
@@ -79,7 +79,6 @@ def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
 
 def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
                         regime: str = _andreev.STRICT_COMPACT,
-                        budget: int = DEFAULT_BUDGET,
                         with_volumes: bool = False) -> list[CensusRow]:
     """One census row per automorphism orbit of admissible labelings,
     each the lexicographically smallest member of its orbit, in
@@ -91,9 +90,9 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     E = len(p.edges)
     nchoices = max_label - 1
     total = nchoices ** E
-    if total > budget:
+    if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
-            f"{total} candidate labelings exceed the budget of {budget}")
+            f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
     # Row i spells i in mixed radix, the first edge most significant, so
     # a row's id is (row - 2) @ weights and ids order rows lexicographically.
     weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)

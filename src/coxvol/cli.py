@@ -61,6 +61,8 @@ def _parse_angle(text: str) -> float:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse angle {text!r}")
             den = float(tail[1:])
+            if den == 0:
+                raise ValueError(f"zero denominator in angle {text!r}")
         return num * math.pi / den
     return float(s)
 

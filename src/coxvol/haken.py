@@ -25,7 +25,6 @@ class TwoOrbifold:
 
 @dataclass(frozen=True)
 class CompressionArc:
-    host_faces: tuple[int, int]
     crossed_edge: Edge
     arc_lengths: tuple[int, int]  # crossed-edge counts of the two curve arcs
 
@@ -59,10 +58,7 @@ def find_compressions(p: AbstractPolyhedron, orb: TwoOrbifold) -> list[Compressi
             if g is None or g in crossed:
                 continue
             if g[0] in orb.disk_vertices and g[1] in orb.disk_vertices:
-                out.append(CompressionArc(
-                    host_faces=(c.faces[i], c.faces[j]),
-                    crossed_edge=g,
-                    arc_lengths=(arc1, arc2)))
+                out.append(CompressionArc(crossed_edge=g, arc_lengths=(arc1, arc2)))
     return out
 
 
@@ -78,11 +74,8 @@ def base_form(p: AbstractPolyhedron, orb: TwoOrbifold) -> str | None:
     c = orb.curve
     if c.k < 3:
         return "short-curve"
-    common = set(c.crossed_edges[0])
-    for e in c.crossed_edges[1:]:
-        common &= set(e)
-    if common:
-        return "vertex-link"
+    # crossed edges that all meet at one vertex cut that vertex off, so
+    # that case is a one-vertex side
     for side in vertex_sides(p, c):
         if len(side) == 1:
             return "vertex-link"

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+ANGLE_TOL = 1e-12  # slack allowed on ideal tetrahedron angles and their sum
+
 _N_TERMS = 64
 _POWERS = np.arange(1, _N_TERMS + 1)
 # zeta(2n) = pi^(2n) / d_n in closed form for n = 1..6
@@ -63,14 +65,13 @@ def lob(theta: float) -> float:
     return _lob_principal(r)
 
 
-def ideal_tetrahedron_volume(alpha: float, beta: float, gamma: float,
-                             tol: float = 1e-12) -> float:
+def ideal_tetrahedron_volume(alpha: float, beta: float, gamma: float) -> float:
     """Volume lob(a)+lob(b)+lob(c) of the ideal tetrahedron with those
     dihedral angles; requires a+b+c = pi."""
     angles = (alpha, beta, gamma)
-    if any(a < -tol for a in angles):
+    if any(a < -ANGLE_TOL for a in angles):
         raise ValueError(f"angles must be nonnegative, got {angles}")
-    if abs(sum(angles) - math.pi) > tol:
+    if abs(sum(angles) - math.pi) > ANGLE_TOL:
         raise ValueError(
-            f"angle sum {sum(angles)!r} differs from pi by more than {tol}")
+            f"angle sum {sum(angles)!r} differs from pi by more than {ANGLE_TOL}")
     return lob(alpha) + lob(beta) + lob(gamma)

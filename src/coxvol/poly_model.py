@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -447,24 +447,20 @@ def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
 
     Includes reflections of the planar embedding.  An automorphism is
     pinned down by the image of a single flag, so at most 4E candidates
-    exist; each is checked by propagation over the rotation system.
+    exist; each is checked by propagation over the rotation system.  A
+    propagated map carries every face's successor map to the successor
+    map or its inverse, so it sends faces to faces, and distinct
+    candidates fix distinct images of the first dart, so no map repeats.
     """
     nxt, prv = _dart_maps(p)
     darts = sorted(nxt)
     d0 = darts[0]
-    found: list[dict[int, int]] = []
-    seen: set[tuple] = set()
+    found = []
     for reversing in (False, True):
         for img in darts:
             image0 = (img[1], img[0]) if reversing else img
             vmap = _propagate(p, nxt, prv, d0, image0, reversing)
-            if vmap is None:
-                continue
-            if not _preserves_faces(p, vmap):
-                continue
-            key = tuple(sorted(vmap.items()))
-            if key not in seen:
-                seen.add(key)
+            if vmap is not None:
                 found.append(vmap)
     found.sort(key=lambda m: tuple(sorted(m.items())))
     return found
@@ -480,14 +476,6 @@ def canonical_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
             if best is None or rot < best:
                 best = rot
     return best
-
-
-def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
-    face_set = {canonical_cycle(c) for c in p.faces}
-    for cyc in p.faces:
-        if canonical_cycle(vmap[v] for v in cyc) not in face_set:
-            return False
-    return True
 
 
 def apply_automorphism_to_edges(p: AbstractPolyhedron, vmap: dict[int, int]) -> dict[Edge, Edge]:

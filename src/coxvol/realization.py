@@ -13,16 +13,22 @@ that, and the finished solution is moved to a canonical gauge so output
 is deterministic: the anchor face normal becomes (0,0,0,1), its first
 neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
+
+The residual and Jacobian are gathers over edge-to-face and
+apex-to-face index arrays built once per polyhedron.  Whether a vertex
+comes out compact or ideal is read from the vertex rows of the
+admissibility table (``andreev.constraints``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import andreev
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 
 METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -30,9 +36,6 @@ METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_ITERS = 200
 MIN_STEP = 1e-14
-
-TIMELIKE = "compact"
-NULL = "ideal"
 
 # classification margins for <v,v> of a normalized direction and for a
 # vertex's angle slack in radians
@@ -90,57 +93,58 @@ class _System:
     """Residual + Jacobian for Gauss-Newton over the stacked normals."""
 
     def __init__(self, p: AbstractPolyhedron):
-        self.p = p
         self.nf = len(p.faces)
         self.edges = p.edges
-        self.edge_faces = [p.edge_faces[e] for e in self.edges]
-        self.apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
-        self.n_eq = self.nf + len(self.edges) + len(self.apexes)
+        self.ne = len(self.edges)
+        # the two faces of each edge, and the four faces at each 4-valent apex
+        self.fi, self.fj = np.array([p.edge_faces[e] for e in self.edges]).T
+        apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
+        self.apex_faces = np.array([p.vertex_faces[v] for v in apexes], dtype=int).reshape(-1, 4)
+        self.n_eq = self.nf + self.ne + len(apexes)
 
     def residual(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
         E = X.reshape(self.nf, 4)
         G = E * METRIC
+        nf, ne = self.nf, self.ne
         r = np.empty(self.n_eq)
-        r[:self.nf] = np.einsum("ij,ij->i", G, E) - 1.0
-        for k, (i, j) in enumerate(self.edge_faces):
-            r[self.nf + k] = np.dot(G[i], E[j]) + targets[k]
-        for a, v in enumerate(self.apexes):
-            M = E[list(self.p.vertex_faces[v])]
-            r[self.nf + len(self.edges) + a] = np.linalg.det(M)
+        r[:nf] = np.einsum("ij,ij->i", G, E) - 1.0
+        # batched matmul adds the four products in np.dot's order, which
+        # einsum and (a * b).sum(1) do not
+        r[nf:nf + ne] = (G[self.fi, None, :] @ E[self.fj, :, None])[:, 0, 0] + targets
+        if len(self.apex_faces):
+            r[nf + ne:] = np.linalg.det(E[self.apex_faces])
         return r
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
         E = X.reshape(self.nf, 4)
         G = E * METRIC
-        J = np.zeros((self.n_eq, self.nf * 4))
-        for i in range(self.nf):
-            J[i, 4 * i:4 * i + 4] = 2.0 * G[i]
-        for k, (i, j) in enumerate(self.edge_faces):
-            J[self.nf + k, 4 * i:4 * i + 4] = G[j]
-            J[self.nf + k, 4 * j:4 * j + 4] = G[i]
-        for a, v in enumerate(self.apexes):
-            fs = list(self.p.vertex_faces[v])
-            M = E[fs]
-            row = self.nf + len(self.edges) + a
-            # d det / d M = adj(M)^T
-            cof = np.linalg.det(M) * np.linalg.inv(M).T if abs(np.linalg.det(M)) > 1e-13 \
-                else _cofactor_matrix(M)
-            for idx, f in enumerate(fs):
-                J[row, 4 * f:4 * f + 4] = cof[idx]
+        nf, ne = self.nf, self.ne
+        J = np.zeros((self.n_eq, nf * 4))
+        blocks = J.reshape(self.n_eq, nf, 4)  # a view: blocks[row, f] = d row / d E[f]
+        faces = np.arange(nf)
+        blocks[faces, faces] = 2.0 * G
+        rows = nf + np.arange(ne)
+        blocks[rows, self.fi] = G[self.fj]
+        blocks[rows, self.fj] = G[self.fi]
+        if len(self.apex_faces):
+            rows = nf + ne + np.arange(len(self.apex_faces))
+            # d det / d M is the cofactor matrix of M
+            blocks[rows[:, None], self.apex_faces] = _cofactors(E[self.apex_faces])
         return J
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
         return np.array([math.cos(angles[e]) for e in self.edges])
 
 
-def _cofactor_matrix(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    C = np.empty_like(M)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            C[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return C
+# rows and columns kept by each 3x3 minor of a 4x4 matrix
+_KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
+_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+
+
+def _cofactors(M: np.ndarray) -> np.ndarray:
+    """Cofactor matrices of a stack of 4x4 matrices."""
+    minors = M[..., _KEEP[:, None, :, None], _KEEP[None, :, None, :]]
+    return _SIGNS * np.linalg.det(minors)
 
 
 def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -203,7 +207,7 @@ def _sphere_normals(p: AbstractPolyhedron) -> np.ndarray:
     """Rough outward unit normals from an inverse-stereographic lift."""
     pos = _tutte_positions(p)
     sph = {}
-    for v, (x, y) in ((v, q) for v, q in pos.items()):
+    for v, (x, y) in pos.items():
         r2 = x * x + y * y
         sph[v] = np.array([2 * x, 2 * y, r2 - 1.0]) / (r2 + 1.0)
     out = np.zeros((len(p.faces), 3))
@@ -238,18 +242,21 @@ def _meet(normals: list[np.ndarray]) -> np.ndarray:
 
 
 def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> dict[int, str]:
+    """Compact or ideal for each vertex, from the float slack of its
+    admissibility row; a slack below the margin is not realizable."""
     kinds = {}
-    for v in p.vertices:
-        d = p.valence(v)
-        s = sum(angles[e] for e in p.vertex_edges[v])
-        slack = s - (d - 2) * math.pi
+    for row in andreev.constraints(p):
+        if row.condition != andreev.VERTEX:
+            continue
+        slack = sum(angles[e] for e in row.edges) - row.bound * math.pi
         if slack > _SLACK_TOL:
-            kinds[v] = TIMELIKE
+            kinds[row.witness] = andreev.COMPACT
         elif slack >= -_SLACK_TOL:
-            kinds[v] = NULL
+            kinds[row.witness] = andreev.IDEAL
         else:
             raise RealizationError(
-                f"vertex {v} has angle sum below ({d}-2)*pi; not realizable")
+                f"vertex {row.witness} has angle sum below ({row.bound + 2}-2)*pi; "
+                "not realizable")
     return kinds
 
 
@@ -261,7 +268,7 @@ def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray,
         w = _meet([E[f] for f in p.vertex_faces[v]])
         q = mdot(w, w) / float(np.dot(w, w))
         kind = kinds[v]
-        if kind == TIMELIKE:
+        if kind == andreev.COMPACT:
             if q > -_TYPE_TOL:
                 raise DegenerateVertex(
                     f"vertex {v} expected timelike but <v,v>/|v|^2 = {q:.3e}")
@@ -280,11 +287,12 @@ def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray,
 
 
 def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
-                     vertices: dict[int, tuple[np.ndarray, str]]) -> np.ndarray:
-    """Rows of the Lorentz change-of-basis fixing the canonical gauge."""
+                     vertices: dict[int, tuple[np.ndarray, str]]):
+    """Normals and vertices moved by the Lorentz change of basis that
+    fixes the canonical gauge."""
     anchor_v = None
     for v in p.vertices:
-        if vertices[v][1] == TIMELIKE and p.valence(v) == 3:
+        if vertices[v][1] == andreev.COMPACT and p.valence(v) == 3:
             anchor_v = v
             break
     if anchor_v is None:
@@ -301,14 +309,7 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
         b2 = -b2
     # coordinates: x -> (-<x,b0>, <x,b1>, <x,b2>, <x,b3>)
     T = np.vstack([-b0 * METRIC, b1 * METRIC, b2 * METRIC, b3 * METRIC])
-    return T
-
-
-def _apply_gauge(p, E, vertices):
-    T = _gauge_transform(p, E, vertices)
-    E2 = E @ T.T
-    verts2 = {v: (T @ w, kind) for v, (w, kind) in vertices.items()}
-    return E2, verts2
+    return E @ T.T, {v: (T @ w, kind) for v, (w, kind) in vertices.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
     kinds = _expected_vertex_kinds(p, angles)
     E = X.reshape(len(p.faces), 4)
     vertices = _compute_vertices(p, E, kinds)
-    E, vertices = _apply_gauge(p, E, vertices)
+    E, vertices = _gauge_transform(p, E, vertices)
     normals = {fid: E[fid] for fid in range(len(p.faces))}
     return Realization(polyhedron=p, angles=dict(angles), normals=normals,
                        vertices=vertices, residual=rmax,
@@ -367,13 +368,12 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
     its basin.  The admissibility precondition is the caller's job for
     raw angle input; for labeled input it is enforced here.
     """
-    from . import andreev as _andreev
-    from .volume import default_path
+    from .volume import default_path  # volume imports this module
 
     if regime is None:
-        regime = (_andreev.ALLOW_IDEAL if lp.base.ideal_candidates
-                  else _andreev.STRICT_COMPACT)
-    report = _andreev.check(lp, regime)
+        regime = (andreev.ALLOW_IDEAL if lp.base.ideal_candidates
+                  else andreev.STRICT_COMPACT)
+    report = andreev.check(lp, regime)
     if not report.realizable:
         raise RealizationError(
             f"labeling rejected ({report.reason or report.outcome}); cannot realize")
@@ -473,7 +473,7 @@ def edge_lengths(r: Realization) -> dict[Edge, float]:
 def edge_length(r: Realization, e: Edge) -> float:
     va, ka = r.vertices[e[0]]
     vb, kb = r.vertices[e[1]]
-    if ka != TIMELIKE or kb != TIMELIKE:
+    if ka != andreev.COMPACT or kb != andreev.COMPACT:
         raise IdealEndpoint(f"edge {e} has an ideal endpoint; length is infinite")
     return hyperbolic_distance(va, vb)
 
@@ -486,6 +486,6 @@ def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> float:
 def finite_edge_lengths(r: Realization) -> dict[Edge, float]:
     out = {}
     for e in r.polyhedron.edges:
-        if all(r.vertices[v][1] == TIMELIKE for v in e):
+        if all(r.vertices[v][1] == andreev.COMPACT for v in e):
             out[e] = edge_length(r, e)
     return out

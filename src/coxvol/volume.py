@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .andreev import VERTEX, constraints
+from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 from .realization import (NonConvergence, PathRealizer, RealizationError,
-                          RESIDUAL_TOL, TIMELIKE, _compute_vertices,
+                          RESIDUAL_TOL, _compute_vertices,
                           _expected_vertex_kinds, edge_length, hyperbolic_distance)
 
 DEFAULT_TOL = 1e-8
@@ -196,7 +196,6 @@ class VolumeResult:
     error_estimate: float
     nodes: int
     doubled: bool = False
-    path: DeformationPath | None = None
 
 
 def orb_convention(v: VolumeResult) -> VolumeResult:
@@ -204,7 +203,7 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
     if v.doubled:
         return v
     return VolumeResult(volume=2.0 * v.volume, error_estimate=2.0 * v.error_estimate,
-                        nodes=v.nodes, doubled=True, path=v.path)
+                        nodes=v.nodes, doubled=True)
 
 
 class _Integrand:
@@ -218,7 +217,7 @@ class _Integrand:
         varying = path.varying_edges
         kinds = _expected_vertex_kinds(p, path.target_angles)
         for e in varying:
-            if any(kinds[v] != TIMELIKE for v in e):
+            if any(kinds[v] != COMPACT for v in e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
         self.varying = varying
@@ -264,7 +263,7 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
         path = default_path(lp_target)
     p = path.polyhedron
     if not path.varying_edges:
-        return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0, path=path)
+        return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
     f = _Integrand(p, path)
     worst = max(f.lengths_at(COLLAPSE_CHECK_T).values())
@@ -280,7 +279,7 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
                  for (_, x), (_, y) in zip(wa, wb))
     return VolumeResult(volume=-0.5 * sum(q for q, _ in segments),
                         error_estimate=0.5 * (sum(d for _, d in segments) + RESIDUAL_TOL * travel),
-                        nodes=f.calls, path=path)
+                        nodes=f.calls)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,13 @@ def test_lob_and_idealtet(capsys):
     assert out.splitlines()[0] == "1.01494160640965"
 
 
+@pytest.mark.parametrize("argv", [("lob", "pi/0"), ("idealtet", "pi/3", "pi/3", "pi/0")])
+def test_zero_angle_denominator_is_input_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert result_line(out) == f"RESULT {argv[0]} input-error"
+
+
 def test_missing_file_is_input_error(capsys):
     code, out = run(capsys, "check", "no_such_file.apoly")
     assert code == 2

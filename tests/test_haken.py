@@ -3,9 +3,9 @@
 import pytest
 
 from coxvol.circuits import circuits_up_to, enumerate_circuits
+from coxvol.corpus import load
 from coxvol.haken import (base_form, classify, find_compressions,
                           is_compressible, orbifolds_of)
-from coxvol.poly_model import AbstractPolyhedron
 
 
 def equatorial_band(p):
@@ -90,18 +90,8 @@ def test_classification_stable_under_cap(cube_all2, tetrahedron):
         assert classify(tetrahedron.base, cap=cap).verdict == "Small"
 
 
-def loebell(n):
-    """L(n): an n-gon, a ring of 2n pentagons, and a second n-gon."""
-    t, u, w, s = (lambda i, k=k: k * n + i % n for k in range(4))
-    faces = [tuple(t(i) for i in range(n))]
-    faces += [(t(i), t(i + 1), u(i + 1), w(i), u(i)) for i in range(n)]
-    faces += [(w(i), u(i + 1), w(i + 1), s(i + 1), s(i)) for i in range(n)]
-    faces.append(tuple(s(i) for i in reversed(range(n))))
-    return AbstractPolyhedron(name=f"L{n}", faces=tuple(faces))
-
-
 @pytest.mark.parametrize("n", [5, 6])
-def test_classify_witness_is_first_in_scan_order(n):
+def test_classify_witness_is_first_in_scan_order(n, loebell):
     # L(n) has incompressible non-prismatic 5-circuits with smaller face
     # tuples than the prismatic witness, so the scan order decides it
     p = loebell(n)
@@ -110,3 +100,17 @@ def test_classify_witness_is_first_in_scan_order(n):
     first = next(c for c in order
                  if any(not is_compressible(p, orb) for orb in orbifolds_of(p, c)))
     assert v.witness == first and first.prismatic and first.k == 5
+
+
+@pytest.mark.parametrize("name", ["cube_all2", "triangular_prism", "pyramid", "L5", "L6"])
+def test_circuits_around_one_vertex_are_vertex_links(name, loebell):
+    # a circuit whose crossed edges all meet at one vertex cuts that
+    # vertex off, so base_form finds a one-vertex side
+    p = loebell(int(name[1:])) if name.startswith("L") else load(name).base
+    seen = 0
+    for c in circuits_up_to(p, 7):
+        if c.k >= 3 and set.intersection(*map(set, c.crossed_edges)):
+            seen += 1
+            for orb in orbifolds_of(p, c):
+                assert base_form(p, orb) == "vertex-link"
+    assert seen == len(p.vertices)  # one link per vertex

@@ -7,9 +7,15 @@ import pytest
 
 from coxvol.corpus import CORPUS, corpus_text, load
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
-                               _preserves_faces, apply_automorphism_to_edges,
-                               automorphisms, edge_key, parse_polyhedron,
+                               apply_automorphism_to_edges, automorphisms,
+                               canonical_cycle, edge_key, parse_polyhedron,
                                serialize_polyhedron, validate)
+
+
+def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
+    """Whether the vertex map sends every face cycle to a face cycle."""
+    face_set = {canonical_cycle(c) for c in p.faces}
+    return all(canonical_cycle(vmap[v] for v in cyc) in face_set for cyc in p.faces)
 
 
 def automorphisms_brute(p: AbstractPolyhedron) -> list[dict[int, int]]:
@@ -102,6 +108,17 @@ def test_automorphisms_match_brute_force(name):
     fast = {tuple(sorted(m.items())) for m in automorphisms(p)}
     brute = {tuple(sorted(m.items())) for m in automorphisms_brute(p)}
     assert fast == brute
+
+
+@pytest.mark.parametrize("n,order", [(5, 120), (6, 24)])
+def test_loebell_automorphisms_are_distinct_face_maps(n, order, loebell):
+    # L(5) is the dodecahedron; from n = 6 on the group is the dihedral
+    # symmetry of the n-gons times the swap of the two n-gons
+    p = loebell(n)
+    maps = automorphisms(p)
+    assert len(maps) == order
+    assert len({tuple(sorted(m.items())) for m in maps}) == len(maps)
+    assert all(_preserves_faces(p, m) for m in maps)
 
 
 def test_automorphism_group_closure(cube_all2):

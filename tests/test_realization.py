@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from coxvol.andreev import INADMISSIBLE, vertex_type
+from coxvol.corpus import CORPUS, load
+from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
                                 edge_lengths, finite_edge_lengths, mdot,
                                 realize, solve_at, build_realization,
-                                IdealEndpoint, RealizationError)
+                                IdealEndpoint, RealizationError, _System,
+                                _cofactors, _expected_vertex_kinds)
 from coxvol.volume import default_path
 
 
@@ -144,3 +148,99 @@ def test_ideal_edge_length_raises(pyramid):
 
 def test_metric_signature():
     assert list(METRIC) == [-1.0, 1.0, 1.0, 1.0]
+
+
+def cofactor_matrix(M):
+    """Oracle: cofactors of one matrix, one minor at a time."""
+    n = M.shape[0]
+    C = np.empty_like(M)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
+            C[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return C
+
+
+def test_cofactors_match_minor_loop():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((200, 4, 4))
+    stack[:20, 3] = stack[:20, 0] + stack[:20, 1]  # singular matrices too
+    expected = np.array([cofactor_matrix(M) for M in stack])
+    assert np.array_equal(_cofactors(stack), expected)
+    assert np.array_equal(_cofactors(stack[7]), expected[7])
+
+
+def system_by_loops(p, X, targets):
+    """Oracle: the Gram residual and Jacobian filled one edge and one
+    apex face at a time."""
+    nf, ne = len(p.faces), len(p.edges)
+    apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
+    E = X.reshape(nf, 4)
+    G = E * METRIC
+    r = np.empty(nf + ne + len(apexes))
+    J = np.zeros((len(r), 4 * nf))
+    r[:nf] = np.einsum("ij,ij->i", G, E) - 1.0
+    for i in range(nf):
+        J[i, 4 * i:4 * i + 4] = 2.0 * G[i]
+    for k, e in enumerate(p.edges):
+        i, j = p.edge_faces[e]
+        r[nf + k] = np.dot(G[i], E[j]) + targets[k]
+        J[nf + k, 4 * i:4 * i + 4] = G[j]
+        J[nf + k, 4 * j:4 * j + 4] = G[i]
+    for a, v in enumerate(apexes):
+        fs = list(p.vertex_faces[v])
+        r[nf + ne + a] = np.linalg.det(E[fs])
+        for f, cof in zip(fs, cofactor_matrix(E[fs])):
+            J[nf + ne + a, 4 * f:4 * f + 4] = cof
+    return r, J
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
+def test_system_matches_loop_oracle(name):
+    # bit for bit: the batched matmul adds the four products of each
+    # edge row in np.dot's order
+    lp = load(name)
+    sys_ = _System(lp.base)
+    targets = sys_.targets(lp.angles())
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        X = rng.standard_normal(4 * sys_.nf)
+        r, J = system_by_loops(lp.base, X, targets)
+        assert np.array_equal(sys_.residual(X, targets), r)
+        assert np.array_equal(sys_.jacobian(X), J)
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
+def test_jacobian_matches_central_differences(name):
+    lp = load(name)
+    p = lp.base
+    sys_ = _System(p)
+    angles = lp.angles()
+    targets = sys_.targets(angles)
+    X, _, _ = solve_at(p, angles)
+    X = X + 1e-2 * np.random.default_rng(2).standard_normal(X.shape)
+    h = 1e-6
+    numeric = np.empty((sys_.n_eq, X.size))
+    for k in range(X.size):
+        dx = np.zeros(X.size)
+        dx[k] = h
+        numeric[:, k] = (sys_.residual(X + dx, targets) - sys_.residual(X - dx, targets)) / (2 * h)
+    assert np.max(np.abs(sys_.jacobian(X) - numeric)) <= 1e-7
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_vertex_kinds_match_exact_types(name):
+    # the corpus labeling, then random relabelings with labels 2..4,
+    # which give compact, ideal and inadmissible vertices
+    lp = load(name)
+    rng = np.random.default_rng(len(name))
+    draws = [lp] + [LabeledPolyhedron(base=lp.base, labels={
+        e: int(n) for e, n in zip(lp.base.edges, rng.integers(2, 5, len(lp.base.edges)))})
+        for _ in range(60)]
+    for lq in draws:
+        exact = {v: vertex_type(lq, v) for v in lq.base.vertices}
+        if INADMISSIBLE in exact.values():
+            with pytest.raises(RealizationError):
+                _expected_vertex_kinds(lq.base, lq.angles())
+        else:
+            assert _expected_vertex_kinds(lq.base, lq.angles()) == exact

@@ -196,3 +196,5 @@ def test_pyramid_volume_pinned(pyramid):
     # agrees with an adaptive GL-10 integration of the same path to 1e-11
     res = schlafli_volume(pyramid)
     assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
+    # the value before the Gauss-Newton system was vectorized
+    assert res.volume == pytest.approx(0.250960250836782, abs=1e-12)
