@@ -41,13 +41,6 @@ MIN_FACES = 5  # fewer faces are rejected outright (FaceCountTooSmall)
 VERTEX = 2  # the condition number of vertex rows
 
 
-def angle_of(label: int) -> float:
-    """Dihedral angle pi/n for an integer edge label n >= 2."""
-    if label < 2:
-        raise ValueError(f"label must be >= 2, got {label}")
-    return math.pi / label
-
-
 @dataclass(frozen=True)
 class Constraint:
     """One row of the admissibility table: the angle sum over ``edges``,

@@ -35,7 +35,7 @@ from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
 CANDIDATE_BUDGET = 4_000_000  # the most candidate labelings a census screens
 
 
-class CensusBudgetExceeded(Exception):
+class CensusBudgetExceeded(ValueError):
     pass
 
 

@@ -185,12 +185,7 @@ def _cmd_volume(args) -> int:
         print(f"error: labeling rejected ({rep.reason or rep.outcome})")
         _result("volume", "rejected", reason=rep.reason or rep.outcome)
         return EXIT_REJECTED
-    try:
-        res = schlafli_volume(lp, tol=args.tol)
-    except VolumeError as exc:
-        print(f"error: {exc}")
-        _result("volume", "failed")
-        return EXIT_NUMERICAL
+    res = schlafli_volume(lp, tol=args.tol)
     if args.doubled:
         res = orb_convention(res)
     print(f"volume: {_fmt(res.volume, 17)}")
@@ -333,6 +328,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _result(args.subcommand, "input-error")
         return EXIT_INPUT
+    except (VolumeError, RealizationError) as exc:
+        print(f"error: {exc}")
+        _result(args.subcommand, "failed")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Face planes are encoded by unit spacelike normals in Minkowski space
 (signature -+++), with <e_i, e_j> = -cos(angle) across every edge.
-Vertices are recovered as intersections of their incident face planes;
-compact vertices are timelike, ideal vertices null.
+A vertex is the common point of its first three face planes: the null
+vector of a 3x4 matrix, whose entries are the matrix's four signed 3x3
+minors.  Compact vertices are timelike, ideal vertices null.
 
 The solve is a damped Gauss-Newton iteration on the normals.  The
 residual system (unit norms + edge Gram targets + one concurrency
@@ -15,9 +16,11 @@ neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
 The residual and Jacobian are gathers over edge-to-face and
-apex-to-face index arrays built once per polyhedron.  Whether a vertex
-comes out compact or ideal is read from the vertex rows of the
-admissibility table (``andreev.constraints``).
+apex-to-face index arrays built once per polyhedron.  The same minors,
+one gather and one batched ``det``, give the vertices, the apex
+cofactors and the gauge frame.  Whether a vertex comes out compact or
+ideal is read from the vertex rows of the admissibility table
+(``andreev.constraints``).
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class Realization:
     def vertex_vector(self, v: int) -> np.ndarray:
         return self.vertices[v][0]
 
-    def vertex_kind(self, v: int) -> str:
-        return self.vertices[v][1]
-
 
 # ---------------------------------------------------------------------------
 # residual system
@@ -136,15 +136,23 @@ class _System:
         return np.array([math.cos(angles[e]) for e in self.edges])
 
 
-# rows and columns kept by each 3x3 minor of a 4x4 matrix
+# the indices kept when index i of four is dropped
 _KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+_SIGNS = (-1.0) ** np.arange(4)
+
+
+def _null_vectors(M: np.ndarray) -> np.ndarray:
+    """Null vectors of a stack of 3x4 matrices: entry j is (-1)^j times
+    the determinant of M without column j, so M @ w expands the
+    determinant of a 4x4 matrix with a repeated row and vanishes."""
+    minors = np.swapaxes(M[..., _KEEP], -3, -2)
+    return _SIGNS * np.linalg.det(minors)
 
 
 def _cofactors(M: np.ndarray) -> np.ndarray:
-    """Cofactor matrices of a stack of 4x4 matrices."""
-    minors = M[..., _KEEP[:, None, :, None], _KEEP[None, :, None, :]]
-    return _SIGNS * np.linalg.det(minors)
+    """Cofactor matrices of a stack of 4x4 matrices: row i is (-1)^i
+    times the null vector of the other three rows."""
+    return _SIGNS[:, None] * _null_vectors(M[..., _KEEP, :])
 
 
 def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -234,13 +242,6 @@ def _seed(p: AbstractPolyhedron, h: float) -> np.ndarray:
 # vertices and gauge
 
 
-def _meet(normals: list[np.ndarray]) -> np.ndarray:
-    """Common point of the planes <e_i, x> = 0: Minkowski null space."""
-    M = np.array(normals) * METRIC
-    _, s, vt = np.linalg.svd(M)
-    return vt[-1]
-
-
 def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> dict[int, str]:
     """Compact or ideal for each vertex, from the float slack of its
     admissibility row; a slack below the margin is not realizable."""
@@ -260,30 +261,25 @@ def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> 
     return kinds
 
 
-def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray,
-                      kinds: dict[int, str],
-                      only=None) -> dict[int, tuple[np.ndarray, str]]:
-    out: dict[int, tuple[np.ndarray, str]] = {}
-    for v in (p.vertices if only is None else sorted(only)):
-        w = _meet([E[f] for f in p.vertex_faces[v]])
-        q = mdot(w, w) / float(np.dot(w, w))
-        kind = kinds[v]
-        if kind == andreev.COMPACT:
-            if q > -_TYPE_TOL:
-                raise DegenerateVertex(
-                    f"vertex {v} expected timelike but <v,v>/|v|^2 = {q:.3e}")
-            w = w / math.sqrt(-mdot(w, w))
-            if w[0] < 0:
-                w = -w
-        else:
-            if abs(q) > _TYPE_TOL:
-                raise DegenerateVertex(
-                    f"vertex {v} expected null but <v,v>/|v|^2 = {q:.3e}")
-            if w[0] < 0:
-                w = -w
-            w = w / w[0]
-        out[v] = (w, kind)
-    return out
+def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray, vertices,
+                      kinds: dict[int, str]) -> np.ndarray:
+    """One row per listed vertex: the common point of its first three
+    face planes, on the future sheet, scaled to <w,w> = -1 when compact
+    and to w0 = 1 when ideal.  A row that does not come out of the kind
+    ``kinds`` expects raises DegenerateVertex."""
+    W = _null_vectors(E[[p.vertex_faces[v][:3] for v in vertices]] * METRIC)
+    mw = np.einsum("ij,ij->i", W * METRIC, W)
+    q = mw / np.einsum("ij,ij->i", W, W)
+    compact = np.array([kinds[v] == andreev.COMPACT for v in vertices])
+    for v, c, qv in zip(vertices, compact, q):
+        if c and qv > -_TYPE_TOL:
+            raise DegenerateVertex(
+                f"vertex {v} expected timelike but <v,v>/|v|^2 = {qv:.3e}")
+        if not c and abs(qv) > _TYPE_TOL:
+            raise DegenerateVertex(
+                f"vertex {v} expected null but <v,v>/|v|^2 = {qv:.3e}")
+    W *= np.where(W[:, :1] < 0, -1.0, 1.0)
+    return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None]
 
 
 def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
@@ -303,7 +299,7 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
     w = E[fb] - mdot(E[fb], b3) * b3
     b1 = w / math.sqrt(mdot(w, w))
     # complete the frame: b2 = Minkowski-orthogonal complement of (b0,b1,b3)
-    b2 = _meet([b0, b1, b3])
+    b2 = _null_vectors(np.array([b0, b1, b3]) * METRIC)
     b2 = b2 / math.sqrt(mdot(b2, b2))
     if mdot(E[fc], b2) < 0:
         b2 = -b2
@@ -352,7 +348,8 @@ def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
                       X: np.ndarray, rmax: float, iters: int) -> Realization:
     kinds = _expected_vertex_kinds(p, angles)
     E = X.reshape(len(p.faces), 4)
-    vertices = _compute_vertices(p, E, kinds)
+    W = _compute_vertices(p, E, p.vertices, kinds)
+    vertices = {v: (w, kinds[v]) for v, w in zip(p.vertices, W)}
     E, vertices = _gauge_transform(p, E, vertices)
     normals = {fid: E[fid] for fid in range(len(p.faces))}
     return Realization(polyhedron=p, angles=dict(angles), normals=normals,
@@ -458,16 +455,10 @@ class PathRealizer:
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:
-    """Hyperbolic length of every edge with two finite endpoints.
-
-    Raises IdealEndpoint if any edge touches an ideal vertex; callers
-    that can tolerate those should filter edges first (see
-    finite_edge_lengths).
-    """
-    out = {}
-    for e in r.polyhedron.edges:
-        out[e] = edge_length(r, e)
-    return out
+    """Hyperbolic length of every edge with two compact endpoints; an
+    edge at an ideal vertex is infinitely long and left out."""
+    return {e: edge_length(r, e) for e in r.polyhedron.edges
+            if all(r.vertices[v][1] == andreev.COMPACT for v in e)}
 
 
 def edge_length(r: Realization, e: Edge) -> float:
@@ -481,11 +472,3 @@ def edge_length(r: Realization, e: Edge) -> float:
 def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Distance between two points of the hyperboloid <x,x> = -1."""
     return math.acosh(max(-mdot(x, y), 1.0))
-
-
-def finite_edge_lengths(r: Realization) -> dict[Edge, float]:
-    out = {}
-    for e in r.polyhedron.edges:
-        if all(r.vertices[v][1] == andreev.COMPACT for v in e):
-            out[e] = edge_length(r, e)
-    return out

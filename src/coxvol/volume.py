@@ -14,7 +14,10 @@ on all of [0, 1], where Gauss-Legendre rules converge in a few dozen nodes.
 
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
-integrable (their infinite edges all carry constant right angles).
+integrable (their infinite edges all carry constant right angles).  At
+each node only the endpoints of the varying edges are computed, in one
+batched pass with the kinds they have at the target; a path that varies
+an edge at an ideal vertex raises IdealEdge.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 
 from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
-from .realization import (NonConvergence, PathRealizer, RealizationError,
-                          RESIDUAL_TOL, _compute_vertices,
-                          _expected_vertex_kinds, edge_length, hyperbolic_distance)
+from .realization import (PathRealizer, RealizationError, RESIDUAL_TOL,
+                          _compute_vertices, _expected_vertex_kinds, edge_length,
+                          hyperbolic_distance)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -120,18 +123,23 @@ class DeformationPath:
 
 def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float:
     """Largest s in [0, 1) at which scaling every angle's deviation from
-    pi/2 by s makes some decisive row of the admissibility table an
-    equality."""
+    pi/2 by s makes some decisive circuit or face row of the
+    admissibility table an equality.
+
+    Vertex rows are skipped: for an admissible target they bind at
+    s = 1 at the earliest, and an ideal vertex's row would bind there
+    exactly, which rounding can put just below 1.
+    """
     dev = {e: target[e] - math.pi / 2 for e in target}
     s0 = 0.0
     for row in constraints(p):
-        if row.informational:
+        if row.informational or row.condition == VERTEX:
             continue
         base = len(row.edges) * math.pi / 2
         bound = row.bound * math.pi
         slope = sum(dev[e] for e in row.edges)
         if abs(slope) < 1e-14:
-            if abs(base - bound) < 1e-12 and row.condition != VERTEX:
+            if abs(base - bound) < 1e-12:
                 raise VolumeError(
                     "target sits on an admissibility boundary with no way to move off it")
             continue
@@ -207,7 +215,15 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
 
 
 class _Integrand:
-    """len-weighted angle-velocity sum along the path, with realization cache."""
+    """len-weighted angle-velocity sum along the path, with realization cache.
+
+    Only the endpoints of the varying edges are computed, with the kinds
+    they have at the target, which must be compact.  On the default path
+    a vertex row's slack is linear in t and positive at the start, so
+    these vertices are compact at every node.  On an explicit path
+    through a waypoint where one is not, its row fails the timelike
+    check and the node raises PathRealizationFailure.
+    """
 
     def __init__(self, p: AbstractPolyhedron, path: DeformationPath):
         self.p = p
@@ -215,25 +231,23 @@ class _Integrand:
         self.walker = PathRealizer(p, path)
         self.calls = 0
         varying = path.varying_edges
-        kinds = _expected_vertex_kinds(p, path.target_angles)
+        self.kinds = _expected_vertex_kinds(p, path.target_angles)
         for e in varying:
-            if any(kinds[v] != COMPACT for v in e):
+            if any(self.kinds[v] != COMPACT for v in e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
         self.varying = varying
+        self.ends = sorted({v for e in varying for v in e})
 
     def lengths_at(self, t: float) -> dict[Edge, float]:
         try:
             X = self.walker.solution_at(t)
-        except (NonConvergence, RealizationError) as exc:
+            W = _compute_vertices(self.p, X.reshape(len(self.p.faces), 4),
+                                  self.ends, self.kinds)
+        except RealizationError as exc:
             raise PathRealizationFailure(t, exc)
-        angles = self.path.angles_at(t)
-        kinds = _expected_vertex_kinds(self.p, angles)
-        E = X.reshape(len(self.p.faces), 4)
-        needed = {v for e in self.varying for v in e}
-        verts = _compute_vertices(self.p, E, kinds, only=needed)
-        return {e: hyperbolic_distance(verts[e[0]][0], verts[e[1]][0])
-                for e in self.varying}
+        verts = dict(zip(self.ends, W))
+        return {e: hyperbolic_distance(verts[e[0]], verts[e[1]]) for e in self.varying}
 
     def __call__(self, t: float) -> float:
         self.calls += 1

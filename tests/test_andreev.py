@@ -1,19 +1,11 @@
 """Exact admissibility conditions."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
 from coxvol import andreev
 from coxvol.poly_model import LabeledPolyhedron
-
-
-def test_angle_of():
-    assert andreev.angle_of(2) == pytest.approx(math.pi / 2)
-    assert andreev.angle_of(3) == pytest.approx(math.pi / 3)
-    with pytest.raises(ValueError):
-        andreev.angle_of(1)
 
 
 @pytest.mark.parametrize("triple,expected", [

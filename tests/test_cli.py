@@ -104,6 +104,35 @@ def test_volume_rejected_labeling(capsys, data_dir):
     assert "RESULT volume rejected" in result_line(out)
 
 
+def test_census_over_budget_is_input_error(capsys):
+    code, out = run(capsys, "census", "cube_all2", "--max-label", "6")
+    assert code == 2
+    assert result_line(out) == "RESULT census input-error"
+
+
+def test_census_volume_failure_is_numerical(capsys):
+    # some ideal-regime pyramid labelings vary an edge at an ideal vertex
+    code, out = run(capsys, "census", "pyramid", "--max-label", "4",
+                    "--regime", "ideal", "--volumes")
+    assert code == 4
+    assert "error: path varies the angle of edge" in out
+    assert result_line(out) == "RESULT census failed"
+
+
+def test_volume_realization_failure_is_numerical(capsys, monkeypatch):
+    from coxvol import cli
+    from coxvol.realization import NonConvergence
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("Newton step stagnated", 1e-3)
+
+    monkeypatch.setattr(cli, "schlafli_volume", fail)
+    code, out = run(capsys, "volume", "lambert_cube")
+    assert code == 4
+    assert "error: Newton step stagnated" in out
+    assert result_line(out) == "RESULT volume failed"
+
+
 def test_census_tsv(capsys, data_dir):
     code, out = run(capsys, "census", str(data_dir / "cube_all2.apoly"),
                     "--max-label", "3", "--format", "tsv")

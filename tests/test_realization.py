@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from coxvol.andreev import INADMISSIBLE, vertex_type
+from coxvol.andreev import COMPACT, INADMISSIBLE, vertex_type
 from coxvol.corpus import CORPUS, load
-from coxvol.poly_model import LabeledPolyhedron
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
-                                edge_lengths, finite_edge_lengths, mdot,
+                                edge_lengths, mdot,
                                 realize, solve_at, build_realization,
                                 IdealEndpoint, RealizationError, _System,
-                                _cofactors, _expected_vertex_kinds)
+                                _cofactors, _compute_vertices,
+                                _expected_vertex_kinds, _null_vectors)
 from coxvol.volume import default_path
 
 
@@ -141,7 +142,7 @@ def test_ideal_edge_length_raises(pyramid):
     apex_edge = (0, 4)
     with pytest.raises(IdealEndpoint):
         edge_length(r, apex_edge)
-    finite = finite_edge_lengths(r)
+    finite = edge_lengths(r)
     assert apex_edge not in finite
     assert all(length > 0 for length in finite.values())
 
@@ -168,6 +169,51 @@ def test_cofactors_match_minor_loop():
     expected = np.array([cofactor_matrix(M) for M in stack])
     assert np.array_equal(_cofactors(stack), expected)
     assert np.array_equal(_cofactors(stack[7]), expected[7])
+
+
+def test_null_vectors_annihilate_their_rows():
+    rng = np.random.default_rng(13)
+    M = rng.standard_normal((500, 3, 4)) * rng.uniform(0.1, 10.0, (500, 3, 1))
+    w = _null_vectors(M)
+    Mw = np.linalg.norm((M @ w[:, :, None])[:, :, 0], axis=1)
+    bound = 1e-13 * np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(w, axis=1)
+    assert np.all(Mw <= bound)
+
+
+def vertices_by_svd(p, E, kinds):
+    """Oracle: each vertex from the SVD null space of all its face
+    planes, one vertex at a time."""
+    out = []
+    for v in p.vertices:
+        w = np.linalg.svd(E[list(p.vertex_faces[v])] * METRIC)[2][-1]
+        if w[0] < 0:
+            w = -w
+        out.append(w / math.sqrt(-mdot(w, w)) if kinds[v] == COMPACT else w / w[0])
+    return np.array(out)
+
+
+def relabeled_loebell(loebell, n):
+    """Right-angled L(n) with its vertex ids permuted."""
+    p = loebell(n)
+    perm = np.random.default_rng(n).permutation(len(p.vertices))
+    q = AbstractPolyhedron(name=p.name, faces=tuple(
+        tuple(int(perm[v]) for v in f) for f in p.faces))
+    return LabeledPolyhedron(base=q, labels={e: 2 for e in q.edges})
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "triangular_prism", "pyramid",
+                                  "L5", "L6", "L7"])
+def test_vertices_match_svd_oracle(name, loebell):
+    lp = load(name) if name in CORPUS else relabeled_loebell(loebell, int(name[1:]))
+    p = lp.base
+    path = default_path(lp)
+    walker = PathRealizer(p, path)
+    for t in (0.3, 0.7, 1.0):
+        E = walker.solution_at(t).reshape(len(p.faces), 4)
+        kinds = _expected_vertex_kinds(p, path.angles_at(t))
+        W = _compute_vertices(p, E, p.vertices, kinds)
+        ref = vertices_by_svd(p, E, kinds)
+        assert np.all(np.linalg.norm(W - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
 
 
 def system_by_loops(p, X, targets):

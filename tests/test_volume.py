@@ -5,8 +5,10 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from coxvol.poly_model import LabeledPolyhedron
 from coxvol.volume import (DeformationPath, IdealEdge, NonCollapsingStart,
-                           _Integrand, collapse_fraction, default_path,
+                           PathRealizationFailure, _Integrand, collapse_fraction,
+                           default_path,
                            hyperbolic_triangle_area, monotonicity_probe,
                            orb_convention, schlafli_volume, segment_quadrature)
 
@@ -79,8 +81,6 @@ def test_path_independence(lambert_cube):
 def test_volume_decreases_with_larger_angles(lambert_cube):
     # a cube with a 4-label instead of a 3 has larger angles on that
     # orbit, hence smaller volume
-    from coxvol.poly_model import LabeledPolyhedron
-
     labels = dict(lambert_cube.labels)
     three = next(e for e, n in labels.items() if n == 3)
     labels[three] = 4
@@ -112,6 +112,33 @@ def test_varying_ideal_edge_rejected(pyramid):
     path = DeformationPath.from_configs(p, [start, target])
     with pytest.raises(IdealEdge):
         schlafli_volume(None, path=path)
+
+
+def test_ideal_trivalent_vertex_rejected(pyramid, cube_all2):
+    # pyramid row (2,2,3,6) and a cube with a (3,3,3) vertex: the
+    # ideal vertex's row must not end the path just short of the target
+    labels = dict(pyramid.labels)
+    labels[(0, 3)] = 6
+    cube = cube_all2.base
+    for lp in (LabeledPolyhedron(base=pyramid.base, labels=labels),
+               LabeledPolyhedron(base=cube, labels={
+                   e: 3 if 0 in e else 2 for e in cube.edges})):
+        with pytest.raises(IdealEdge):
+            schlafli_volume(lp)
+
+
+def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
+    # vertex 0 has angle sum 0.9*pi at the waypoint
+    p = lambert_cube.base
+    start = {e: math.pi / 2 for e in p.edges}
+    mid = dict(lambert_cube.angles())
+    for e in p.vertex_edges[0]:
+        mid[e] = 0.3 * math.pi
+    path = DeformationPath.from_configs(
+        p, [start, mid, lambert_cube.angles()], times=(0.0, 0.6, 1.0))
+    with pytest.raises(PathRealizationFailure) as info:
+        schlafli_volume(None, path=path)
+    assert 0.0 < info.value.t < 1.0
 
 
 def test_noncollapsing_start_rejected(lambert_cube):
@@ -180,8 +207,6 @@ def _kellerhals_lambert(alpha, beta, gamma):
 @pytest.mark.parametrize("lmn", [(3, 3, 3), (3, 4, 5), (4, 4, 4), (3, 3, 8),
                                  (5, 6, 7), (8, 8, 8)])
 def test_lambert_family_closed_form(lambert_cube, lmn):
-    from coxvol.poly_model import LabeledPolyhedron
-
     labels = dict(lambert_cube.labels)
     essential = sorted(e for e, n in labels.items() if n == 3)
     for e, n in zip(essential, lmn):
