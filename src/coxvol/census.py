@@ -26,11 +26,13 @@ import numpy as np
 
 from . import andreev as _andreev
 from . import corpus
+from . import volume as _volume
 from .circuits import enumerate_circuits
 from .haken import classify
 from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
                          apply_automorphism_to_edges, automorphisms, canonical_cycle,
                          edge_key, validate)
+from .realization import RealizationError
 
 CANDIDATE_BUDGET = 4_000_000  # the most candidate labelings a census screens
 
@@ -46,6 +48,7 @@ class CensusRow:
     vertex_summary: dict[str, int]
     haken: str
     volume: float | None = None
+    volume_error: tuple[str, str] | None = None  # (error type, message) when the volume failed
 
 
 def _edge_perms(p: AbstractPolyhedron) -> list[tuple[int, ...]]:
@@ -82,7 +85,12 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
                         with_volumes: bool = False) -> list[CensusRow]:
     """One census row per automorphism orbit of admissible labelings,
     each the lexicographically smallest member of its orbit, in
-    ascending order."""
+    ascending order.
+
+    With volumes, a row whose volume raises a VolumeError or
+    RealizationError keeps ``volume=None`` and records the error's type
+    and message in ``volume_error``; the other rows are unaffected.
+    """
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
     if not validate(p).passed:
@@ -116,13 +124,15 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
         summary: dict[str, int] = {}
         for t in rep.vertex_types.values():
             summary[t] = summary.get(t, 0) + 1
-        vol = None
+        vol = err = None
         if with_volumes:
-            from .volume import schlafli_volume
-            vol = schlafli_volume(lp).volume
+            try:
+                vol = _volume.schlafli_volume(lp).volume
+            except (_volume.VolumeError, RealizationError) as exc:
+                err = (type(exc).__name__, str(exc))
         rows.append(CensusRow(labels=labs, outcome=rep.outcome,
                               vertex_summary=summary, haken=haken.verdict,
-                              volume=vol))
+                              volume=vol, volume_error=err))
     return rows
 
 

@@ -147,7 +147,7 @@ def _cmd_classify(args) -> int:
     if verdict.witness is not None:
         print(verdict.witness.format_line())
     _result("classify", verdict.verdict,
-            witness_kind=verdict.witness_kind, cap=verdict.cap)
+            witness_kind=verdict.witness_kind, cap=verdict.cap, circuits=verdict.circuits)
     return EXIT_OK if verdict.verdict == LARGE else EXIT_SMALL
 
 
@@ -209,6 +209,8 @@ def _cmd_census(args) -> int:
             summary = ",".join(f"{k}:{r.vertex_summary[k]}"
                                for k in sorted(r.vertex_summary))
             vol = "" if r.volume is None else _fmt(r.volume, 15)
+            if r.volume_error:
+                vol = f"error:{r.volume_error[0]}"
             print(f"{','.join(map(str, r.labels))}\t{r.outcome}"
                   f"\t{summary}\t{r.haken}\t{vol}")
     else:
@@ -218,10 +220,14 @@ def _cmd_census(args) -> int:
                     f"haken={r.haken}")
             if r.volume is not None:
                 line += f" volume={_fmt(r.volume, 15)}"
+            if r.volume_error:
+                line += f" volume_error={r.volume_error[0]}\n    error: {r.volume_error[1]}"
             print(line)
-    _result("census", "ok", rows=len(rows), max_label=args.max_label,
-            regime=_REGIMES[args.regime])
-    return EXIT_OK
+    failures = sum(r.volume_error is not None for r in rows)
+    counts = {"volume_failures": failures} if args.volumes else {}
+    _result("census", "failed" if failures else "ok", rows=len(rows),
+            max_label=args.max_label, regime=_REGIMES[args.regime], **counts)
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 def _cmd_pyramid_table(args) -> int:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, circuits_up_to,
+from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, enumerate_circuits,
                        separating_triangles, vertex_sides)
+# unused here, but the benchmark tracer binds coxvol.haken.circuits_up_to by name
+from .circuits import circuits_up_to  # noqa: F401
 from .poly_model import AbstractPolyhedron, Edge
 
 
@@ -100,25 +102,35 @@ class HakenVerdict:
     witness: Circuit | None
     witness_kind: str  # incompressible-orbifold | separating-triangle | none-up-to-cap
     cap: int
+    circuits: int  # circuits the scan visited; 0 when a separating triangle decides
 
 
 def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerdict:
     """Large iff no separating triangles and some orbifold up to the cap
     is incompressible.
 
-    Prismatic circuits are scanned first (ordered by length) so that the
-    reported witness is the most meaningful curve available; the search
-    over both disk sides of every circuit is exhaustive up to the cap.
+    The witness is the first circuit with an incompressible side in the
+    order prismatic first, then the rest, each by length and then by
+    faces, so that it is the most meaningful curve available.  Circuits
+    are enumerated one length at a time and the scan stops at the first
+    prismatic witness; the first non-prismatic one is kept and returned
+    only if no prismatic witness exists up to the cap.  A Small verdict
+    still tests both disk sides of every circuit up to the cap.
     """
     tris = separating_triangles(p)
     if tris:
-        return HakenVerdict(SMALL, tris[0], "separating-triangle", cap)
-    # circuits_up_to orders by k, then faces; a stable sort puts the
-    # prismatic ones first and keeps that order within each group
-    circuits = circuits_up_to(p, cap)
-    circuits.sort(key=lambda c: not c.prismatic)
-    for c in circuits:
-        for orb in orbifolds_of(p, c):
-            if not is_compressible(p, orb):
-                return HakenVerdict(LARGE, c, "incompressible-orbifold", cap)
-    return HakenVerdict(SMALL, None, "none-up-to-cap", cap)
+        return HakenVerdict(SMALL, tris[0], "separating-triangle", cap, 0)
+    fallback = None
+    visited = 0
+    for k in range(3, min(cap, len(p.faces)) + 1):
+        for c in enumerate_circuits(p, k):
+            visited += 1
+            if not c.prismatic and fallback is not None:
+                continue
+            if not all(is_compressible(p, orb) for orb in orbifolds_of(p, c)):
+                if c.prismatic:
+                    return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
+                fallback = c
+    if fallback is not None:
+        return HakenVerdict(LARGE, fallback, "incompressible-orbifold", cap, visited)
+    return HakenVerdict(SMALL, None, "none-up-to-cap", cap, visited)

@@ -228,7 +228,6 @@ class _Integrand:
     def __init__(self, p: AbstractPolyhedron, path: DeformationPath):
         self.p = p
         self.path = path
-        self.walker = PathRealizer(p, path)
         self.calls = 0
         varying = path.varying_edges
         self.kinds = _expected_vertex_kinds(p, path.target_angles)
@@ -238,6 +237,11 @@ class _Integrand:
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
         self.varying = varying
         self.ends = sorted({v for e in varying for v in e})
+        try:
+            self.walker = PathRealizer(p, path)
+        except RealizationError as exc:
+            # the anchor tries each of ANCHOR_TS and reports the last failure
+            raise PathRealizationFailure(PathRealizer.ANCHOR_TS[-1], exc)
 
     def lengths_at(self, t: float) -> dict[Edge, float]:
         try:

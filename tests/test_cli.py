@@ -72,6 +72,14 @@ def test_classify_exit_codes(capsys, data_dir):
     assert "witness_kind=separating-triangle" in result_line(out)
 
 
+def test_classify_reports_circuits_scanned(capsys):
+    # the eight vertex links, then the second 4-circuit is the band
+    code, out = run(capsys, "classify", "cube_all2")
+    assert code == 0
+    assert result_line(out) == ("RESULT classify Large witness_kind=incompressible-orbifold "
+                                "cap=12 circuits=10")
+
+
 def test_realize_report(capsys, data_dir):
     code, out = run(capsys, "realize", str(data_dir / "lambert_cube.apoly"))
     assert code == 0
@@ -116,7 +124,33 @@ def test_census_volume_failure_is_numerical(capsys):
                     "--regime", "ideal", "--volumes")
     assert code == 4
     assert "error: path varies the angle of edge" in out
-    assert result_line(out) == "RESULT census failed"
+    assert result_line(out) == ("RESULT census failed rows=15 max_label=4 "
+                                "regime=allow-ideal volume_failures=6")
+
+
+def test_census_tsv_marks_failed_volumes(capsys):
+    code, out = run(capsys, "census", "pyramid", "--max-label", "4",
+                    "--regime", "ideal", "--volumes", "--format", "tsv")
+    assert code == 4
+    vols = [ln.split("\t")[4] for ln in out.splitlines()[1:-1]]
+    assert len(vols) == 15
+    assert vols.count("error:IdealEdge") == 6
+    assert all(float(v) > 0 for v in vols if v != "error:IdealEdge")
+
+
+def test_census_volume_failures_keep_the_other_rows(capsys):
+    argv = ("census", "cube_all2", "--max-label", "3", "--regime", "ideal")
+    _, plain = run(capsys, *argv)
+    code, out = run(capsys, *argv, "--volumes")
+    assert code == 4
+    assert result_line(out) == ("RESULT census failed rows=111 max_label=3 "
+                                "regime=allow-ideal volume_failures=77")
+    rows = [ln for ln in out.splitlines() if ln.startswith("labels=")]
+    assert len(rows) == 111
+    assert sum(" volume=" in ln for ln in rows) == 34
+    assert sum(ln.endswith(" volume_error=IdealEdge") for ln in rows) == 77
+    assert [ln.split(" volume")[0] for ln in rows] == \
+        [ln for ln in plain.splitlines() if ln.startswith("labels=")]
 
 
 def test_volume_realization_failure_is_numerical(capsys, monkeypatch):

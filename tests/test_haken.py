@@ -1,11 +1,33 @@
 """Large/small classification and curve compressions."""
 
+import dataclasses
+import random
+
 import pytest
 
+from coxvol import haken
 from coxvol.circuits import circuits_up_to, enumerate_circuits
 from coxvol.corpus import load
 from coxvol.haken import (base_form, classify, find_compressions,
                           is_compressible, orbifolds_of)
+from coxvol.poly_model import AbstractPolyhedron
+
+
+def relabeled(p, seed):
+    """p with its vertex ids permuted and its faces reordered."""
+    rng = random.Random(seed)
+    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
+    faces = [tuple(image[v] for v in f) for f in p.faces]
+    rng.shuffle(faces)
+    return AbstractPolyhedron(name=p.name, faces=tuple(faces))
+
+
+def first_witness(p, circuits):
+    """The scan-order oracle: the first circuit with an incompressible
+    side, prismatic ones first, each group by length and then faces."""
+    order = sorted(circuits, key=lambda c: (not c.prismatic, c.k, c.faces))
+    return next((c for c in order
+                 if any(not is_compressible(p, orb) for orb in orbifolds_of(p, c))), None)
 
 
 def equatorial_band(p):
@@ -90,16 +112,76 @@ def test_classification_stable_under_cap(cube_all2, tetrahedron):
         assert classify(tetrahedron.base, cap=cap).verdict == "Small"
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_classify_witness_is_first_in_scan_order(n, loebell):
     # L(n) has incompressible non-prismatic 5-circuits with smaller face
     # tuples than the prismatic witness, so the scan order decides it
-    p = loebell(n)
-    v = classify(p, cap=6)
-    order = sorted(circuits_up_to(p, 6), key=lambda c: (not c.prismatic, c.k, c.faces))
-    first = next(c for c in order
-                 if any(not is_compressible(p, orb) for orb in orbifolds_of(p, c)))
-    assert v.witness == first and first.prismatic and first.k == 5
+    for p in (loebell(n), relabeled(loebell(n), seed=n)):
+        v = classify(p)
+        assert v == dataclasses.replace(classify(p, cap=6), cap=v.cap)
+        first = first_witness(p, circuits_up_to(p, 6))
+        assert v.witness == first and first.prismatic and first.k == 5
+
+
+def test_lazy_scan_stops_at_the_witness_length(loebell, monkeypatch):
+    asked = []
+
+    def recording(p, k):
+        asked.append(k)
+        return enumerate_circuits(p, k)
+
+    monkeypatch.setattr(haken, "enumerate_circuits", recording)
+    v = classify(loebell(8))
+    assert v.witness.k == 5
+    assert asked == [3, 4, 5]
+
+
+@pytest.mark.parametrize("prismatic_from_k", [None, 6])
+def test_non_prismatic_witness_is_only_a_fallback(prismatic_from_k, loebell, monkeypatch):
+    # L(5) has incompressible circuits of both kinds at k = 5 and 6; with
+    # prismatic flags kept only from k = 6 on (or dropped), the first
+    # incompressible 5-circuit becomes the fallback, and a prismatic
+    # 6-circuit must still win over it
+    def flagged(p, k):
+        keep = prismatic_from_k is not None and k >= prismatic_from_k
+        return [dataclasses.replace(c, prismatic=c.prismatic and keep)
+                for c in enumerate_circuits(p, k)]
+
+    p = loebell(5)
+    monkeypatch.setattr(haken, "enumerate_circuits", flagged)
+    v = classify(p, cap=7)
+    first = first_witness(p, [c for k in range(3, 8) for c in flagged(p, k)])
+    assert v.witness == first
+    assert v.witness_kind == "incompressible-orbifold"
+    assert (first.k, first.prismatic) == ((5, False) if prismatic_from_k is None else (6, True))
+
+
+# verdict, witness kind and witness faces at caps 3..12, recorded before the
+# scan became lazy
+RECORDED = {
+    "tetrahedron": {cap: ("Small", "none-up-to-cap", None) for cap in range(3, 13)},
+    "triangular_prism": {cap: ("Small", "separating-triangle", (2, 3, 4))
+                         for cap in range(3, 13)},
+    "pyramid": {cap: ("Small", "none-up-to-cap", None) for cap in range(3, 13)},
+    "cube_all2": {3: ("Small", "none-up-to-cap", None),
+                  **{cap: ("Large", "incompressible-orbifold", (0, 2, 1, 4))
+                     for cap in range(4, 13)}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_corpus_verdicts_recorded_at_every_cap(name):
+    p = load(name).base
+    for cap, expected in RECORDED[name].items():
+        v = classify(p, cap=cap)
+        assert (v.verdict, v.witness_kind, v.witness and v.witness.faces) == expected
+        scanned = circuits_up_to(p, cap)
+        if v.witness_kind == "separating-triangle":
+            assert v.circuits == 0
+        elif v.witness is None:
+            assert v.circuits == len(scanned)
+        else:
+            assert v.circuits == scanned.index(v.witness) + 1
 
 
 @pytest.mark.parametrize("name", ["cube_all2", "triangular_prism", "pyramid", "L5", "L6"])

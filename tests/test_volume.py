@@ -127,6 +127,38 @@ def test_ideal_trivalent_vertex_rejected(pyramid, cube_all2):
             schlafli_volume(lp)
 
 
+def test_ideal_edge_refused_before_any_solve(pyramid, monkeypatch):
+    from coxvol import realization
+
+    calls = []
+    solve_at = realization.solve_at
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_at(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "solve_at", counted)
+    labels = dict(pyramid.labels)
+    labels[(0, 3)] = 6  # pyramid row (2,2,3,6)
+    with pytest.raises(IdealEdge):
+        schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
+    assert calls == []
+
+
+def test_anchor_failure_is_path_realization_failure(lambert_cube, monkeypatch):
+    from coxvol import realization
+    from coxvol.realization import NonConvergence, PathRealizer
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("Newton step stagnated", 1e-3)
+
+    monkeypatch.setattr(realization, "solve_at", fail)
+    with pytest.raises(PathRealizationFailure) as info:
+        schlafli_volume(lambert_cube)
+    assert info.value.t == PathRealizer.ANCHOR_TS[-1]
+    assert "Newton step stagnated" in str(info.value)
+
+
 def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     # vertex 0 has angle sum 0.9*pi at the waypoint
     p = lambert_cube.base
