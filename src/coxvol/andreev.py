@@ -117,6 +117,12 @@ def _compile(p: AbstractPolyhedron) -> tuple[Constraint, ...]:
     return tuple(rows)
 
 
+def default_regime(p: AbstractPolyhedron) -> str:
+    """Ideal vertices are allowed exactly when the polyhedron declares
+    ideal candidates."""
+    return ALLOW_IDEAL if p.ideal_candidates else STRICT_COMPACT
+
+
 def vertex_kind(s: Fraction, bound: int) -> str:
     """Compact above the bound, ideal at exact equality, inadmissible below."""
     if s > bound:

@@ -167,14 +167,12 @@ def cube_three_threes(cube: AbstractPolyhedron) -> ThreeThreesReport:
     def adjacent(e1: Edge, e2: Edge) -> bool:
         return bool(set(e1) & set(e2))
 
-    passing: list[tuple[Edge, ...]] = []
-    for triple in combinations(edges, 3):
-        labels = {e: 2 for e in edges}
-        for e in triple:
-            labels[e] = 3
-        lp = LabeledPolyhedron(base=cube, labels=labels)
-        if _andreev.check(lp, _andreev.STRICT_COMPACT).realizable:
-            passing.append(triple)
+    # one screen over all placements: row i puts the 3s on triple i
+    triples = list(combinations(range(len(edges)), 3))
+    labels = np.full((len(triples), len(edges)), 2, dtype=np.int64)
+    labels[np.arange(len(triples))[:, None], triples] = 3
+    ok = _admissible_mask(cube, labels, 3, _andreev.STRICT_COMPACT)
+    passing = [tuple(edges[i] for i in t) for t, keep in zip(triples, ok) if keep]
     selected = tuple(t for t in passing
                      if all(not adjacent(a, b) for a, b in combinations(t, 2)))
     one_per = tuple(
@@ -193,7 +191,7 @@ def cube_three_threes(cube: AbstractPolyhedron) -> ThreeThreesReport:
     stab = len(group) // len(orbits[0]) if orbits else 0
     return ThreeThreesReport(
         total_candidates=math.comb(len(edges), 3),
-        andreev_passing=tuple(sorted(passing)),
+        andreev_passing=tuple(passing),
         selected=selected,
         orbits=tuple(orbits),
         stabilizer_order=stab,

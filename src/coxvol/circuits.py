@@ -54,13 +54,7 @@ def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
     """
     if k < 3:
         raise ValueError("k-circuits need k >= 3")
-    nf = len(p.faces)
-    adj: dict[int, list[int]] = {f: [] for f in range(nf)}
-    for (a, b) in p.face_adjacency:
-        adj[a].append(b)
-    for f in adj:
-        adj[f] = sorted(set(adj[f]))
-
+    adj = p.face_neighbors
     out: list[Circuit] = []
 
     def grow(path: list[int], used: set[int]):
@@ -76,7 +70,7 @@ def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
                 path.pop()
                 used.remove(g)
 
-    for start in range(nf):
+    for start in adj:
         grow([start], {start})
     return out
 
@@ -99,14 +93,10 @@ def vertex_sides(p: AbstractPolyhedron, c: Circuit) -> tuple[frozenset[int], fro
 
     The curve separates the sphere into two disks; removing the crossed
     edges from the graph leaves exactly one vertex component per disk.
-    The side containing the smallest vertex id comes first.
+    Components are grown from the smallest unseen vertex, so the side
+    containing the smallest vertex id comes first.
     """
     cut = set(c.crossed_edges)
-    adj: dict[int, list[int]] = {v: [] for v in p.vertices}
-    for (a, b) in p.edge_faces:
-        if (a, b) not in cut:
-            adj[a].append(b)
-            adj[b].append(a)
     comps: list[set[int]] = []
     unseen = set(p.vertices)
     while unseen:
@@ -115,8 +105,9 @@ def vertex_sides(p: AbstractPolyhedron, c: Circuit) -> tuple[frozenset[int], fro
         stack = [v0]
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
+            for e in p.vertex_edges[v]:
+                w = e[1] if e[0] == v else e[0]
+                if e not in cut and w not in comp:
                     comp.add(w)
                     stack.append(w)
         unseen -= comp
@@ -125,5 +116,4 @@ def vertex_sides(p: AbstractPolyhedron, c: Circuit) -> tuple[frozenset[int], fro
         raise ValueError(
             f"circuit {c.faces} does not cut the vertex set into two sides "
             f"(got {len(comps)} components)")
-    comps.sort(key=min)
     return frozenset(comps[0]), frozenset(comps[1])

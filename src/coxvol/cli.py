@@ -17,7 +17,7 @@ from .circuits import DEFAULT_CIRCUIT_CAP, circuits_up_to, enumerate_circuits
 from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
-from .realization import RealizationError, realize
+from .realization import LabelingRejected, RealizationError, realize
 from .volume import VolumeError, orb_convention, schlafli_volume
 
 EXIT_OK = 0
@@ -156,11 +156,10 @@ def _cmd_realize(args) -> int:
     regime = _REGIMES[args.regime] if args.regime else None
     try:
         r = realize(lp, regime=regime)
-    except RealizationError as exc:
+    except LabelingRejected as exc:
         print(f"error: {exc}")
-        rejected = "rejected" in str(exc)
-        _result("realize", "rejected" if rejected else "failed")
-        return EXIT_REJECTED if rejected else EXIT_NUMERICAL
+        _result("realize", "rejected")
+        return EXIT_REJECTED
     for fid in sorted(r.normals):
         coords = " ".join(_fmt(x, 17) for x in r.normals[fid])
         print(f"normal {fid}: {coords}")
@@ -179,8 +178,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_volume(args) -> int:
     lp = _load(args.file)
-    rep = andreev.check(lp, andreev.ALLOW_IDEAL if lp.base.ideal_candidates
-                        else andreev.STRICT_COMPACT)
+    rep = andreev.check(lp, andreev.default_regime(lp.base))
     if not rep.realizable:
         print(f"error: labeling rejected ({rep.reason or rep.outcome})")
         _result("volume", "rejected", reason=rep.reason or rep.outcome)

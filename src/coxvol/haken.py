@@ -71,14 +71,14 @@ def base_form(p: AbstractPolyhedron, orb: TwoOrbifold) -> str | None:
     A face-boundary curve crosses no edges at all and cannot arise as a
     dual cycle, so it needs no check here.  Vertex and edge links are
     curves whose smaller side encloses just one vertex or one edge; both
-    bound an obvious disk regardless of which side is chosen.
+    bound an obvious disk regardless of which side is chosen, so both
+    sides are read off the orbifold: its disk and the complement.
     """
-    c = orb.curve
-    if c.k < 3:
+    if orb.curve.k < 3:
         return "short-curve"
     # crossed edges that all meet at one vertex cut that vertex off, so
     # that case is a one-vertex side
-    for side in vertex_sides(p, c):
+    for side in (orb.disk_vertices, set(p.vertices) - orb.disk_vertices):
         if len(side) == 1:
             return "vertex-link"
         if len(side) == 2:

@@ -2,9 +2,10 @@
 
 An abstract polyhedron is a planar trivalent graph given by its face
 cycles (one face playing the role of the unbounded region).  Edges,
-incidences and the planar rotation system are all derived from the face
-cycles.  A labeled polyhedron attaches an integer n >= 2 to every edge,
-encoding the dihedral angle pi/n.
+incidences, face adjacency (``face_neighbors``, the one neighbour list
+every walk over faces reads) and the planar rotation system are all
+derived from the face cycles.  A labeled polyhedron attaches an integer
+n >= 2 to every edge, encoding the dihedral angle pi/n.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -70,8 +71,7 @@ class AbstractPolyhedron:
         """Edge -> ids of incident faces (2 for a well-formed polyhedron)."""
         inc: dict[Edge, list[int]] = {}
         for fid, cyc in enumerate(self.faces):
-            for i, a in enumerate(cyc):
-                b = cyc[(i + 1) % len(cyc)]
+            for a, b in _darts(cyc):
                 inc.setdefault(edge_key(a, b), []).append(fid)
         return {e: tuple(fs) for e, fs in inc.items()}
 
@@ -102,6 +102,14 @@ class AbstractPolyhedron:
                 adj[(b, a)] = e
         return adj
 
+    @cached_property
+    def face_neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Face id -> ascending ids of the faces sharing an edge with it."""
+        nbrs: dict[int, list[int]] = {f: [] for f in range(len(self.faces))}
+        for a, b in self.face_adjacency:
+            nbrs[a].append(b)
+        return {f: tuple(sorted(gs)) for f, gs in nbrs.items()}
+
     def shared_edge(self, fa: int, fb: int) -> Edge | None:
         return self.face_adjacency.get((fa, fb))
 
@@ -112,58 +120,37 @@ class AbstractPolyhedron:
     def oriented_faces(self) -> tuple[tuple[int, ...], ...] | None:
         """Face cycles re-oriented so every directed edge occurs exactly once.
 
-        Returns None if no consistent orientation exists (the face data
-        does not describe a closed surface).
+        Face 0 keeps its cycle; a depth-first walk over face_neighbors
+        reverses each newly reached face that runs a shared edge the same
+        way as the face it was reached from.  Returns None if no
+        consistent orientation exists (the face data does not describe a
+        connected closed surface).
         """
-        n = len(self.faces)
-        flip = [False] * n
-        decided = [False] * n
-        if n == 0:
+        if not self.faces:
             return ()
-        # BFS over face adjacency, flipping faces to agree with neighbors.
-        dart_face: dict[tuple[int, int], int] = {}
-
-        def darts(fid: int) -> list[tuple[int, int]]:
-            cyc = self.faces[fid]
-            if flip[fid]:
-                cyc = cyc[::-1]
-            return [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-
+        out: list[tuple[int, ...] | None] = [None] * len(self.faces)
+        out[0] = self.faces[0]
         stack = [0]
-        decided[0] = True
-        adj_faces: dict[int, set[int]] = {i: set() for i in range(n)}
-        for (a, b) in self.face_adjacency:
-            adj_faces[a].add(b)
         while stack:
-            fid = stack.pop()
-            for g in sorted(adj_faces[fid]):
-                if decided[g]:
-                    continue
-                # g must traverse the edge it shares with fid the other way
-                fd = darts(fid)
-                flip[g] = False
-                gd = darts(g)
-                same = any(d in gd for d in fd)
-                if same:
-                    flip[g] = True
-                decided[g] = True
-                stack.append(g)
-        if not all(decided):
-            return None  # disconnected face structure
-        for fid in range(n):
-            for d in darts(fid):
-                if d in dart_face:
-                    return None
-                dart_face[d] = fid
-        # closedness: the reverse of every dart must exist too
-        for d in dart_face:
-            if (d[1], d[0]) not in dart_face:
-                return None
-        out = []
-        for fid in range(n):
-            cyc = self.faces[fid]
-            out.append(tuple(cyc[::-1]) if flip[fid] else tuple(cyc))
+            f = stack.pop()
+            darts = set(_darts(out[f]))
+            for g in self.face_neighbors[f]:
+                if out[g] is None:
+                    cyc = self.faces[g]
+                    out[g] = cyc[::-1] if not darts.isdisjoint(_darts(cyc)) else cyc
+                    stack.append(g)
+        if None in out:
+            return None
+        darts = [d for cyc in out for d in _darts(cyc)]
+        seen = set(darts)
+        if len(seen) != len(darts) or any((b, a) not in seen for a, b in darts):
+            return None
         return tuple(out)
+
+
+def _darts(cyc: tuple[int, ...]):
+    """The directed edges of a face cycle, in cycle order."""
+    return zip(cyc, cyc[1:] + cyc[:1])
 
 
 @dataclass(frozen=True)
@@ -407,9 +394,8 @@ def _dart_maps(p: AbstractPolyhedron):
         raise PolyhedronError("polyhedron is not orientable/closed")
     nxt: dict[tuple[int, int], tuple[int, int]] = {}
     for cyc in faces:
-        k = len(cyc)
-        for i in range(k):
-            nxt[(cyc[i], cyc[(i + 1) % k])] = (cyc[(i + 1) % k], cyc[(i + 2) % k])
+        darts = list(_darts(cyc))
+        nxt.update(zip(darts, darts[1:] + darts[:1]))
     prv = {b: a for a, b in nxt.items()}
     return nxt, prv
 

@@ -52,6 +52,10 @@ class RealizationError(PolyhedronError):
     pass
 
 
+class LabelingRejected(RealizationError):
+    """The labeling fails the admissibility check, so there is nothing to solve."""
+
+
 class NonConvergence(RealizationError):
     def __init__(self, message: str, best_residual: float):
         self.best_residual = best_residual
@@ -363,16 +367,15 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
     The angle path is the default deformation path (see the volume
     module); continuation with warm starts keeps every Newton solve in
     its basin.  The admissibility precondition is the caller's job for
-    raw angle input; for labeled input it is enforced here.
+    raw angle input; for labeled input it is enforced here, in
+    ``regime`` or else ``andreev.default_regime``, and a labeling that
+    fails it raises LabelingRejected.
     """
     from .volume import default_path  # volume imports this module
 
-    if regime is None:
-        regime = (andreev.ALLOW_IDEAL if lp.base.ideal_candidates
-                  else andreev.STRICT_COMPACT)
-    report = andreev.check(lp, regime)
+    report = andreev.check(lp, regime or andreev.default_regime(lp.base))
     if not report.realizable:
-        raise RealizationError(
+        raise LabelingRejected(
             f"labeling rejected ({report.reason or report.outcome}); cannot realize")
     path = default_path(lp)
     walker = PathRealizer(lp.base, path)

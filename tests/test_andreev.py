@@ -91,6 +91,11 @@ def test_pyramid_regimes(pyramid):
     assert all(relaxed.vertex_types[v] == andreev.COMPACT for v in range(4))
 
 
+def test_default_regime_follows_ideal_candidates(pyramid, lambert_cube):
+    assert andreev.default_regime(pyramid.base) == andreev.ALLOW_IDEAL
+    assert andreev.default_regime(lambert_cube.base) == andreev.STRICT_COMPACT
+
+
 def test_pyramid_condition5_exact_boundary(pyramid):
     # opposite base labels (2, 2): pair sum pi plus four right apex angles
     # reaches 3*pi exactly, which must reject

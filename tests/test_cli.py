@@ -167,6 +167,21 @@ def test_volume_realization_failure_is_numerical(capsys, monkeypatch):
     assert result_line(out) == "RESULT volume failed"
 
 
+def test_realize_solver_failure_is_numerical(capsys, monkeypatch):
+    # a solver message that happens to say "rejected" is still a failure
+    from coxvol import realization
+    from coxvol.realization import NonConvergence
+
+    def fail(*args, **kwargs):
+        raise NonConvergence("step rejected", 1.0)
+
+    monkeypatch.setattr(realization, "solve_at", fail)
+    code, out = run(capsys, "realize", "lambert_cube")
+    assert code == 4
+    assert "error: step rejected" in out
+    assert result_line(out) == "RESULT realize failed"
+
+
 def test_census_tsv(capsys, data_dir):
     code, out = run(capsys, "census", str(data_dir / "cube_all2.apoly"),
                     "--max-label", "3", "--format", "tsv")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coxvol import andreev
 from coxvol.census import _admissible_mask
-from coxvol.corpus import load
+from coxvol.corpus import load, loebell
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.volume import collapse_fraction
 
@@ -46,8 +46,11 @@ def test_ideal_apex_row_needs_all_twos(pyramid):
 # nearly every draw fails at some vertex and never reaches the circuit
 # and face boundaries.  The cube starts from the Lambert labeling.  The
 # tetrahedron has too few faces, so both evaluators reject all its draws.
+# Right-angled L(5), the dodecahedron, has vertex rows only (no prismatic
+# 3- or 4-circuits, no quadrilaterals) over 30 edges.
 _SEEDS = [LabeledPolyhedron(base=load("cube_all2").base, labels=load("lambert_cube").labels),
-          load("triangular_prism"), load("pyramid"), load("tetrahedron")]
+          load("triangular_prism"), load("pyramid"), load("tetrahedron"),
+          LabeledPolyhedron(base=loebell(5), labels=dict.fromkeys(loebell(5).edges, 2))]
 
 
 @st.composite

@@ -156,6 +156,24 @@ def test_non_prismatic_witness_is_only_a_fallback(prismatic_from_k, loebell, mon
     assert (first.k, first.prismatic) == ((5, False) if prismatic_from_k is None else (6, True))
 
 
+def test_classify_splits_each_circuit_once(loebell, monkeypatch):
+    counts = {"vertex_sides": 0, "orbifolds_of": 0}
+
+    def counted(name):
+        fn = getattr(haken, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(haken, name, counted(name))
+    classify(loebell(7))
+    assert counts["orbifolds_of"] > 0
+    assert counts["vertex_sides"] == counts["orbifolds_of"]
+
+
 # verdict, witness kind and witness faces at caps 3..12, recorded before the
 # scan became lazy
 RECORDED = {

@@ -1,6 +1,7 @@
 """Combinatorial model: parsing, validation, automorphisms."""
 
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -82,6 +83,34 @@ def test_validate_flags_open_surface():
     assert not report.passed
     rules = {v.rule for v in report.violations}
     assert "edge-two-faces" in rules
+
+
+def _scrambled(p: AbstractPolyhedron, seed: int) -> AbstractPolyhedron:
+    """p with faces 1.. shuffled and every other cycle reversed."""
+    rest = list(p.faces[1:])
+    random.Random(seed).shuffle(rest)
+    faces = [c[::-1] if i % 2 else c for i, c in enumerate([p.faces[0], *rest])]
+    return AbstractPolyhedron(name=p.name, faces=tuple(faces))
+
+
+@pytest.mark.parametrize("name", ["cube_all2", "L6"])
+def test_oriented_faces_of_scrambled_cycles(name, loebell):
+    base = loebell(6) if name == "L6" else load(name).base
+    p = _scrambled(base, seed=len(base.faces))
+    oriented = p.oriented_faces
+    assert oriented[0] == p.faces[0]
+    assert all(o in (f, f[::-1]) for o, f in zip(oriented, p.faces))
+    darts = [(c[i], c[(i + 1) % len(c)]) for c in oriented for i in range(len(c))]
+    assert len(set(darts)) == len(darts) == 2 * len(p.edges)
+
+
+@pytest.mark.parametrize("faces", [
+    ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)),  # hemi-cube: non-orientable
+    ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),  # two disjoint tetrahedra
+     (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)),
+])
+def test_oriented_faces_none_without_one_closed_orientable_surface(faces):
+    assert AbstractPolyhedron(name="bad", faces=faces).oriented_faces is None
 
 
 def test_validate_flags_low_face_count():

@@ -11,7 +11,7 @@ from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
                                 edge_lengths, mdot,
                                 realize, solve_at, build_realization,
-                                IdealEndpoint, RealizationError, _System,
+                                IdealEndpoint, LabelingRejected, RealizationError, _System,
                                 _cofactors, _compute_vertices,
                                 _expected_vertex_kinds, _null_vectors)
 from coxvol.volume import default_path
@@ -77,7 +77,7 @@ def test_pyramid_realization_with_ideal_apex(pyramid):
 
 
 def test_rejected_labeling_cannot_be_realized(cube_all2):
-    with pytest.raises(RealizationError):
+    with pytest.raises(LabelingRejected):
         realize(cube_all2)
 
 
