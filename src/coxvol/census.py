@@ -4,12 +4,17 @@ Covers three searches: the general orbit census of admissible labelings
 up to a label bound, the cube-specific placement search for exactly
 three 3-labels, and the ideal-apex pyramid table with its comparison
 against the published row list.  All three read the admissibility
-constraint table of ``andreev.constraints``.  The orbit census screens
-candidates vectorized, summing each table row over integer angle units
-(a common denominator of all 1/n), so every comparison stays exact.
-Its rows are canonical by construction: candidate i spells i in mixed
-radix, so an orbit's lexicographically smallest member has the smallest
-id, one vectorized minimum over the group, and the sorted ids list the
+constraint table of ``andreev.constraints``, summing each row over
+integer angle units (a common denominator of all 1/n), so every
+comparison stays exact.
+The orbit census grows labelings edge by edge: the edges are placed
+vertex by vertex, in ``p.vertices`` order, and each decisive row is
+tested on the whole frontier of partial labelings as soon as its last
+edge is placed, so a prefix that already fails a row is never
+extended.  The survivors are returned to ``p.edges`` order and read as
+mixed-radix ids, the first edge most significant; ids order labelings
+lexicographically, so an orbit's smallest member has the smallest id,
+one vectorized minimum over the group, and the sorted ids list the
 orbits in order.  Only these are re-checked with the exact checker.
 The pyramid table evaluates the rows of the bundled pyramid with its
 apex edges at 2 and its base edges labeled from each sequence.
@@ -34,7 +39,9 @@ from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
                          edge_key, validate)
 from .realization import RealizationError
 
-CANDIDATE_BUDGET = 4_000_000  # the most candidate labelings a census screens
+# the largest label space (max_label - 1)^E a census may explore, checked
+# before any work; the growth allocates only its surviving prefixes
+CANDIDATE_BUDGET = 4_000_000
 
 
 class CensusBudgetExceeded(ValueError):
@@ -62,22 +69,60 @@ def _edge_perms(p: AbstractPolyhedron) -> list[tuple[int, ...]]:
     return perms
 
 
+def _screen(rows, digits: np.ndarray, col: dict[Edge, int], max_label: int,
+            allow_ideal: bool) -> np.ndarray:
+    """A mask over the labelings of an (N, ·) array of digits (label - 2):
+    whether each satisfies every decisive constraint in ``rows``, summing
+    the row's edge columns (``col[e]``) of angles exactly, in units of
+    pi/U with U = lcm(2..max_label)."""
+    U = math.lcm(*range(2, max_label + 1))
+    unit = np.array([U // n for n in range(2, max_label + 1)], dtype=np.int64)
+    ok = np.ones(len(digits), dtype=bool)
+    for row in rows:
+        if not row.informational:
+            ok &= row.holds(sum(unit[digits[:, col[e]]] for e in row.edges), allow_ideal, U)
+    return ok
+
+
 def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
                      regime: str) -> np.ndarray:
-    """Exact vectorized admissibility over an (N, E) label array: each
-    decisive row of the constraint table sums its columns of angles in
-    units of pi/U, and below MIN_FACES faces every labeling is rejected,
-    as ``check`` does."""
-    U = math.lcm(*range(2, max_label + 1))
-    unit = np.array([0, 0] + [U // n for n in range(2, max_label + 1)], dtype=np.int64)
-    eidx = {e: i for i, e in enumerate(p.edges)}
-    allow_ideal = regime == _andreev.ALLOW_IDEAL
-    ok = np.full(len(labels), len(p.faces) >= _andreev.MIN_FACES)
+    """Exact vectorized admissibility over an (N, E) label array, in
+    ``p.edges`` column order: every decisive row of the constraint table
+    must hold, and below MIN_FACES faces every labeling is rejected, as
+    ``check`` does."""
+    col = {e: i for i, e in enumerate(p.edges)}
+    ok = _screen(_andreev.constraints(p), labels - 2, col, max_label,
+                 regime == _andreev.ALLOW_IDEAL)
+    return ok & (len(p.faces) >= _andreev.MIN_FACES)
+
+
+def _grow(p: AbstractPolyhedron, max_label: int, regime: str) -> np.ndarray:
+    """Every admissible labeling as an (N, E) int8 array of digits
+    (label - 2) in ``p.edges`` column order, grown one edge at a time.
+
+    Edges are placed vertex by vertex; after each placement the frontier
+    keeps only the prefixes that pass the rows whose last edge was just
+    placed, so memory follows the surviving prefixes, never the
+    (max_label - 1)^E product.
+    """
+    order: list[Edge] = []
+    for v in p.vertices:
+        order += [e for e in p.vertex_edges[v] if e not in order]
+    col = {e: i for i, e in enumerate(order)}
+    due: list[list[_andreev.Constraint]] = [[] for _ in order]
     for row in _andreev.constraints(p):
-        if not row.informational:
-            s = sum(unit[labels[:, eidx[e]]] for e in row.edges)
-            ok &= row.holds(s, allow_ideal, U)
-    return ok
+        due[max(col[e] for e in row.edges)].append(row)
+    choices = np.arange(max_label - 1, dtype=np.int8)
+    allow_ideal = regime == _andreev.ALLOW_IDEAL
+    # one empty prefix to grow from, none below MIN_FACES faces
+    digits = np.zeros((int(len(p.faces) >= _andreev.MIN_FACES), 0), dtype=np.int8)
+    for step, rows in enumerate(due):
+        grown = np.empty((len(digits), len(choices), step + 1), dtype=np.int8)
+        grown[:, :, :step] = digits[:, None]
+        grown[:, :, step] = choices
+        grown = grown.reshape(-1, step + 1)
+        digits = grown[_screen(rows, grown, col, max_label, allow_ideal)]
+    return digits[:, [col[e] for e in p.edges]]
 
 
 def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
@@ -101,23 +146,21 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
-    # Row i spells i in mixed radix, the first edge most significant, so
-    # a row's id is (row - 2) @ weights and ids order rows lexicographically.
-    weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)
-    labels = np.arange(total, dtype=np.int64)[:, None] // weights
-    np.remainder(labels, nchoices, out=labels)
-    labels += 2
-    digits = labels[_admissible_mask(p, labels, max_label, regime)] - 2
+    digits = _grow(p, max_label, regime).astype(np.int64)
 
-    # orbit representative: the smallest id over the group; relabeling a
-    # row by perm moves its column j to position perm^-1(j)
+    # A labeling's id is its digits in mixed radix, the first edge most
+    # significant, so ids order labelings lexicographically.  The orbit
+    # representative is the smallest id over the group; relabeling a row
+    # by perm moves its column j to position perm^-1(j).
+    weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)
     canon = np.full(len(digits), total, dtype=np.int64)
     for perm in _edge_perms(p):
         np.minimum(canon, digits @ weights[np.argsort(perm)], out=canon)
+    labels = np.unique(canon)[:, None] // weights % nchoices + 2
 
     haken = classify(p)
     rows: list[CensusRow] = []
-    for labs in map(tuple, labels[np.unique(canon)].tolist()):
+    for labs in map(tuple, labels.tolist()):
         lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
         rep = _andreev.check(lp, regime)
         assert rep.realizable, "vectorized screen disagrees with exact checker"

@@ -111,26 +111,30 @@ def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerd
 
     The witness is the first circuit with an incompressible side in the
     order prismatic first, then the rest, each by length and then by
-    faces, so that it is the most meaningful curve available.  Circuits
-    are enumerated one length at a time and the scan stops at the first
-    prismatic witness; the first non-prismatic one is kept and returned
-    only if no prismatic witness exists up to the cap.  A Small verdict
-    still tests both disk sides of every circuit up to the cap.
+    faces, so that it is the most meaningful curve available.  A first
+    pass enumerates circuits one length at a time, counts every one it
+    visits, and tests only the prismatic ones, stopping at the first
+    witness; only if it finds none does a second pass enumerate them
+    again for the first non-prismatic witness, counting nothing more.  A
+    Small verdict still tests both disk sides of every circuit up to the
+    cap.
     """
     tris = separating_triangles(p)
     if tris:
         return HakenVerdict(SMALL, tris[0], "separating-triangle", cap, 0)
-    fallback = None
+
+    def incompressible(c: Circuit) -> bool:
+        return not all(is_compressible(p, orb) for orb in orbifolds_of(p, c))
+
+    lengths = range(3, min(cap, len(p.faces)) + 1)
     visited = 0
-    for k in range(3, min(cap, len(p.faces)) + 1):
+    for k in lengths:
         for c in enumerate_circuits(p, k):
             visited += 1
-            if not c.prismatic and fallback is not None:
-                continue
-            if not all(is_compressible(p, orb) for orb in orbifolds_of(p, c)):
-                if c.prismatic:
-                    return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
-                fallback = c
-    if fallback is not None:
-        return HakenVerdict(LARGE, fallback, "incompressible-orbifold", cap, visited)
+            if c.prismatic and incompressible(c):
+                return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
+    for k in lengths:
+        for c in enumerate_circuits(p, k):
+            if not c.prismatic and incompressible(c):
+                return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
     return HakenVerdict(SMALL, None, "none-up-to-cap", cap, visited)

@@ -1,6 +1,9 @@
 """Labeling censuses and the pyramid table comparison."""
 
 import hashlib
+import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -13,7 +16,7 @@ from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            enumerate_labelings, format_pyramid_diff,
                            pyramid_census)
 from coxvol.corpus import load
-from coxvol.poly_model import LabeledPolyhedron
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 
 
 def test_cube_census_small(cube_all2):
@@ -44,6 +47,9 @@ def test_census_rows_are_canonical_and_admissible(cube_all2):
     ("cube_all2", 3, andreev.STRICT_COMPACT),
     ("cube_all2", 3, andreev.ALLOW_IDEAL),
     ("triangular_prism", 4, andreev.STRICT_COMPACT),
+    ("pyramid", 4, andreev.ALLOW_IDEAL),  # five faces: condition-5 rows decide
+    ("triangular_prism", 5, andreev.STRICT_COMPACT),
+    ("tetrahedron", 3, andreev.STRICT_COMPACT),  # below MIN_FACES: empty
 ])
 def test_census_orbits_match_brute_force(name, max_label, regime):
     # oracle: screen every candidate, then take each survivor's tuple
@@ -58,6 +64,39 @@ def test_census_orbits_match_brute_force(name, max_label, regime):
                            _admissible_mask(p, candidates, max_label, regime)].tolist())})
     rows = enumerate_labelings(p, max_label, regime)
     assert [r.labels for r in rows] == expected
+
+
+def test_census_memory_follows_the_frontier(cube_all2):
+    # the full candidate array of 3^12 int64 rows alone is 51 MB
+    enumerate_labelings(cube_all2.base, 4)
+    tracemalloc.start()
+    try:
+        enumerate_labelings(cube_all2.base, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_census_is_independent_of_vertex_and_face_order(cube_all2):
+    # vertex ids permuted, faces shuffled and each cycle rotated: the
+    # growth places edges in another order, the orbits stay the same
+    p = cube_all2.base
+    rng = random.Random(3)
+    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
+    faces = []
+    for f in p.faces:
+        r = rng.randrange(len(f))
+        faces.append(tuple(image[v] for v in f[r:] + f[:r]))
+    rng.shuffle(faces)
+    moved = AbstractPolyhedron(name=p.name, faces=tuple(faces))
+
+    def kinds(rows):
+        return Counter((r.outcome, tuple(sorted(r.vertex_summary.items()))) for r in rows)
+
+    rows = enumerate_labelings(moved, 4)
+    assert len(rows) == 436
+    assert kinds(rows) == kinds(enumerate_labelings(p, 4))
 
 
 def test_census_budget(cube_all2):

@@ -174,6 +174,19 @@ def test_classify_splits_each_circuit_once(loebell, monkeypatch):
     assert counts["vertex_sides"] == counts["orbifolds_of"]
 
 
+def test_classify_tests_only_prismatic_circuits_on_a_large_polyhedron(loebell, monkeypatch):
+    tested = []
+
+    def recording(p, orb):
+        tested.append(orb.curve)
+        return is_compressible(p, orb)
+
+    monkeypatch.setattr(haken, "is_compressible", recording)
+    v = classify(loebell(7))
+    assert v.verdict == "Large" and v.witness.prismatic
+    assert tested and all(c.prismatic for c in tested)
+
+
 # verdict, witness kind and witness faces at caps 3..12, recorded before the
 # scan became lazy
 RECORDED = {
