@@ -1,7 +1,7 @@
 """Admissibility, classification, realization and volume of labeled
 right-angled-or-sharper hyperbolic polyhedra."""
 
-from .andreev import ALLOW_IDEAL, STRICT_COMPACT, AndreevReport, check, vertex_type
+from .andreev import ALLOW_IDEAL, STRICT_COMPACT, AndreevReport, check
 from .census import (CensusRow, PyramidTableDiff, ThreeThreesReport,
                      cube_three_threes, enumerate_labelings, pyramid_census)
 from .circuits import Circuit, circuits_up_to, enumerate_circuits, separating_triangles
@@ -17,7 +17,7 @@ from .volume import (DeformationPath, VolumeResult, default_path,
                      orb_convention, schlafli_volume)
 
 __all__ = [
-    "ALLOW_IDEAL", "STRICT_COMPACT", "AndreevReport", "check", "vertex_type",
+    "ALLOW_IDEAL", "STRICT_COMPACT", "AndreevReport", "check",
     "CensusRow", "PyramidTableDiff", "ThreeThreesReport", "cube_three_threes",
     "enumerate_labelings", "pyramid_census",
     "Circuit", "circuits_up_to", "enumerate_circuits", "separating_triangles",

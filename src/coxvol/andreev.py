@@ -4,12 +4,14 @@ Conditions 2-5 are linear inequalities on the angles pi/n of sets of
 edges, and which edges and bounds depend only on the combinatorics.
 ``constraints(p)`` compiles them once per polyhedron into one table;
 each row holds its edges, a bound in units of pi, its condition and a
-witness.  Three evaluators read that table:
+witness.  Its readers:
 
 - ``check`` sums each row in exact rationals (alpha/pi = 1/n), so
   compact/ideal boundaries are decided without any floating point;
-- the census screen sums each row's columns of an integer array of
-  angles in units of pi/U, U a common denominator of all 1/n;
+  it is the independent oracle for the CLI and the tests;
+- the census decides admissibility, vertex kinds included, from integer
+  angles in units of pi/U, U a common denominator of all 1/n, and
+  never calls ``check``;
 - the volume integrator's collapse path compares float angle sums with
   bound*pi, and so does the realization for the kind (compact or
   ideal) each vertex should come out as.
@@ -123,6 +125,18 @@ def default_regime(p: AbstractPolyhedron) -> str:
     return ALLOW_IDEAL if p.ideal_candidates else STRICT_COMPACT
 
 
+def allows_ideal(regime: str) -> bool:
+    """Whether ``regime`` admits ideal vertices; ValueError if unknown."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    return regime == ALLOW_IDEAL
+
+
+def admissible_outcome(any_ideal: bool) -> str:
+    """The outcome of a labeling that passes every decisive row."""
+    return "realizable-with-ideal-vertices" if any_ideal else "realizable-compact"
+
+
 def vertex_kind(s: Fraction, bound: int) -> str:
     """Compact above the bound, ideal at exact equality, inadmissible below."""
     if s > bound:
@@ -130,21 +144,6 @@ def vertex_kind(s: Fraction, bound: int) -> str:
     if s == bound:
         return IDEAL
     return INADMISSIBLE
-
-
-def vertex_type(lp: LabeledPolyhedron, v: int) -> str:
-    """Classify a vertex from the exact sum of its incident angles.
-
-    A d-valent vertex is compact if the sum exceeds (d-2)*pi, ideal at
-    exact equality, inadmissible below.  Valence 4 is only allowed for
-    declared ideal candidates; as every angle is at most pi/2, such a
-    vertex is ideal exactly when all four labels are 2.
-    """
-    row = next((r for r in constraints(lp.base) if r.condition == VERTEX and r.witness == v),
-               None)
-    if row is None:
-        raise KeyError(v)
-    return vertex_kind(row.angle_sum(lp.labels), row.bound)
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,7 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
     informational and never causes rejection.  Fewer than five faces is
     an immediate rejection (FaceCountTooSmall).
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
+    allow_ideal = allows_ideal(regime)
     p = lp.base
     sums = [(row, row.angle_sum(lp.labels)) for row in constraints(p)]
     vertices = [(row.witness, s) for row, s in sums if row.condition == VERTEX]
@@ -194,7 +192,7 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
                                   note="automatic: labels >= 2 give 0 < angle <= pi/2")]
     # 2: inadmissible vertices, then (strict regime) ideal ones.
     fails = [w for w in vertices if vtypes[w[0]] == INADMISSIBLE]
-    if regime == STRICT_COMPACT:
+    if not allow_ideal:
         fails += [w for w in vertices if vtypes[w[0]] == IDEAL]
     conditions.append(ConditionResult(2, not fails, False, tuple(fails)))
     # 3, 4: prismatic circuits; 5: quadrilateral faces, witnessed by
@@ -208,12 +206,7 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
                                           tuple(fails), note=note))
 
     failed = [c.condition for c in conditions if not c.passed and not c.informational]
-    if failed:
-        outcome = "rejected"
-    elif IDEAL in vtypes.values():
-        outcome = "realizable-with-ideal-vertices"
-    else:
-        outcome = "realizable-compact"
+    outcome = "rejected" if failed else admissible_outcome(IDEAL in vtypes.values())
     return AndreevReport(outcome=outcome, regime=regime,
                          conditions=tuple(conditions), vertex_types=vtypes,
                          reason=f"condition {failed[0]}" if failed else "")

@@ -3,10 +3,10 @@
 Covers three searches: the general orbit census of admissible labelings
 up to a label bound, the cube-specific placement search for exactly
 three 3-labels, and the ideal-apex pyramid table with its comparison
-against the published row list.  All three read the admissibility
-constraint table of ``andreev.constraints``, summing each row over
-integer angle units (a common denominator of all 1/n), so every
-comparison stays exact.
+against the published row list.  All three decide admissibility in
+one place, ``_screen``, which sums the rows of ``andreev.constraints``
+over integer angle units (a common denominator of all 1/n), so every
+comparison stays exact; none calls ``andreev.check``.
 The orbit census grows labelings edge by edge: the edges are placed
 vertex by vertex, in ``p.vertices`` order, and each decisive row is
 tested on the whole frontier of partial labelings as soon as its last
@@ -15,15 +15,16 @@ extended.  The survivors are returned to ``p.edges`` order and read as
 mixed-radix ids, the first edge most significant; ids order labelings
 lexicographically, so an orbit's smallest member has the smallest id,
 one vectorized minimum over the group, and the sorted ids list the
-orbits in order.  Only these are re-checked with the exact checker.
-The pyramid table evaluates the rows of the bundled pyramid with its
-apex edges at 2 and its base edges labeled from each sequence.
+orbits in order.  A vertex of an orbit row is ideal when its row fails
+the strict screen.  The pyramid table screens the base rows of the
+bundled pyramid once, over every base sequence, apex edges at 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -69,14 +70,23 @@ def _edge_perms(p: AbstractPolyhedron) -> list[tuple[int, ...]]:
     return perms
 
 
+def _units(rows, max_label: int) -> tuple[int, np.ndarray]:
+    """U = lcm(2..max_label) and the angle pi/n of each label n in units
+    of pi/U, by digit; ValueError when a row's sum, at most len·U/2,
+    could overflow int64."""
+    U = math.lcm(*range(2, max_label + 1))
+    if max((len(r.edges) for r in rows), default=0) * U // 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"max_label {max_label} is too large for exact int64 angle sums")
+    return U, np.array([U // n for n in range(2, max_label + 1)], dtype=np.int64)
+
+
 def _screen(rows, digits: np.ndarray, col: dict[Edge, int], max_label: int,
             allow_ideal: bool) -> np.ndarray:
     """A mask over the labelings of an (N, ·) array of digits (label - 2):
     whether each satisfies every decisive constraint in ``rows``, summing
     the row's edge columns (``col[e]``) of angles exactly, in units of
     pi/U with U = lcm(2..max_label)."""
-    U = math.lcm(*range(2, max_label + 1))
-    unit = np.array([U // n for n in range(2, max_label + 1)], dtype=np.int64)
+    U, unit = _units(rows, max_label)
     ok = np.ones(len(digits), dtype=bool)
     for row in rows:
         if not row.informational:
@@ -92,11 +102,11 @@ def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
     ``check`` does."""
     col = {e: i for i, e in enumerate(p.edges)}
     ok = _screen(_andreev.constraints(p), labels - 2, col, max_label,
-                 regime == _andreev.ALLOW_IDEAL)
+                 _andreev.allows_ideal(regime))
     return ok & (len(p.faces) >= _andreev.MIN_FACES)
 
 
-def _grow(p: AbstractPolyhedron, max_label: int, regime: str) -> np.ndarray:
+def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarray:
     """Every admissible labeling as an (N, E) int8 array of digits
     (label - 2) in ``p.edges`` column order, grown one edge at a time.
 
@@ -113,7 +123,6 @@ def _grow(p: AbstractPolyhedron, max_label: int, regime: str) -> np.ndarray:
     for row in _andreev.constraints(p):
         due[max(col[e] for e in row.edges)].append(row)
     choices = np.arange(max_label - 1, dtype=np.int8)
-    allow_ideal = regime == _andreev.ALLOW_IDEAL
     # one empty prefix to grow from, none below MIN_FACES faces
     digits = np.zeros((int(len(p.faces) >= _andreev.MIN_FACES), 0), dtype=np.int8)
     for step, rows in enumerate(due):
@@ -138,6 +147,7 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     """
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
+    allow_ideal = _andreev.allows_ideal(regime)
     if not validate(p).passed:
         raise ValueError("polyhedron fails validation")
     E = len(p.edges)
@@ -146,7 +156,7 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
-    digits = _grow(p, max_label, regime).astype(np.int64)
+    digits = _grow(p, max_label, allow_ideal).astype(np.int64)
 
     # A labeling's id is its digits in mixed radix, the first edge most
     # significant, so ids order labelings lexicographically.  The orbit
@@ -156,26 +166,27 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     canon = np.full(len(digits), total, dtype=np.int64)
     for perm in _edge_perms(p):
         np.minimum(canon, digits @ weights[np.argsort(perm)], out=canon)
-    labels = np.unique(canon)[:, None] // weights % nchoices + 2
+    digits = np.unique(canon)[:, None] // weights % nchoices
 
+    # every row passed the regime's screen, so a vertex whose row fails
+    # the strict one sits exactly at its bound: it is ideal
+    col = {e: i for i, e in enumerate(p.edges)}
+    ideal = sum(~_screen([row], digits, col, max_label, False)
+                for row in _andreev.constraints(p) if row.condition == _andreev.VERTEX)
     haken = classify(p)
     rows: list[CensusRow] = []
-    for labs in map(tuple, labels.tolist()):
-        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
-        rep = _andreev.check(lp, regime)
-        assert rep.realizable, "vectorized screen disagrees with exact checker"
-        summary: dict[str, int] = {}
-        for t in rep.vertex_types.values():
-            summary[t] = summary.get(t, 0) + 1
+    for labs, n_ideal in zip(map(tuple, (digits + 2).tolist()), ideal.tolist()):
         vol = err = None
         if with_volumes:
+            lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
             try:
                 vol = _volume.schlafli_volume(lp).volume
             except (_volume.VolumeError, RealizationError) as exc:
                 err = (type(exc).__name__, str(exc))
-        rows.append(CensusRow(labels=labs, outcome=rep.outcome,
-                              vertex_summary=summary, haken=haken.verdict,
-                              volume=vol, volume_error=err))
+        kinds = ((_andreev.COMPACT, len(p.vertices) - n_ideal), (_andreev.IDEAL, n_ideal))
+        rows.append(CensusRow(labels=labs, outcome=_andreev.admissible_outcome(n_ideal > 0),
+                              vertex_summary={k: n for k, n in kinds if n},
+                              haken=haken.verdict, volume=vol, volume_error=err))
     return rows
 
 
@@ -280,11 +291,11 @@ class PyramidTableDiff:
 
 
 @functools.cache
-def _pyramid() -> tuple[tuple[Edge, ...], dict[Edge, int], tuple]:
-    """The bundled square pyramid as a base sequence sees it: its base
-    edges in cyclic order, its apex edges at label 2, and the constraint
-    rows holding base edges, each with the sequence positions (i, j) of
-    those two edges, in report order.
+def _pyramid() -> tuple[AbstractPolyhedron, tuple[Edge, ...], tuple]:
+    """The bundled square pyramid as a base sequence sees it: the
+    polyhedron, its base edges in cyclic order, and the constraint rows
+    holding base edges, each with the sequence positions (i, j) of those
+    two edges, in report order.
 
     The apex row holds apex edges only; at label 2 they make the apex
     ideal by construction, so it is left out.
@@ -299,34 +310,33 @@ def _pyramid() -> tuple[tuple[Edge, ...], dict[Edge, int], tuple]:
             i, j = (3, 0) if at == [0, 3] else at  # (3, 0): the vertex closing the cycle
             rows.append((row, (i, j)))
     rows.sort(key=lambda r: (r[0].condition, r[1][0]))
-    return base, {e: 2 for e in p.edges if e not in base}, tuple(rows)
+    return p, base, tuple(rows)
 
 
-def _pyramid_base_analysis(seq: tuple[int, int, int, int]) -> tuple[bool, bool, list[str]]:
-    """Exact admissibility of one cyclic base-label sequence.
+def _pyramid_screen(seqs: np.ndarray, allow_ideal: bool) -> np.ndarray:
+    """Whether each base sequence of an (N, 4) label array passes every
+    base row of the bundled pyramid, its apex edges at 2."""
+    p, base, rows = _pyramid()
+    col = {e: i for i, e in enumerate(p.edges)}
+    digits = np.zeros((len(seqs), len(p.edges)), dtype=np.int8)
+    digits[:, [col[e] for e in base]] = seqs - 2
+    return _screen([row for row, _ in rows], digits, col, int(seqs.max()), allow_ideal)
 
-    Returns (strictly compact, admissible with ideal base vertices,
-    reasons), from the constraint table of the bundled pyramid with the
-    apex edges at 2 and the base edges labeled from ``seq``.
-    """
-    base, labels, rows = _pyramid()
-    labels = {**labels, **dict(zip(base, seq))}
-    reasons: list[str] = []
-    strict = relaxed = True
+
+def _pyramid_reasons(seq: tuple[int, int, int, int]) -> Iterator[str]:
+    """The exact finding of each base row on one base sequence."""
+    p, base, rows = _pyramid()
+    labels = {e: 2 for e in p.edges} | dict(zip(base, seq))
     for row, (i, j) in rows:
         a, b = seq[i], seq[j]
         s = row.angle_sum(labels)
         if row.condition == _andreev.VERTEX:
             kind = _andreev.vertex_kind(s, row.bound)
-            strict &= kind == _andreev.COMPACT
-            relaxed &= kind != _andreev.INADMISSIBLE
-            reasons.append(f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}")
+            yield f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}"
         elif s < row.bound:
-            reasons.append(f"quad-face pair ({a},{b}): {s}*pi < {row.bound}*pi ok")
+            yield f"quad-face pair ({a},{b}): {s}*pi < {row.bound}*pi ok"
         else:
-            reasons.append(f"quad-face pair ({a},{b}): {s}*pi not < {row.bound}*pi -> rejected")
-            strict = relaxed = False
-    return strict, relaxed, reasons
+            yield f"quad-face pair ({a},{b}): {s}*pi not < {row.bound}*pi -> rejected"
 
 
 def pyramid_census(max_label: int,
@@ -338,40 +348,36 @@ def pyramid_census(max_label: int,
         raise ValueError("max_label must be >= 3")
     if convention not in (AS_LISTED_CYCLIC, ANY_ARRANGEMENT):
         raise ValueError(f"unknown convention {convention!r}")
-    strict_regime = regime == _andreev.STRICT_COMPACT
+    allow_ideal = _andreev.allows_ideal(regime)
 
-    def verdict(seq) -> tuple[bool, list[str]]:
-        strict, relaxed, reasons = _pyramid_base_analysis(seq)
-        return (strict if strict_regime else relaxed), reasons
+    # a published row is read as listed, or passes if some cyclic order
+    # of its labels does; one screen judges those and every sequence
+    if convention == AS_LISTED_CYCLIC:
+        arrangements = [[row] for row in PUBLISHED_PYRAMID_ROWS]
+    else:
+        arrangements = [sorted({canonical_cycle(perm) for perm in permutations(row)})
+                        for row in PUBLISHED_PYRAMID_ROWS]
+    seqs = [a for arr in arrangements for a in arr]
+    _units([row for row, _ in _pyramid()[2]], max_label)  # raises before the grid is built
+    grid = np.indices((max_label - 1,) * 4, dtype=np.int8).reshape(4, -1).T + 2
+    ok = _pyramid_screen(np.concatenate([np.array(seqs, dtype=np.int8), grid]), allow_ideal)
+    verdict = dict(zip(seqs, ok.tolist()))
 
-    def admissible(row) -> tuple[bool, tuple[str, ...]]:
-        if convention == AS_LISTED_CYCLIC:
-            ok, reasons = verdict(row)
-            return ok, tuple(reasons)
-        # any-arrangement: the multiset passes if some cyclic order does
-        good = False
-        reasons = []
-        for a in sorted({canonical_cycle(perm) for perm in permutations(row)}):
-            ok, rs = verdict(a)
-            good |= ok
-            reasons.append(f"arrangement {a}: {'admissible' if ok else 'rejected'}; "
-                           + "; ".join(rs))
-        return good, tuple(reasons)
-
-    published = tuple(
-        PyramidRowResult(row=row, admissible=adm, reasons=rs)
-        for row in PUBLISHED_PYRAMID_ROWS
-        for adm, rs in [admissible(row)]
-    )
+    published = []
+    for row, arr in zip(PUBLISHED_PYRAMID_ROWS, arrangements):
+        reasons = (_pyramid_reasons(row) if convention == AS_LISTED_CYCLIC else
+                   (f"arrangement {a}: {'admissible' if verdict[a] else 'rejected'}; "
+                    + "; ".join(_pyramid_reasons(a)) for a in arr))
+        published.append(PyramidRowResult(row=row, admissible=any(verdict[a] for a in arr),
+                                          reasons=tuple(reasons)))
 
     # our full enumeration, canonicalized per the convention
     canon = canonical_cycle if convention == AS_LISTED_CYCLIC else lambda r: tuple(sorted(r))
-    listed = {canon(r.row) for r in published}
-    ours = {canon(seq) for seq in product(range(2, max_label + 1), repeat=4)
-            if verdict(seq)[0]}
+    listed = {canon(row) for row in PUBLISHED_PYRAMID_ROWS}
+    ours = {canon(seq) for seq in map(tuple, grid[ok[len(seqs):]].tolist())}
     extras = tuple(sorted(o for o in ours if o not in listed))
     return PyramidTableDiff(convention=convention, regime=regime,
-                            published_rows=published, extra_rows=extras)
+                            published_rows=tuple(published), extra_rows=extras)
 
 
 def format_pyramid_diff(diff: PyramidTableDiff) -> str:

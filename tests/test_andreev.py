@@ -27,7 +27,7 @@ def test_vertex_triples(tetrahedron, triple, expected):
     for e, n in zip(((0, 3), (1, 3), (2, 3)), triple):
         labels[e] = n
     lp2 = LabeledPolyhedron(base=lp.base, labels=labels)
-    assert andreev.vertex_type(lp2, 3) == expected
+    assert andreev.check(lp2).vertex_types[3] == expected
 
 
 def test_tetrahedron_rejected_for_face_count(tetrahedron):

@@ -5,14 +5,15 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coxvol import andreev
+from coxvol import andreev, census
 from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            CensusBudgetExceeded, PUBLISHED_PYRAMID_ROWS,
-                           _pyramid_base_analysis, cube_three_threes,
+                           _admissible_mask, _pyramid_screen, cube_three_threes,
                            enumerate_labelings, format_pyramid_diff,
                            pyramid_census)
 from coxvol.corpus import load
@@ -54,7 +55,7 @@ def test_census_rows_are_canonical_and_admissible(cube_all2):
 def test_census_orbits_match_brute_force(name, max_label, regime):
     # oracle: screen every candidate, then take each survivor's tuple
     # minimum over the group one row at a time
-    from coxvol.census import _admissible_mask, _edge_perms
+    from coxvol.census import _edge_perms
 
     p = load(name).base
     candidates = np.array(list(product(range(2, max_label + 1), repeat=len(p.edges))))
@@ -64,6 +65,46 @@ def test_census_orbits_match_brute_force(name, max_label, regime):
                            _admissible_mask(p, candidates, max_label, regime)].tolist())})
     rows = enumerate_labelings(p, max_label, regime)
     assert [r.labels for r in rows] == expected
+    # each row's outcome and vertex summary are the exact checker's
+    for r in rows:
+        report = andreev.check(LabeledPolyhedron(base=p, labels=dict(zip(p.edges, r.labels))),
+                               regime)
+        assert r.outcome == report.outcome
+        assert r.vertex_summary == dict(Counter(report.vertex_types.values()))
+
+
+def test_census_never_calls_the_exact_checker(monkeypatch, cube_all2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("andreev.check called from the census")
+
+    monkeypatch.setattr(andreev, "check", refuse)
+    assert len(enumerate_labelings(cube_all2.base, 3, andreev.ALLOW_IDEAL)) == 111
+    assert len(cube_three_threes(cube_all2.base).selected) == 8
+    for convention in (AS_LISTED_CYCLIC, ANY_ARRANGEMENT):
+        assert pyramid_census(6, convention).all_published_rows_admissible
+    assert ".check(" not in Path(census.__file__).read_text()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_labelings(load("cube_all2").base, 3, "bogus"),
+    lambda: enumerate_labelings(load("tetrahedron").base, 3, "bogus"),
+    lambda: pyramid_census(6, regime="bogus"),
+], ids=["cube", "tetrahedron", "pyramid"])
+def test_census_rejects_unknown_regime(call):
+    with pytest.raises(ValueError, match="unknown regime"):
+        call()
+
+
+def test_screen_refuses_angle_sums_past_int64(lambert_cube):
+    # lcm(2..42)·2 (a 4-circuit row) fits in int64; lcm(2..43) alone
+    # does not, and the sums would wrap
+    p = lambert_cube.base
+    labels = np.array([[lambert_cube.labels[e] for e in p.edges]])
+    assert _admissible_mask(p, labels, 42, andreev.STRICT_COMPACT).tolist() == [True]
+    with pytest.raises(ValueError, match="int64"):
+        _admissible_mask(p, labels, 43, andreev.STRICT_COMPACT)
+    with pytest.raises(ValueError, match="int64"):
+        pyramid_census(43)
 
 
 def test_census_memory_follows_the_frontier(cube_all2):
@@ -226,14 +267,40 @@ def test_pyramid_table_text_pinned(convention, regime):
 
 
 def test_pyramid_verdicts_match_check(pyramid):
-    # the bundled pyramid's base runs 0-1-2-3 and its apex is vertex 4
+    # the bundled pyramid's base runs 0-1-2-3 and its apex is vertex 4;
+    # strict asks for every base vertex compact, the apex staying ideal
     p = pyramid.base
     base = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    for seq in product(range(2, 7), repeat=4):
+    seqs = np.array(list(product(range(2, 7), repeat=4)))
+    strict = _pyramid_screen(seqs, allow_ideal=False)
+    relaxed = _pyramid_screen(seqs, allow_ideal=True)
+    assert len(seqs) == 625
+    for seq, s, r in zip(map(tuple, seqs.tolist()), strict, relaxed):
         labels = {e: 2 for e in p.edges}
         labels.update(zip(base, seq))
         report = andreev.check(LabeledPolyhedron(base=p, labels=labels), andreev.ALLOW_IDEAL)
-        strict, relaxed, _ = _pyramid_base_analysis(seq)
-        assert relaxed == report.realizable, seq
-        assert strict == (report.realizable and all(
+        assert r == report.realizable, seq
+        assert s == (report.realizable and all(
             report.vertex_types[v] == andreev.COMPACT for v in range(4))), seq
+
+
+@pytest.mark.parametrize("convention", [AS_LISTED_CYCLIC, ANY_ARRANGEMENT])
+@pytest.mark.parametrize("regime", andreev.REGIMES)
+def test_pyramid_verdicts_agree_with_reasons(convention, regime):
+    # a sequence passes exactly when none of its reasons rejects it, nor,
+    # under the strict regime, finds an ideal base vertex
+    def clean(reasons):
+        bad = ["rejected", "inadmissible"] + (["-> ideal"] if regime == andreev.STRICT_COMPACT
+                                               else [])
+        return not any(word in reason for reason in reasons for word in bad)
+
+    for r in pyramid_census(6, convention, regime).published_rows:
+        if convention == AS_LISTED_CYCLIC:
+            assert r.admissible == clean(r.reasons), r.row
+            continue
+        verdicts = []
+        for reason in r.reasons:
+            head, *found = reason.split("; ")
+            verdicts.append(head.endswith(": admissible"))
+            assert verdicts[-1] == clean(found), reason
+        assert r.admissible == any(verdicts), r.row

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from coxvol.andreev import COMPACT, INADMISSIBLE, vertex_type
+from coxvol.andreev import COMPACT, INADMISSIBLE, check
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
@@ -284,7 +284,7 @@ def test_vertex_kinds_match_exact_types(name):
         e: int(n) for e, n in zip(lp.base.edges, rng.integers(2, 5, len(lp.base.edges)))})
         for _ in range(60)]
     for lq in draws:
-        exact = {v: vertex_type(lq, v) for v in lq.base.vertices}
+        exact = check(lq).vertex_types
         if INADMISSIBLE in exact.values():
             with pytest.raises(RealizationError):
                 _expected_vertex_kinds(lq.base, lq.angles())
