@@ -8,10 +8,14 @@ minors.  Compact vertices are timelike, ideal vertices null.
 
 The solve is a damped Gauss-Newton iteration on the normals.  The
 residual system (unit norms + edge Gram targets + one concurrency
-equation per 4-valent ideal apex) is rank-deficient by exactly the
-6-dimensional isometry group; minimum-norm least-squares steps handle
-that, and the finished solution is moved to a canonical gauge so output
-is deterministic: the anchor face normal becomes (0,0,0,1), its first
+equation per 4-valent ideal apex) has 4F - 6 equations in 4F unknowns
+and is invariant under the 6-dimensional Lorentz group, so its Jacobian
+J annihilates the six gauge tangents at the current normals.  Each step
+solves the square system [J; T] x = [-r; 0] with T the tangent rows:
+the step solves J x = -r and is orthogonal to the gauge orbit, which is
+the minimum-norm Gauss-Newton step wherever J has full row rank.  The
+finished solution is moved to a canonical gauge so output is
+deterministic: the anchor face normal becomes (0,0,0,1), its first
 neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
@@ -26,6 +30,7 @@ ideal is read from the vertex rows of the admissibility table
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +40,12 @@ from . import andreev
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 
 METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
+
+# the Lorentz algebra so(3,1): A = diag(METRIC) (e_i e_j^T - e_j e_i^T)
+# for i < j, stored transposed, since the tangent of the orbit through
+# normals E (one per row) along A is E @ A.T
+_GAUGE_T = np.array([(METRIC[:, None] * (np.outer(a, b) - np.outer(b, a))).T
+                     for a, b in itertools.combinations(np.eye(4), 2)])
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_ITERS = 200
@@ -104,6 +115,7 @@ class _System:
         self.fi, self.fj = np.array([p.edge_faces[e] for e in self.edges]).T
         apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
         self.apex_faces = np.array([p.vertex_faces[v] for v in apexes], dtype=int).reshape(-1, 4)
+        # validate leaves E = 3F - 6 - #apex, so n_eq + 6 = 4F: the square Newton solve relies on it
         self.n_eq = self.nf + self.ne + len(apexes)
 
     def residual(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -120,11 +132,16 @@ class _System:
         return r
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
+        return self.newton_matrix(X)[:self.n_eq]
+
+    def newton_matrix(self, X: np.ndarray) -> np.ndarray:
+        """The Jacobian with the six gauge tangents at X below it, square."""
         E = X.reshape(self.nf, 4)
         G = E * METRIC
         nf, ne = self.nf, self.ne
-        J = np.zeros((self.n_eq, nf * 4))
-        blocks = J.reshape(self.n_eq, nf, 4)  # a view: blocks[row, f] = d row / d E[f]
+        K = np.zeros((nf * 4, nf * 4))
+        np.matmul(E, _GAUGE_T, out=K[self.n_eq:].reshape(6, nf, 4))
+        blocks = K[:self.n_eq].reshape(self.n_eq, nf, 4)  # a view: blocks[row, f] = d row / d E[f]
         faces = np.arange(nf)
         blocks[faces, faces] = 2.0 * G
         rows = nf + np.arange(ne)
@@ -134,7 +151,13 @@ class _System:
             rows = nf + ne + np.arange(len(self.apex_faces))
             # d det / d M is the cofactor matrix of M
             blocks[rows[:, None], self.apex_faces] = _cofactors(E[self.apex_faces])
-        return J
+        return K
+
+    def step(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The Gauss-Newton step at X with residual r: J step = -r, and
+        orthogonal to the gauge tangents.  Raises LinAlgError when the
+        Newton matrix is singular."""
+        return np.linalg.solve(self.newton_matrix(X), np.concatenate((-r, np.zeros(6))))
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
         return np.array([math.cos(angles[e]) for e in self.edges])
@@ -167,8 +190,10 @@ def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
         rmax = float(np.max(np.abs(r)))
         if rmax <= RESIDUAL_TOL:
             return X, rmax, it
-        J = sys_.jacobian(X)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        try:
+            step = sys_.step(X, r)
+        except np.linalg.LinAlgError:
+            raise NonConvergence("singular Newton matrix", best) from None
         lam = 1.0
         norm0 = float(np.linalg.norm(r))
         while lam >= MIN_STEP:
@@ -343,8 +368,8 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     for h in SEED_SCALES:
         try:
             return _newton(sys_, _seed(p, h), targets)
-        except (NonConvergence, np.linalg.LinAlgError) as exc:
-            last = exc if isinstance(exc, NonConvergence) else NonConvergence(str(exc), math.inf)
+        except NonConvergence as exc:
+            last = exc
     raise last
 
 

@@ -1,20 +1,25 @@
 """Face-plane solver in the hyperboloid model."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxvol import corpus, realization
 from coxvol.andreev import COMPACT, INADMISSIBLE, check
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
                                 edge_lengths, mdot,
                                 realize, solve_at, build_realization,
-                                IdealEndpoint, LabelingRejected, RealizationError, _System,
+                                IdealEndpoint, LabelingRejected, NonConvergence,
+                                RealizationError, _System,
                                 _cofactors, _compute_vertices,
                                 _expected_vertex_kinds, _null_vectors)
-from coxvol.volume import default_path
+from coxvol.volume import default_path, schlafli_volume
 
 
 def gram_residual(r):
@@ -192,13 +197,16 @@ def vertices_by_svd(p, E, kinds):
     return np.array(out)
 
 
+def right_angled(p):
+    return LabeledPolyhedron(base=p, labels={e: 2 for e in p.edges})
+
+
 def relabeled_loebell(loebell, n):
     """Right-angled L(n) with its vertex ids permuted."""
     p = loebell(n)
     perm = np.random.default_rng(n).permutation(len(p.vertices))
-    q = AbstractPolyhedron(name=p.name, faces=tuple(
-        tuple(int(perm[v]) for v in f) for f in p.faces))
-    return LabeledPolyhedron(base=q, labels={e: 2 for e in q.edges})
+    return right_angled(AbstractPolyhedron(name=p.name, faces=tuple(
+        tuple(int(perm[v]) for v in f) for f in p.faces)))
 
 
 @pytest.mark.parametrize("name", ["lambert_cube", "triangular_prism", "pyramid",
@@ -290,3 +298,66 @@ def test_vertex_kinds_match_exact_types(name):
                 _expected_vertex_kinds(lq.base, lq.angles())
         else:
             assert _expected_vertex_kinds(lq.base, lq.angles()) == exact
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "triangular_prism", "pyramid"])
+def test_singular_start_is_nonconvergence(name):
+    # all-zero normals make the Newton matrix zero: a typed failure, not LinAlgError
+    lp = load(name)
+    with pytest.raises(NonConvergence):
+        solve_at(lp.base, lp.angles(), warm_start=np.zeros(4 * len(lp.base.faces)))
+
+
+@pytest.mark.parametrize("p", [load(name).base for name in CORPUS]
+                         + [corpus.loebell(n) for n in range(3, 13)],
+                         ids=list(CORPUS) + [f"L{n}" for n in range(3, 13)])
+def test_equations_and_gauge_fill_the_unknowns(p):
+    audit = dof_audit(p)
+    assert audit["dof"] == 0
+    assert audit["constraints"] + 6 == 4 * len(p.faces)
+    sys_ = _System(p)
+    X = np.random.default_rng(len(p.faces)).standard_normal(4 * sys_.nf)
+    assert sys_.newton_matrix(X).shape == (4 * sys_.nf, 4 * sys_.nf)
+
+
+LAMBERT = load("lambert_cube")
+LAMBERT_BAND = ((0, 1), (2, 6), (4, 7))
+
+
+def lambert_with(lmn):
+    labels = dict(LAMBERT.labels)
+    labels.update(zip(LAMBERT_BAND, lmn))
+    return LabeledPolyhedron(base=LAMBERT.base, labels=labels)
+
+
+targets_on_paths = st.one_of(
+    st.tuples(*[st.integers(3, 8)] * 3).map(lambert_with),
+    st.sampled_from([load("pyramid"), right_angled(corpus.loebell(5))]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lp=targets_on_paths, t=st.floats(0.05, 1.0),
+       scale=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]), seed=st.integers(0, 2**16))
+def test_step_is_the_minimum_norm_least_squares_step(lp, t, scale, seed):
+    p = lp.base
+    path = default_path(lp)
+    X = PathRealizer(p, path).solution_at(t)
+    X = X + scale * np.random.default_rng(seed).standard_normal(X.shape)
+    sys_ = _System(p)
+    r = sys_.residual(X, sys_.targets(path.angles_at(t)))
+    K = sys_.newton_matrix(X)
+    J, T = K[:sys_.n_eq], K[sys_.n_eq:]
+    assert np.max(np.abs(J @ T.T)) <= 1e-12
+    oracle = np.linalg.lstsq(J, -r, rcond=None)[0]
+    assert np.linalg.norm(sys_.step(X, r) - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_solver_never_calls_lstsq(monkeypatch, lambert_cube):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called from the solver")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert schlafli_volume(lambert_cube).volume > 0
+    assert realize(right_angled(corpus.loebell(5))).residual <= 1e-10
+    src = Path(realization.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if "lstsq" in f.read_text()]
