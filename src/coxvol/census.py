@@ -41,7 +41,8 @@ from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
 from .realization import RealizationError
 
 # the largest label space (max_label - 1)^E a census may explore, checked
-# before any work; the growth allocates only its surviving prefixes
+# before any work; the growth allocates only its surviving prefixes.  Every
+# orbit id is below it, and so below 2^53: float64 holds the ids exactly
 CANDIDATE_BUDGET = 4_000_000
 
 
@@ -156,17 +157,18 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
-    digits = _grow(p, max_label, allow_ideal).astype(np.int64)
+    digits = _grow(p, max_label, allow_ideal).astype(np.float64)
 
     # A labeling's id is its digits in mixed radix, the first edge most
     # significant, so ids order labelings lexicographically.  The orbit
     # representative is the smallest id over the group; relabeling a row
-    # by perm moves its column j to position perm^-1(j).
+    # by perm moves its column j to position perm^-1(j).  Ids are float64,
+    # exact below CANDIDATE_BUDGET, for the BLAS matrix-vector product.
     weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)
-    canon = np.full(len(digits), total, dtype=np.int64)
+    canon = np.full(len(digits), total, dtype=np.float64)
     for perm in _edge_perms(p):
-        np.minimum(canon, digits @ weights[np.argsort(perm)], out=canon)
-    digits = np.unique(canon)[:, None] // weights % nchoices
+        np.minimum(canon, digits @ weights[np.argsort(perm)].astype(np.float64), out=canon)
+    digits = np.unique(canon).astype(np.int64)[:, None] // weights % nchoices
 
     # every row passed the regime's screen, so a vertex whose row fails
     # the strict one sits exactly at its bound: it is ideal

@@ -7,6 +7,11 @@ every walk over faces reads) and the planar rotation system are all
 derived from the face cycles.  A labeled polyhedron attaches an integer
 n >= 2 to every edge, encoding the dihedral angle pi/n.
 
+Symmetry is read from dart walks (a dart is a directed edge of an
+oriented face cycle): two flags are related by an automorphism exactly
+when breadth-first walks from them write the same code, as in
+Weinberg's planar-map code and plantri.
+
 Everything here is immutable after construction and safe to share.
 """
 
@@ -388,66 +393,52 @@ def serialize_polyhedron(lp: LabeledPolyhedron) -> str:
 # Automorphisms
 
 
-def _dart_maps(p: AbstractPolyhedron):
-    faces = p.oriented_faces
-    if faces is None:
-        raise PolyhedronError("polyhedron is not orientable/closed")
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for cyc in faces:
-        darts = list(_darts(cyc))
-        nxt.update(zip(darts, darts[1:] + darts[:1]))
-    prv = {b: a for a, b in nxt.items()}
-    return nxt, prv
-
-
-def _propagate(p, nxt, prv, d0, image0, reversing: bool) -> dict[int, int] | None:
-    """Extend a single dart assignment to a full automorphism, or fail."""
-    phi = {d0: image0}
-    stack = [d0]
-    step = prv if reversing else nxt
-    while stack:
-        d = stack.pop()
-        img = phi[d]
-        for nd, nimg in (((d[1], d[0]), (img[1], img[0])), (nxt[d], step[img])):
-            if nd in phi:
-                if phi[nd] != nimg:
-                    return None
-            else:
-                phi[nd] = nimg
-                stack.append(nd)
-    if len(phi) != len(nxt):
-        return None
-    vmap: dict[int, int] = {}
-    for d, img in phi.items():
-        u = d[1] if reversing else d[0]
-        w = img[0]
-        if vmap.setdefault(u, w) != w:
-            return None
-    if len(set(vmap.values())) != len(vmap):
-        return None
-    return vmap
+def _walk(rev: list[int], step: list[int], d0: int, code0: list[int] | None = None):
+    """Breadth-first walk over dart ids from d0, taking each dart's reverse
+    and then its step: the visit order, and the code, the visit position of
+    every dart looked at.  With code0 it stops at the first entry differing."""
+    pos = [-1] * len(rev)
+    pos[d0] = 0
+    order = [d0]
+    code: list[int] = []
+    for d in order:
+        for nd in (rev[d], step[d]):
+            k = pos[nd]
+            if k < 0:
+                k = pos[nd] = len(order)
+                order.append(nd)
+            if code0 is not None and k != code0[len(code)]:
+                return order, code + [k]
+            code.append(k)
+    return order, code
 
 
 def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
-    """All vertex permutations preserving the face structure.
+    """All vertex permutations preserving the face structure, sorted.
 
-    Includes reflections of the planar embedding.  An automorphism is
-    pinned down by the image of a single flag, so at most 4E candidates
-    exist; each is checked by propagation over the rotation system.  A
-    propagated map carries every face's successor map to the successor
-    map or its inverse, so it sends faces to faces, and distinct
-    candidates fix distinct images of the first dart, so no map repeats.
+    Includes reflections.  A rotation sends dart 0 to a dart whose walk
+    with ``nxt`` writes dart 0's code, a reflection to a reversed dart
+    whose walk with ``prv`` does.  Pairing the visit orders then commutes
+    with reversal and the face step and reaches every dart (a closed
+    polyhedron's darts are connected), so it maps vertices bijectively:
+    tail to tail, for a reflection head to tail.
     """
-    nxt, prv = _dart_maps(p)
-    darts = sorted(nxt)
-    d0 = darts[0]
+    faces = p.oriented_faces
+    if faces is None:
+        raise PolyhedronError("polyhedron is not orientable/closed")
+    darts = sorted(d for cyc in faces for d in _darts(cyc))
+    ids = {d: i for i, d in enumerate(darts)}
+    rev = [ids[b, a] for a, b in darts]
+    succ = dict(pair for cyc in faces for pair in _darts(tuple(_darts(cyc))))
+    nxt = [ids[succ[d]] for d in darts]
+    prv = sorted(range(len(nxt)), key=nxt.__getitem__)  # the inverse permutation
+    order0, code0 = _walk(rev, nxt, 0)
     found = []
-    for reversing in (False, True):
-        for img in darts:
-            image0 = (img[1], img[0]) if reversing else img
-            vmap = _propagate(p, nxt, prv, d0, image0, reversing)
-            if vmap is not None:
-                found.append(vmap)
+    for step, starts, end in ((nxt, range(len(darts)), 0), (prv, rev, 1)):
+        for d in starts:
+            order, code = _walk(rev, step, d, code0)
+            if code == code0:
+                found.append({darts[a][end]: darts[b][0] for a, b in zip(order0, order)})
     found.sort(key=lambda m: tuple(sorted(m.items())))
     return found
 

@@ -20,11 +20,11 @@ neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
 The residual and Jacobian are gathers over edge-to-face and
-apex-to-face index arrays built once per polyhedron.  The same minors,
-one gather and one batched ``det``, give the vertices, the apex
-cofactors and the gauge frame.  Whether a vertex comes out compact or
-ideal is read from the vertex rows of the admissibility table
-(``andreev.constraints``).
+apex-to-face index arrays, built once per polyhedron and kept on it.
+The same minors, one gather and one batched ``det``, give the vertices,
+the apex cofactors and the gauge frame.  Whether a vertex comes out
+compact or ideal is read from the vertex rows of the admissibility
+table (``andreev.constraints``).
 """
 
 from __future__ import annotations
@@ -161,6 +161,11 @@ class _System:
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
         return np.array([math.cos(angles[e]) for e in self.edges])
+
+
+def _system(p: AbstractPolyhedron) -> _System:
+    """``p``'s residual system, built once and kept on ``p`` like its constraint table."""
+    return vars(p).get("_system") or vars(p).setdefault("_system", _System(p))
 
 
 # the indices kept when index i of four is dropped
@@ -342,7 +347,7 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
 
 
 def dof_audit(p: AbstractPolyhedron) -> dict[str, int]:
-    sys_ = _System(p)
+    sys_ = _system(p)
     unknowns = 4 * sys_.nf
     return {
         "unknowns": unknowns,
@@ -360,7 +365,7 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     count.  With a warm start only that start is tried; otherwise a
     deterministic ladder of sphere-lift seeds is attempted.
     """
-    sys_ = _System(p)
+    sys_ = _system(p)
     targets = sys_.targets(angles)
     if warm_start is not None:
         return _newton(sys_, warm_start, targets)

@@ -146,6 +146,11 @@ def test_census_budget(cube_all2):
         enumerate_labelings(cube_all2.base, 6)
 
 
+def test_candidate_budget_keeps_float64_ids_exact():
+    # orbit ids run in float64 and stay below the budget
+    assert census.CANDIDATE_BUDGET < 2**53
+
+
 def test_lambert_orbit_in_census(cube_all2, lambert_cube):
     from coxvol.census import _edge_perms
 

@@ -5,12 +5,14 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxvol.corpus import CORPUS, corpus_text, load
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
-                               apply_automorphism_to_edges, automorphisms,
-                               canonical_cycle, edge_key, parse_polyhedron,
-                               serialize_polyhedron, validate)
+                               PolyhedronError, apply_automorphism_to_edges,
+                               automorphisms, canonical_cycle, edge_key,
+                               parse_polyhedron, serialize_polyhedron, validate)
 
 
 def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
@@ -110,7 +112,10 @@ def test_oriented_faces_of_scrambled_cycles(name, loebell):
      (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)),
 ])
 def test_oriented_faces_none_without_one_closed_orientable_surface(faces):
-    assert AbstractPolyhedron(name="bad", faces=faces).oriented_faces is None
+    p = AbstractPolyhedron(name="bad", faces=faces)
+    assert p.oriented_faces is None
+    with pytest.raises(PolyhedronError):
+        automorphisms(p)
 
 
 def test_validate_flags_low_face_count():
@@ -139,7 +144,7 @@ def test_automorphisms_match_brute_force(name):
     assert fast == brute
 
 
-@pytest.mark.parametrize("n,order", [(5, 120), (6, 24)])
+@pytest.mark.parametrize("n,order", [(5, 120), (6, 24), (7, 28), (8, 32)])
 def test_loebell_automorphisms_are_distinct_face_maps(n, order, loebell):
     # L(5) is the dodecahedron; from n = 6 on the group is the dihedral
     # symmetry of the n-gons times the swap of the two n-gons
@@ -148,6 +153,26 @@ def test_loebell_automorphisms_are_distinct_face_maps(n, order, loebell):
     assert len(maps) == order
     assert len({tuple(sorted(m.items())) for m in maps}) == len(maps)
     assert all(_preserves_faces(p, m) for m in maps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from([*CORPUS, *(f"L{n}" for n in range(3, 9))]),
+       rnd=st.randoms(use_true_random=False))
+def test_relabeled_group_is_the_conjugate_group(name, rnd, loebell):
+    # vertex ids permuted by sigma, faces shuffled, each cycle rotated or
+    # reversed: the group becomes exactly sigma g sigma^-1
+    p = loebell(int(name[1:])) if name.startswith("L") else load(name).base
+    sigma = dict(zip(p.vertices, rnd.sample(p.vertices, len(p.vertices))))
+    faces = []
+    for cyc in p.faces:
+        r = rnd.randrange(len(cyc))
+        cyc = tuple(sigma[v] for v in cyc[r:] + cyc[:r])
+        faces.append(cyc[::-1] if rnd.random() < 0.5 else cyc)
+    rnd.shuffle(faces)
+    moved = automorphisms(AbstractPolyhedron(name=p.name, faces=tuple(faces)))
+    conjugates = {tuple(sorted((sigma[v], sigma[w]) for v, w in g.items()))
+                  for g in automorphisms(p)}
+    assert sorted(tuple(sorted(m.items())) for m in moved) == sorted(conjugates)
 
 
 def test_automorphism_group_closure(cube_all2):

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from coxvol.corpus import load
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.volume import (DeformationPath, IdealEdge, NonCollapsingStart,
                            PathRealizationFailure, _Integrand, collapse_fraction,
@@ -143,6 +144,22 @@ def test_ideal_edge_refused_before_any_solve(pyramid, monkeypatch):
     with pytest.raises(IdealEdge):
         schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
     assert calls == []
+
+
+def test_one_system_per_polyhedron(monkeypatch):
+    from coxvol import realization
+
+    built = []
+
+    class Counted(realization._System):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(realization, "_System", Counted)
+    lp = load("lambert_cube")  # fresh, so no system is kept on it yet
+    schlafli_volume(lp)
+    assert len(built) == 1
 
 
 def test_anchor_failure_is_path_realization_failure(lambert_cube, monkeypatch):
