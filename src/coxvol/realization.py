@@ -19,6 +19,10 @@ deterministic: the anchor face normal becomes (0,0,0,1), its first
 neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
+A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
+a path at its midpoint and reaches each other point by one warm-started
+solve.  Nothing is retried: a failed solve raises NonConvergence.
+
 The residual and Jacobian are gathers over edge-to-face and
 apex-to-face index arrays, built once per polyhedron and kept on it.
 The same minors, one gather and one batched ``det``, give the vertices,
@@ -55,8 +59,6 @@ MIN_STEP = 1e-14
 # vertex's angle slack in radians
 _TYPE_TOL = 1e-7
 _SLACK_TOL = 1e-9
-
-SEED_SCALES = (0.3, 0.15, 0.5, 0.08, 0.7)  # sphere-lift heights a cold solve tries
 
 
 class RealizationError(PolyhedronError):
@@ -263,12 +265,11 @@ def _sphere_normals(p: AbstractPolyhedron) -> np.ndarray:
     return out
 
 
-def _seed(p: AbstractPolyhedron, h: float) -> np.ndarray:
-    u = _sphere_normals(p)
-    s = math.sqrt(1.0 + h * h)
+def _seed(p: AbstractPolyhedron) -> np.ndarray:
+    h = 0.3  # the time coordinate of every seed normal
     X = np.empty((len(p.faces), 4))
     X[:, 0] = h
-    X[:, 1:] = s * u
+    X[:, 1:] = math.sqrt(1.0 + h * h) * _sphere_normals(p)
     return X.ravel()
 
 
@@ -362,20 +363,12 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     """Solve the Gram system at one angle assignment.
 
     Returns the raw (ungauged) stacked normals, max residual, iteration
-    count.  With a warm start only that start is tried; otherwise a
-    deterministic ladder of sphere-lift seeds is attempted.
+    count.  One Newton solve runs, from ``warm_start`` or else from the
+    sphere-lift seed; its NonConvergence goes to the caller.
     """
     sys_ = _system(p)
-    targets = sys_.targets(angles)
-    if warm_start is not None:
-        return _newton(sys_, warm_start, targets)
-    last: NonConvergence | None = None
-    for h in SEED_SCALES:
-        try:
-            return _newton(sys_, _seed(p, h), targets)
-        except NonConvergence as exc:
-            last = exc
-    raise last
+    X0 = _seed(p) if warm_start is None else warm_start
+    return _newton(sys_, X0, sys_.targets(angles))
 
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
@@ -395,11 +388,11 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
     """Realize a labeled polyhedron, walking in from a collapse configuration.
 
     The angle path is the default deformation path (see the volume
-    module); continuation with warm starts keeps every Newton solve in
-    its basin.  The admissibility precondition is the caller's job for
-    raw angle input; for labeled input it is enforced here, in
-    ``regime`` or else ``andreev.default_regime``, and a labeling that
-    fails it raises LabelingRejected.
+    module): one cold solve at its midpoint, then one solve at t = 1
+    warm-started from there.  The admissibility precondition is the
+    caller's job for raw angle input; for labeled input it is enforced
+    here, in ``regime`` or else ``andreev.default_regime``, and a
+    labeling that fails it raises LabelingRejected.
     """
     from .volume import default_path  # volume imports this module
 
@@ -415,14 +408,13 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
 class PathRealizer:
     """Continuation cache along a deformation path.
 
-    Solutions are anchored once (trying a few interior path points) and
-    then marched to any requested parameter with warm starts from the
-    nearest cached parameter, halving the step on failure.  Requests
+    One cold solve at ANCHOR_T anchors the path.  Each requested
+    parameter is one solve warm-started from the nearest cached one,
+    the lower on a tie, and is cached only when it converges.  Requests
     issued in a fixed order produce bit-identical results.
     """
 
-    MAX_STEPS = 64
-    ANCHOR_TS = (0.5, 0.75, 0.25, 1.0, 0.125)  # path points tried as the anchor
+    ANCHOR_T = 0.5
 
     def __init__(self, p: AbstractPolyhedron, path):
         self.p = p
@@ -430,56 +422,23 @@ class PathRealizer:
         # t -> (stacked normals, residual, Newton iterations of the solves that reached t)
         self.cache: dict[float, tuple[np.ndarray, float, int]] = {}
         self._ts: list[float] = []  # the cached t, ascending
-        self._anchor()
+        self._store(self.ANCHOR_T, *solve_at(p, path.angles_at(self.ANCHOR_T)))
 
     def _store(self, t: float, X: np.ndarray, rmax: float, iters: int) -> None:
         self.cache[t] = (X, rmax, iters)
         bisect.insort(self._ts, t)
 
-    def _anchor(self):
-        last = None
-        for t in self.ANCHOR_TS:
-            try:
-                X, rmax, iters = solve_at(self.p, self.path.angles_at(t))
-            except NonConvergence as exc:
-                last = exc
-                continue
-            self._store(t, X, rmax, iters)
-            return
-        raise last
-
     def _nearest(self, t: float) -> float:
         i = bisect.bisect_left(self._ts, t)
-        if i == 0:
-            return self._ts[0]
-        if i == len(self._ts):
-            return self._ts[-1]
-        lo, hi = self._ts[i - 1], self._ts[i]
-        return lo if t - lo <= hi - t else hi
+        # the cached t on either side of t; min keeps the lower on a tie
+        return min(self._ts[max(i - 1, 0):i + 1], key=lambda s: abs(t - s))
 
     def solution_at(self, t: float) -> np.ndarray:
-        if t in self.cache:
-            return self.cache[t][0]
-        cur = self._nearest(t)
-        X, _, iters = self.cache[cur]
-        steps = 0
-        dt = t - cur
-        while cur != t:
-            if steps > self.MAX_STEPS:
-                raise NonConvergence(f"continuation exceeded {self.MAX_STEPS} steps", math.inf)
-            nxt = t if abs(dt) >= abs(t - cur) else cur + dt
-            try:
-                X, rmax, k = solve_at(self.p, self.path.angles_at(nxt), warm_start=X)
-            except NonConvergence:
-                dt *= 0.5
-                if abs(dt) < 1e-6:
-                    raise
-                continue
-            cur = nxt
-            iters += k
-            self._store(cur, X, rmax, iters)
-            steps += 1
-        return X
+        if t not in self.cache:
+            X, _, iters = self.cache[self._nearest(t)]
+            X, rmax, k = solve_at(self.p, self.path.angles_at(t), warm_start=X)
+            self._store(t, X, rmax, iters + k)
+        return self.cache[t][0]
 
     def realization_at(self, t: float) -> Realization:
         self.solution_at(t)

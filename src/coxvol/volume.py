@@ -240,8 +240,7 @@ class _Integrand:
         try:
             self.walker = PathRealizer(p, path)
         except RealizationError as exc:
-            # the anchor tries each of ANCHOR_TS and reports the last failure
-            raise PathRealizationFailure(PathRealizer.ANCHOR_TS[-1], exc)
+            raise PathRealizationFailure(PathRealizer.ANCHOR_T, exc)
 
     def lengths_at(self, t: float) -> dict[Edge, float]:
         try:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvol import corpus, realization
-from coxvol.andreev import COMPACT, INADMISSIBLE, check
+from coxvol.andreev import ALLOW_IDEAL, COMPACT, INADMISSIBLE, check
+from coxvol.census import enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
@@ -62,6 +63,30 @@ def test_path_realizer_is_deterministic(lambert_cube):
         runs.append([walker.solution_at(t).copy() for t in ts])
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name,max_label", [
+    ("cube_all2", 3), ("triangular_prism", 4), ("pyramid", 6)])
+def test_census_rows_realize_from_one_seed(name, max_label, monkeypatch):
+    # every row with a compact vertex to anchor the gauge converges from
+    # the first sphere-lift seed, with no retry at another seed
+    seeds = []
+    seed = realization._seed
+
+    def counted(p):
+        seeds.append(p)
+        return seed(p)
+
+    monkeypatch.setattr(realization, "_seed", counted)
+    p = load(name).base
+    rows = [row.labels for row in enumerate_labelings(p, max_label, ALLOW_IDEAL)
+            if COMPACT in row.vertex_summary]
+    assert rows
+    for labels in rows:
+        seeds.clear()
+        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))
+        assert realize(lp, ALLOW_IDEAL).residual <= 1e-10, labels
+        assert len(seeds) == 1, labels
 
 
 def test_prism_realization(triangular_prism):

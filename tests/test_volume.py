@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from coxvol.corpus import load
 from coxvol.poly_model import LabeledPolyhedron
-from coxvol.volume import (DeformationPath, IdealEdge, NonCollapsingStart,
+from coxvol.volume import (COLLAPSE_CHECK_T, DeformationPath, IdealEdge, NonCollapsingStart,
                            PathRealizationFailure, _Integrand, collapse_fraction,
                            default_path,
                            hyperbolic_triangle_area, monotonicity_probe,
@@ -166,14 +166,40 @@ def test_anchor_failure_is_path_realization_failure(lambert_cube, monkeypatch):
     from coxvol import realization
     from coxvol.realization import NonConvergence, PathRealizer
 
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(args)
         raise NonConvergence("Newton step stagnated", 1e-3)
 
     monkeypatch.setattr(realization, "solve_at", fail)
     with pytest.raises(PathRealizationFailure) as info:
         schlafli_volume(lambert_cube)
-    assert info.value.t == PathRealizer.ANCHOR_TS[-1]
+    assert len(calls) == 1  # one anchor, no retry at other path points
+    assert info.value.t == PathRealizer.ANCHOR_T
     assert "Newton step stagnated" in str(info.value)
+
+
+def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
+    # the first node after the anchor fails: no smaller steps are tried
+    from coxvol import realization
+    from coxvol.realization import NonConvergence
+
+    calls = []
+    solve_at = realization.solve_at
+
+    def warm_fails(p, angles, warm_start=None):
+        calls.append(warm_start is not None)
+        if warm_start is not None:
+            raise NonConvergence("Newton iteration limit reached", 3e-3)
+        return solve_at(p, angles)
+
+    monkeypatch.setattr(realization, "solve_at", warm_fails)
+    with pytest.raises(PathRealizationFailure) as info:
+        schlafli_volume(lambert_cube)
+    assert info.value.t == COLLAPSE_CHECK_T
+    assert "3.000e-03" in str(info.value)
+    assert calls == [False, True]
 
 
 def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
