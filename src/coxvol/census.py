@@ -26,7 +26,7 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 

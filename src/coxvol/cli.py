@@ -30,7 +30,7 @@ _REGIMES = {"strict": andreev.STRICT_COMPACT, "ideal": andreev.ALLOW_IDEAL}
 _CONVENTIONS = {"listed": census.AS_LISTED_CYCLIC, "any": census.ANY_ARRANGEMENT}
 
 
-def _load(path: str) -> LabeledPolyhedron:
+def _read(path: str) -> LabeledPolyhedron:
     """Read a polyhedron file; bare corpus names fall back to the bundled data."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -40,6 +40,16 @@ def _load(path: str) -> LabeledPolyhedron:
         if stem in corpus.CORPUS:
             return corpus.load(stem)
         raise
+
+
+def _load(path: str) -> LabeledPolyhedron:
+    """Read a polyhedron that passes validate; its first violation is an input error."""
+    lp = _read(path)
+    report = validate(lp.base)
+    if not report.passed:
+        v = report.violations[0]
+        raise ValueError(f"fails validate: violation {v.rule}: {v.detail}")
+    return lp
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -77,7 +87,7 @@ def _result(sub: str, verdict: str, **kv) -> None:
 
 
 def _cmd_validate(args) -> int:
-    lp = _load(args.file)
+    lp = _read(args.file)
     report = validate(lp.base)
     for w in lp.warnings:
         print(f"warning: {w}")

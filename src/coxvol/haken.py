@@ -67,15 +67,13 @@ def find_compressions(p: AbstractPolyhedron, orb: TwoOrbifold) -> list[Compressi
 def base_form(p: AbstractPolyhedron, orb: TwoOrbifold) -> str | None:
     """Trivially-bounding curve shapes, checked on the curve itself.
 
-    Returns a tag ('short-curve', 'vertex-link', 'edge-link') or None.
+    Returns a tag ('vertex-link', 'edge-link') or None.
     A face-boundary curve crosses no edges at all and cannot arise as a
     dual cycle, so it needs no check here.  Vertex and edge links are
     curves whose smaller side encloses just one vertex or one edge; both
     bound an obvious disk regardless of which side is chosen, so both
     sides are read off the orbifold: its disk and the complement.
     """
-    if orb.curve.k < 3:
-        return "short-curve"
     # crossed edges that all meet at one vertex cut that vertex off, so
     # that case is a one-vertex side
     for side in (orb.disk_vertices, set(p.vertices) - orb.disk_vertices):

@@ -73,11 +73,12 @@ class AbstractPolyhedron:
 
     @cached_property
     def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
-        """Edge -> ids of incident faces (2 for a well-formed polyhedron)."""
+        """Edge -> ids of incident faces (2 when well-formed); a dart v -> v is no edge."""
         inc: dict[Edge, list[int]] = {}
         for fid, cyc in enumerate(self.faces):
             for a, b in _darts(cyc):
-                inc.setdefault(edge_key(a, b), []).append(fid)
+                if a != b:
+                    inc.setdefault(edge_key(a, b), []).append(fid)
         return {e: tuple(fs) for e, fs in inc.items()}
 
     @cached_property
@@ -171,9 +172,6 @@ class LabeledPolyhedron:
         for e, n in self.labels.items():
             if n < 2:
                 raise PolyhedronError(f"label {n} < 2 on edge {e}")
-
-    def label(self, e: Edge) -> int:
-        return self.labels[e]
 
     def angles(self) -> dict[Edge, float]:
         """Dihedral angles pi/n as floats, keyed by edge."""
@@ -337,6 +335,8 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
                 raise ParseError("label arguments must be integers", lineno)
             if n < 2:
                 raise ParseError(f"label {n} < 2 on edge ({a},{b})", lineno)
+            if a == b:
+                raise ParseError(f"label on degenerate edge ({a},{b})", lineno)
             raw_labels[edge_key(a, b)] = n
         else:
             raise ParseError(f"unknown directive {kw!r}", lineno)

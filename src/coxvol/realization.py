@@ -33,7 +33,6 @@ table (``andreev.constraints``).
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,9 +97,6 @@ class Realization:
     dof_audit: dict[str, int]
     newton_iters: int
 
-    def vertex_vector(self, v: int) -> np.ndarray:
-        return self.vertices[v][0]
-
 
 # ---------------------------------------------------------------------------
 # residual system
@@ -132,9 +128,6 @@ class _System:
         if len(self.apex_faces):
             r[nf + ne:] = np.linalg.det(E[self.apex_faces])
         return r
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        return self.newton_matrix(X)[:self.n_eq]
 
     def newton_matrix(self, X: np.ndarray) -> np.ndarray:
         """The Jacobian with the six gauge tangents at X below it, square."""
@@ -190,13 +183,17 @@ def _cofactors(M: np.ndarray) -> np.ndarray:
 
 
 def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Damped Gauss-Newton from X0: (X, max residual, steps).  The pass
+    after MAX_NEWTON_ITERS steps is the last; it returns or raises."""
     X = X0.copy()
     r = sys_.residual(X, targets)
     best = float(np.max(np.abs(r)))
-    for it in range(MAX_NEWTON_ITERS):
+    for it in range(MAX_NEWTON_ITERS + 1):
         rmax = float(np.max(np.abs(r)))
         if rmax <= RESIDUAL_TOL:
             return X, rmax, it
+        if it == MAX_NEWTON_ITERS:
+            raise NonConvergence("Newton iteration limit reached", rmax)
         try:
             step = sys_.step(X, r)
         except np.linalg.LinAlgError:
@@ -213,10 +210,6 @@ def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndar
         else:
             raise NonConvergence("Newton step stagnated", best)
         best = min(best, float(np.max(np.abs(r))))
-    rmax = float(np.max(np.abs(r)))
-    if rmax <= RESIDUAL_TOL:
-        return X, rmax, MAX_NEWTON_ITERS
-    raise NonConvergence("Newton iteration limit reached", rmax)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +393,11 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
     if not report.realizable:
         raise LabelingRejected(
             f"labeling rejected ({report.reason or report.outcome}); cannot realize")
-    path = default_path(lp)
-    walker = PathRealizer(lp.base, path)
-    return walker.realization_at(1.0)
+    return PathRealizer(default_path(lp.base, lp.angles())).realization_at(1.0)
 
 
 class PathRealizer:
-    """Continuation cache along a deformation path.
+    """Continuation cache along a deformation path, on the path's polyhedron.
 
     One cold solve at ANCHOR_T anchors the path.  Each requested
     parameter is one solve warm-started from the nearest cached one,
@@ -416,34 +407,23 @@ class PathRealizer:
 
     ANCHOR_T = 0.5
 
-    def __init__(self, p: AbstractPolyhedron, path):
-        self.p = p
+    def __init__(self, path):
         self.path = path
         # t -> (stacked normals, residual, Newton iterations of the solves that reached t)
-        self.cache: dict[float, tuple[np.ndarray, float, int]] = {}
-        self._ts: list[float] = []  # the cached t, ascending
-        self._store(self.ANCHOR_T, *solve_at(p, path.angles_at(self.ANCHOR_T)))
-
-    def _store(self, t: float, X: np.ndarray, rmax: float, iters: int) -> None:
-        self.cache[t] = (X, rmax, iters)
-        bisect.insort(self._ts, t)
-
-    def _nearest(self, t: float) -> float:
-        i = bisect.bisect_left(self._ts, t)
-        # the cached t on either side of t; min keeps the lower on a tie
-        return min(self._ts[max(i - 1, 0):i + 1], key=lambda s: abs(t - s))
+        self.cache: dict[float, tuple[np.ndarray, float, int]] = {
+            self.ANCHOR_T: solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))}
 
     def solution_at(self, t: float) -> np.ndarray:
         if t not in self.cache:
-            X, _, iters = self.cache[self._nearest(t)]
-            X, rmax, k = solve_at(self.p, self.path.angles_at(t), warm_start=X)
-            self._store(t, X, rmax, iters + k)
+            X, _, iters = self.cache[min(self.cache, key=lambda s: (abs(t - s), s))]
+            X, rmax, k = solve_at(self.path.polyhedron, self.path.angles_at(t), warm_start=X)
+            self.cache[t] = (X, rmax, iters + k)
         return self.cache[t][0]
 
     def realization_at(self, t: float) -> Realization:
         self.solution_at(t)
         X, rmax, iters = self.cache[t]
-        return build_realization(self.p, self.path.angles_at(t), X, rmax, iters)
+        return build_realization(self.path.polyhedron, self.path.angles_at(t), X, rmax, iters)
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

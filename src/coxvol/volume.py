@@ -32,7 +32,7 @@ from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 from .realization import (PathRealizer, RealizationError, RESIDUAL_TOL,
                           _compute_vertices, _expected_vertex_kinds, edge_length,
-                          hyperbolic_distance)
+                          hyperbolic_distance, realize)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -149,14 +149,9 @@ def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float
     return s0
 
 
-def default_path(lp_or_p, target_angles: dict[Edge, float] | None = None) -> DeformationPath:
-    """Linear path from the collapse configuration to the target angles."""
-    if isinstance(lp_or_p, LabeledPolyhedron):
-        p = lp_or_p.base
-        target = lp_or_p.angles()
-    else:
-        p = lp_or_p
-        target = dict(target_angles)
+def default_path(p: AbstractPolyhedron, target: dict[Edge, float]) -> DeformationPath:
+    """Linear path on ``p`` from the collapse configuration to the
+    target angles; a labeling passes ``lp.base, lp.angles()``."""
     s0 = collapse_fraction(p, target)
     collapse = {e: math.pi / 2 + s0 * (target[e] - math.pi / 2) for e in target}
     return DeformationPath.from_configs(p, [collapse, target])
@@ -215,7 +210,7 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
 
 
 class _Integrand:
-    """len-weighted angle-velocity sum along the path, with realization cache.
+    """len-weighted angle-velocity sum along ``path``, with realization cache.
 
     Only the endpoints of the varying edges are computed, with the kinds
     they have at the target, which must be compact.  On the default path
@@ -225,12 +220,11 @@ class _Integrand:
     check and the node raises PathRealizationFailure.
     """
 
-    def __init__(self, p: AbstractPolyhedron, path: DeformationPath):
-        self.p = p
+    def __init__(self, path: DeformationPath):
         self.path = path
         self.calls = 0
         varying = path.varying_edges
-        self.kinds = _expected_vertex_kinds(p, path.target_angles)
+        self.kinds = _expected_vertex_kinds(path.polyhedron, path.target_angles)
         for e in varying:
             if any(self.kinds[v] != COMPACT for v in e):
                 raise IdealEdge(
@@ -238,15 +232,15 @@ class _Integrand:
         self.varying = varying
         self.ends = sorted({v for e in varying for v in e})
         try:
-            self.walker = PathRealizer(p, path)
+            self.walker = PathRealizer(path)
         except RealizationError as exc:
             raise PathRealizationFailure(PathRealizer.ANCHOR_T, exc)
 
     def lengths_at(self, t: float) -> dict[Edge, float]:
+        p = self.path.polyhedron
         try:
             X = self.walker.solution_at(t)
-            W = _compute_vertices(self.p, X.reshape(len(self.p.faces), 4),
-                                  self.ends, self.kinds)
+            W = _compute_vertices(p, X.reshape(len(p.faces), 4), self.ends, self.kinds)
         except RealizationError as exc:
             raise PathRealizationFailure(t, exc)
         verts = dict(zip(self.ends, W))
@@ -277,12 +271,11 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
     if path is None:
         if lp_target is None:
             raise ValueError("need a target labeling or an explicit path")
-        path = default_path(lp_target)
-    p = path.polyhedron
+        path = default_path(lp_target.base, lp_target.angles())
     if not path.varying_edges:
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
-    f = _Integrand(p, path)
+    f = _Integrand(path)
     worst = max(f.lengths_at(COLLAPSE_CHECK_T).values())
     if worst > COLLAPSE_LENGTH_THRESHOLD:
         raise NonCollapsingStart(
@@ -307,8 +300,9 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
                        tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Compare a finite volume difference against the Schlaefli prediction.
 
-    Returns (numeric dV, predicted dV = -len_e/2 * dtheta).  Both vanish
-    for a zero perturbation and both are negative when the angle grows.
+    Returns (numeric dV, predicted dV = -len_e/2 * dtheta), len_e read
+    from ``realize(lp)``.  Both vanish for a zero perturbation and both
+    are negative when the angle grows.
     """
     if delta_angle == 0.0:
         return 0.0, 0.0
@@ -316,9 +310,7 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
     perturbed = lp.angles()
     perturbed[edge] += delta_angle
     v2 = schlafli_volume(None, path=default_path(lp.base, perturbed), tol=tol)
-    # edge length at the unperturbed target
-    r = PathRealizer(lp.base, default_path(lp)).realization_at(1.0)
-    pred = -0.5 * edge_length(r, edge) * delta_angle
+    pred = -0.5 * edge_length(realize(lp), edge) * delta_angle
     return v2.volume - base.volume, pred
 
 

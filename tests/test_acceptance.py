@@ -147,8 +147,8 @@ def test_criterion_6_log_sine_suite():
 
 def test_criterion_7_differential_self_consistency(lambert_cube):
     p = lambert_cube.base
-    path = default_path(lambert_cube)
-    f = _Integrand(p, path)
+    path = default_path(p, lambert_cube.angles())
+    f = _Integrand(path)
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
         acc = lambda u: -0.5 * segment_quadrature(f, 0.0, u, 1e-10)[0]

@@ -263,3 +263,28 @@ def test_corpus_name_fallback(capsys):
     code, out = run(capsys, "check", "lambert_cube")
     assert code == 0
     assert "realizable-compact" in result_line(out)
+
+
+DIHEDRON = "polyhedron dihedron\nface 0: 0 1 2\nface 1: 0 2 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("circuits",), ("classify",), ("realize",), ("volume",),
+    ("census", "--max-label", "3")])
+def test_every_subcommand_refuses_an_invalid_polyhedron(capsys, tmp_path, argv):
+    path = tmp_path / "dihedron.apoly"
+    path.write_text(DIHEDRON)
+    code = main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert result_line(out) == f"RESULT {argv[0]} input-error"
+    assert "violation face-count: only 2 faces, need more than 3" in err
+
+
+def test_validate_lists_every_violation(capsys, tmp_path):
+    path = tmp_path / "dihedron.apoly"
+    path.write_text(DIHEDRON)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.count("violation ") == 5
+    assert result_line(out) == "RESULT validate invalid violations=5"

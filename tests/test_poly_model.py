@@ -125,6 +125,67 @@ def test_validate_flags_low_face_count():
     assert "face-count" in rules
 
 
+# a tetrahedron on lines 1-5; a case appends its bad line as line 6
+TET = "polyhedron t\nface 0: 0 1 3\nface 1: 1 2 3\nface 2: 2 0 3\nface 3: 0 2 1\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("polyhedron t u\nface 0: 0 1 2\n", "expected: polyhedron <name>", 1),
+    (TET + "vertex\n", "expected: vertex <id> [ideal-candidate]", 6),
+    (TET + "vertex x\n", "bad vertex id 'x'", 6),
+    (TET + "vertex 0 ideal\n", "unknown vertex flag 'ideal'", 6),
+    (TET + "face 4 0 1 2\n", "expected: face <id>: <v0> <v1> ...", 6),
+    (TET + "face x: 0 1 2\n", "bad face id 'x'", 6),
+    (TET + "face 4: 0 1\n", "face 4 needs at least 3 vertices", 6),
+    (TET + "face 4: 0 1 y\n", "face vertices must be integers", 6),
+    (TET + "face 3: 0 1 2\n", "duplicate face id 3", 6),
+    ("polyhedron t\nface 0: 0 1 3 outer\nface 1: 1 2 3 outer\n",
+     "more than one face marked outer", 3),
+    (TET + "label 0 1\n", "expected: label <va> <vb> <n>", 6),
+    (TET + "label 0 1 x\n", "label arguments must be integers", 6),
+    (TET + "label 0 1 1\n", "label 1 < 2 on edge (0,1)", 6),
+    (TET + "label 1 1 3\n", "label on degenerate edge (1,1)", 6),
+    (TET + "edge 0 1\n", "unknown directive 'edge'", 6),
+    ("face 0: 0 1 3\n", "missing 'polyhedron <name>' header", None),
+    ("polyhedron t\n", "no faces given", None),
+    (TET + "vertex 9\n", "declared vertex 9 appears in no face", None),
+    ("polyhedron t\nface 0: 0 1 2\n", "edge (0, 1) occurs in 1 face cycles, expected 2", None),
+    (TET + "label 0 9 3\n", "label on unknown edge (0, 9)", None),
+])
+def test_parse_error_sites(text, message, line):
+    with pytest.raises(ParseError) as info:
+        parse_polyhedron(text)
+    assert info.value.line == line
+    assert str(info.value) == (f"line {line}: " if line else "") + message
+
+
+# two hemi-dodecahedra: Petersen graphs on the projective plane, Euler
+# characteristic 1 each, so every rule but closedness passes
+_HEMI = ((0, 1, 2, 3, 4), (0, 1, 6, 8, 5), (0, 4, 9, 7, 5),
+         (1, 2, 7, 9, 6), (2, 3, 8, 5, 7), (3, 4, 9, 6, 8))
+
+
+@pytest.mark.parametrize("faces, rule, witness", [
+    (((0, 1), (0, 1, 2), (0, 2, 1)), "short-face", (0,)),
+    (((0, 1, 1, 2), (2, 1, 0)), "repeated-vertex", (0,)),
+    (((0, 1, 2, 1), (0, 1, 2)), "repeated-vertex", (0,)),
+    (((0, 1, 2, 5), (1, 0, 3, 5)), "face-intersection", (0, 1, (0, 1), (5,))),
+    (((0, 1, 2), (0, 3, 1, 4)), "face-intersection", (0, 1, (0, 1))),
+    (_HEMI + tuple(tuple(v + 10 for v in c) for c in _HEMI), "not-closed", ()),
+])
+def test_validate_rule_witnesses(faces, rule, witness):
+    violations = validate(AbstractPolyhedron(name="bad", faces=faces)).violations
+    assert (rule, witness) in [(v.rule, v.witness) for v in violations]
+    if rule == "not-closed":
+        assert len(violations) == 1
+
+
+def test_face_repeating_a_vertex_parses_and_fails_validate():
+    lp = parse_polyhedron(TET.replace("face 0: 0 1 3", "face 0: 0 1 1 3"))
+    rules = [v.rule for v in validate(lp.base).violations]
+    assert rules == ["repeated-vertex"]
+
+
 @pytest.mark.parametrize("name,order", [
     ("tetrahedron", 24),
     ("cube_all2", 48),

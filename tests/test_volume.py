@@ -11,7 +11,8 @@ from coxvol.volume import (COLLAPSE_CHECK_T, DeformationPath, IdealEdge, NonColl
                            PathRealizationFailure, _Integrand, collapse_fraction,
                            default_path,
                            hyperbolic_triangle_area, monotonicity_probe,
-                           orb_convention, schlafli_volume, segment_quadrature)
+                           orb_convention, schlafli_volume, segment_quadrature,
+                           VolumeError)
 
 
 def test_triangle_area_identity():
@@ -36,7 +37,7 @@ def test_collapse_fraction_prism(triangular_prism):
 
 
 def test_default_path_endpoints(lambert_cube):
-    path = default_path(lambert_cube)
+    path = default_path(lambert_cube.base, lambert_cube.angles())
     assert path.times == (0.0, 1.0)
     assert path.angles_at(1.0) == pytest.approx(lambert_cube.angles())
     start = path.angles_at(0.0)
@@ -243,8 +244,8 @@ def test_accumulated_integral_derivative(lambert_cube):
     # d/dt of the running integral reproduces the integrand; this checks
     # the continuation cache gives a consistent, smooth integrand
     p = lambert_cube.base
-    path = default_path(lambert_cube)
-    f = _Integrand(p, path)
+    path = default_path(p, lambert_cube.angles())
+    f = _Integrand(path)
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
         acc = lambda u: segment_quadrature(f, 0.0, u, 1e-10)[0]
@@ -298,3 +299,23 @@ def test_pyramid_volume_pinned(pyramid):
     assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
     # the value before the Gauss-Newton system was vectorized
     assert res.volume == pytest.approx(0.250960250836782, abs=1e-12)
+
+
+def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
+    # every deviation from pi/2 is zero, so the 4-circuit rows stay at
+    # their bound 2*pi along the whole path; without this check the
+    # Euclidean cube would come out with volume 0.0
+    with pytest.raises(VolumeError, match="target sits on an admissibility boundary"):
+        schlafli_volume(cube_all2)
+
+
+@pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5, 1.0), (0.1, 1.0), (0.0, 2.0)])
+def test_deformation_path_rejects_bad_times(lambert_cube, times):
+    waypoints = (tuple(sorted(lambert_cube.angles().items())),) * 2
+    with pytest.raises(ValueError):
+        DeformationPath(lambert_cube.base, times, waypoints)
+
+
+def test_schlafli_volume_needs_a_target_or_a_path():
+    with pytest.raises(ValueError, match="need a target labeling or an explicit path"):
+        schlafli_volume(None)
