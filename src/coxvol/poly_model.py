@@ -241,10 +241,17 @@ def validate(p: AbstractPolyhedron) -> ValidationReport:
     if V - E + F != 2:
         out.append(Violation("euler", (V, E, F),
                              f"V-E+F = {V - E + F}, expected 2"))
+    # each face's vertex and edge sets, built once; shared edges are
+    # listed in edge_faces order
+    order = {e: i for i, e in enumerate(p.edge_faces)}
+    face_verts = [set(cyc) for cyc in p.faces]
+    face_edges: list[set[Edge]] = [set() for _ in p.faces]
+    for e, fs in p.edge_faces.items():
+        for f in fs:
+            face_edges[f].add(e)
     for fa, fb in combinations(range(len(p.faces)), 2):
-        sa, sb = set(p.faces[fa]), set(p.faces[fb])
-        shared_v = sa & sb
-        shared_e = [e for e, fs in p.edge_faces.items() if fa in fs and fb in fs]
+        shared_v = face_verts[fa] & face_verts[fb]
+        shared_e = sorted(face_edges[fa] & face_edges[fb], key=order.__getitem__)
         if len(shared_e) > 1:
             out.append(Violation("face-intersection", (fa, fb, tuple(shared_e)),
                                  f"faces {fa},{fb} share {len(shared_e)} edges"))

@@ -6,7 +6,9 @@ A vertex is the common point of its first three face planes: the null
 vector of a 3x4 matrix, whose entries are the matrix's four signed 3x3
 minors.  Compact vertices are timelike, ideal vertices null.
 
-The solve is a damped Gauss-Newton iteration on the normals.  The
+The solve is a damped Gauss-Newton iteration on the normals, run on a
+stack of rows: one row per angle assignment, one batched solve per
+iteration over the rows still iterating, a line search per row.  The
 residual system (unit norms + edge Gram targets + one concurrency
 equation per 4-valent ideal apex) has 4F - 6 equations in 4F unknowns
 and is invariant under the 6-dimensional Lorentz group, so its Jacobian
@@ -20,8 +22,10 @@ neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
-a path at its midpoint and reaches each other point by one warm-started
-solve.  Nothing is retried: a failed solve raises NonConvergence.
+a path at its midpoint and reaches other points by warm-started solves,
+one row each: a single point is a one-row stack, a batch of points one
+stacked solve.  Nothing is retried: a failed solve raises
+NonConvergence.
 
 The residual and Jacobian are gathers over edge-to-face and
 apex-to-face index arrays, built once per polyhedron and kept on it.
@@ -69,13 +73,17 @@ class LabelingRejected(RealizationError):
 
 
 class NonConvergence(RealizationError):
-    def __init__(self, message: str, best_residual: float):
+    def __init__(self, message: str, best_residual: float, row: int = 0):
         self.best_residual = best_residual
+        self.row = row  # the failing row of a stacked solve
+        self.t = None  # its path parameter, when a PathRealizer stack failed
         super().__init__(f"{message} (best residual {best_residual:.3e})")
 
 
 class DegenerateVertex(RealizationError):
-    pass
+    def __init__(self, message: str, row: int = 0):
+        self.row = row  # the failing row of a stacked vertex pass
+        super().__init__(message)
 
 
 class IdealEndpoint(RealizationError):
@@ -117,42 +125,47 @@ class _System:
         self.n_eq = self.nf + self.ne + len(apexes)
 
     def residual(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        E = X.reshape(self.nf, 4)
+        """Residuals of a stack of rows: X (..., 4F), targets (..., E)."""
+        E = X.reshape(X.shape[:-1] + (self.nf, 4))
         G = E * METRIC
         nf, ne = self.nf, self.ne
-        r = np.empty(self.n_eq)
-        r[:nf] = np.einsum("ij,ij->i", G, E) - 1.0
+        r = np.empty(X.shape[:-1] + (self.n_eq,))
+        r[..., :nf] = np.einsum("...ij,...ij->...i", G, E) - 1.0
         # batched matmul adds the four products in np.dot's order, which
         # einsum and (a * b).sum(1) do not
-        r[nf:nf + ne] = (G[self.fi, None, :] @ E[self.fj, :, None])[:, 0, 0] + targets
+        r[..., nf:nf + ne] = (G[..., self.fi, None, :] @ E[..., self.fj, :, None])[..., 0, 0] + targets
         if len(self.apex_faces):
-            r[nf + ne:] = np.linalg.det(E[self.apex_faces])
+            r[..., nf + ne:] = np.linalg.det(E[..., self.apex_faces, :])
         return r
 
     def newton_matrix(self, X: np.ndarray) -> np.ndarray:
-        """The Jacobian with the six gauge tangents at X below it, square."""
-        E = X.reshape(self.nf, 4)
+        """The Jacobian with the six gauge tangents at X below it, square;
+        one (4F, 4F) matrix per row of X (..., 4F)."""
+        lead = X.shape[:-1]
+        E = X.reshape(lead + (self.nf, 4))
         G = E * METRIC
         nf, ne = self.nf, self.ne
-        K = np.zeros((nf * 4, nf * 4))
-        np.matmul(E, _GAUGE_T, out=K[self.n_eq:].reshape(6, nf, 4))
-        blocks = K[:self.n_eq].reshape(self.n_eq, nf, 4)  # a view: blocks[row, f] = d row / d E[f]
+        K = np.zeros(lead + (nf * 4, nf * 4))
+        np.matmul(E[..., None, :, :], _GAUGE_T, out=K[..., self.n_eq:, :].reshape(lead + (6, nf, 4)))
+        # a view: blocks[..., row, f, :] = d row / d E[f]
+        blocks = K[..., :self.n_eq, :].reshape(lead + (self.n_eq, nf, 4))
         faces = np.arange(nf)
-        blocks[faces, faces] = 2.0 * G
+        blocks[..., faces, faces, :] = 2.0 * G
         rows = nf + np.arange(ne)
-        blocks[rows, self.fi] = G[self.fj]
-        blocks[rows, self.fj] = G[self.fi]
+        blocks[..., rows, self.fi, :] = G[..., self.fj, :]
+        blocks[..., rows, self.fj, :] = G[..., self.fi, :]
         if len(self.apex_faces):
             rows = nf + ne + np.arange(len(self.apex_faces))
             # d det / d M is the cofactor matrix of M
-            blocks[rows[:, None], self.apex_faces] = _cofactors(E[self.apex_faces])
+            blocks[..., rows[:, None], self.apex_faces, :] = _cofactors(E[..., self.apex_faces, :])
         return K
 
     def step(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The Gauss-Newton step at X with residual r: J step = -r, and
-        orthogonal to the gauge tangents.  Raises LinAlgError when the
-        Newton matrix is singular."""
-        return np.linalg.solve(self.newton_matrix(X), np.concatenate((-r, np.zeros(6))))
+        """The Gauss-Newton step of each row of X with residual r: J step
+        = -r, and orthogonal to the gauge tangents.  Raises LinAlgError
+        when a Newton matrix is singular."""
+        rhs = np.concatenate((-r, np.zeros(r.shape[:-1] + (6,))), axis=-1)
+        return np.linalg.solve(self.newton_matrix(X), rhs[..., None])[..., 0]
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
         return np.array([math.cos(angles[e]) for e in self.edges])
@@ -182,34 +195,89 @@ def _cofactors(M: np.ndarray) -> np.ndarray:
     return _SIGNS[:, None] * _null_vectors(M[..., _KEEP, :])
 
 
-def _newton(sys_: _System, X0: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Damped Gauss-Newton from X0: (X, max residual, steps).  The pass
-    after MAX_NEWTON_ITERS steps is the last; it returns or raises."""
+def _norms(r: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row, summed in np.dot's order as np.linalg.norm
+    sums a vector."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _singular(sys_: _System, x: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the Newton matrix of the one row x is singular."""
+    try:
+        sys_.step(x, r)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _newton(sys_: _System, X0: np.ndarray,
+            targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton on a stack of rows, X0 (R, 4F) with targets
+    (R, E): per row (X, max residual, steps).
+
+    Each iteration makes one batched solve over the live rows; each row
+    takes its own line search and leaves the work set when it converges
+    or fails.  The pass after MAX_NEWTON_ITERS steps is the last.  Once
+    every row has finished, a failure raises NonConvergence for the
+    first failing row, with its index and its own best residual.
+    """
+    n = len(X0)
     X = X0.copy()
     r = sys_.residual(X, targets)
-    best = float(np.max(np.abs(r)))
+    norm = _norms(r)
+    rmax = np.abs(r).max(axis=1)
+    best = rmax.copy()
+    steps = np.zeros(n, dtype=int)
+    failed: dict[int, tuple[str, float]] = {}
+    live = np.arange(n)
+    rows = slice(None)  # the live rows: a view, not a gather, while every row is live
     for it in range(MAX_NEWTON_ITERS + 1):
-        rmax = float(np.max(np.abs(r)))
-        if rmax <= RESIDUAL_TOL:
-            return X, rmax, it
+        done = rmax[rows] <= RESIDUAL_TOL
+        if done.any():
+            steps[live[done]] = it
+            live = rows = live[~done]
+        if not live.size:
+            break
         if it == MAX_NEWTON_ITERS:
-            raise NonConvergence("Newton iteration limit reached", rmax)
+            failed.update((i, ("Newton iteration limit reached", rmax[i])) for i in live)
+            break
         try:
-            step = sys_.step(X, r)
+            step = sys_.step(X[rows], r[rows])
         except np.linalg.LinAlgError:
-            raise NonConvergence("singular Newton matrix", best) from None
-        lam = 1.0
-        norm0 = float(np.linalg.norm(r))
-        while lam >= MIN_STEP:
-            Xn = X + lam * step
-            rn = sys_.residual(Xn, targets)
-            if float(np.linalg.norm(rn)) < norm0:
-                X, r = Xn, rn
+            singular = np.array([_singular(sys_, X[i], r[i]) for i in live])
+            failed.update((i, ("singular Newton matrix", best[i])) for i in live[singular])
+            live = rows = live[~singular]
+            if not live.size:
                 break
+            step = sys_.step(X[rows], r[rows])
+        if live.size < n:  # the line search indexes steps by row
+            full = np.zeros_like(X)
+            full[rows] = step
+            step = full
+        # halve each row's step until its residual norm drops
+        search, lam = rows, 1.0
+        while lam >= MIN_STEP:
+            Xn = X[search] + lam * step[search]
+            rn = sys_.residual(Xn, targets[search])
+            nn = _norms(rn)
+            ok = nn < norm[search]
+            if ok.all():
+                X[search], r[search], norm[search] = Xn, rn, nn
+                break
+            search = np.arange(n)[search]
+            X[search[ok]], r[search[ok]], norm[search[ok]] = Xn[ok], rn[ok], nn[ok]
+            search = search[~ok]
             lam *= 0.5
         else:
-            raise NonConvergence("Newton step stagnated", best)
-        best = min(best, float(np.max(np.abs(r))))
+            failed.update((i, ("Newton step stagnated", best[i])) for i in search)
+            live = rows = live[~np.isin(live, search)]
+        rmax[rows] = np.abs(r[rows]).max(axis=1)
+        np.minimum(best, rmax, out=best)
+    if failed:
+        i = min(failed)
+        message, residual = failed[i]
+        raise NonConvergence(message, float(residual), row=int(i))
+    return X, rmax, steps
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +359,23 @@ def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> 
 
 def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray, vertices,
                       kinds: dict[int, str]) -> np.ndarray:
-    """One row per listed vertex: the common point of its first three
-    face planes, on the future sheet, scaled to <w,w> = -1 when compact
-    and to w0 = 1 when ideal.  A row that does not come out of the kind
-    ``kinds`` expects raises DegenerateVertex."""
-    W = _null_vectors(E[[p.vertex_faces[v][:3] for v in vertices]] * METRIC)
-    mw = np.einsum("ij,ij->i", W * METRIC, W)
-    q = mw / np.einsum("ij,ij->i", W, W)
+    """One row per listed vertex, for normals E (..., F, 4): the common
+    point of its first three face planes, on the future sheet, scaled to
+    <w,w> = -1 when compact and to w0 = 1 when ideal; (..., V, 4).  The
+    first vertex, in stack order, that does not come out of the kind
+    ``kinds`` expects raises DegenerateVertex with its stack row."""
+    W = _null_vectors(E[..., [p.vertex_faces[v][:3] for v in vertices], :] * METRIC)
+    mw = np.einsum("...ij,...ij->...i", W * METRIC, W)
+    q = mw / np.einsum("...ij,...ij->...i", W, W)
     compact = np.array([kinds[v] == andreev.COMPACT for v in vertices])
-    for v, c, qv in zip(vertices, compact, q):
-        if c and qv > -_TYPE_TOL:
-            raise DegenerateVertex(
-                f"vertex {v} expected timelike but <v,v>/|v|^2 = {qv:.3e}")
-        if not c and abs(qv) > _TYPE_TOL:
-            raise DegenerateVertex(
-                f"vertex {v} expected null but <v,v>/|v|^2 = {qv:.3e}")
-    W *= np.where(W[:, :1] < 0, -1.0, 1.0)
-    return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None]
+    bad = np.where(compact, q > -_TYPE_TOL, np.abs(q) > _TYPE_TOL).reshape(-1, len(vertices))
+    if bad.any():
+        row, k = np.argwhere(bad)[0]
+        expected = "timelike" if compact[k] else "null"
+        raise DegenerateVertex(f"vertex {vertices[k]} expected {expected} but "
+                               f"<v,v>/|v|^2 = {q.reshape(bad.shape)[row, k]:.3e}", int(row))
+    W *= np.where(W[..., :1] < 0, -1.0, 1.0)
+    return W / np.where(compact, np.sqrt(np.abs(mw)), W[..., 0])[..., None]
 
 
 def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
@@ -361,7 +429,8 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     """
     sys_ = _system(p)
     X0 = _seed(p) if warm_start is None else warm_start
-    return _newton(sys_, X0, sys_.targets(angles))
+    X, rmax, iters = _newton(sys_, X0[None], sys_.targets(angles)[None])
+    return X[0], float(rmax[0]), int(iters[0])
 
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
@@ -399,26 +468,56 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
 class PathRealizer:
     """Continuation cache along a deformation path, on the path's polyhedron.
 
-    One cold solve at ANCHOR_T anchors the path.  Each requested
-    parameter is one solve warm-started from the nearest cached one,
-    the lower on a tie, and is cached only when it converges.  Requests
-    issued in a fixed order produce bit-identical results.
+    One cold solve at ANCHOR_T anchors the path.  ``solution_at(t)`` is
+    one solve warm-started from the nearest cached solution, the lower
+    on a tie.  ``solutions_at(ts)`` solves every uncached t in one
+    stacked Gauss-Newton call, each warm-started by the same rule from
+    the solutions cached before the call.  Solutions are cached only
+    when they converge, and requests issued in a fixed order produce
+    bit-identical results.  ``solves`` and ``newton_iters`` count the
+    rows solved and their Gauss-Newton iterations.
     """
 
     ANCHOR_T = 0.5
 
     def __init__(self, path):
         self.path = path
+        X, rmax, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
         # t -> (stacked normals, residual, Newton iterations of the solves that reached t)
-        self.cache: dict[float, tuple[np.ndarray, float, int]] = {
-            self.ANCHOR_T: solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))}
+        self.cache: dict[float, tuple[np.ndarray, float, int]] = {self.ANCHOR_T: (X, rmax, iters)}
+        self.solves = 1
+        self.newton_iters = iters
 
     def solution_at(self, t: float) -> np.ndarray:
         if t not in self.cache:
             X, _, iters = self.cache[min(self.cache, key=lambda s: (abs(t - s), s))]
             X, rmax, k = solve_at(self.path.polyhedron, self.path.angles_at(t), warm_start=X)
             self.cache[t] = (X, rmax, iters + k)
+            self.solves += 1
+            self.newton_iters += k
         return self.cache[t][0]
+
+    def solutions_at(self, ts) -> np.ndarray:
+        """The solutions at ``ts``, one row each.  When a row of the stack
+        fails, NonConvergence is raised for the smallest failing t, with
+        its ``t`` set."""
+        todo = sorted(set(map(float, ts)) - self.cache.keys())
+        if todo:
+            known = np.array(sorted(self.cache))
+            nearest = known[np.abs(np.array(todo)[:, None] - known).argmin(axis=1)]
+            starts = [self.cache[s] for s in nearest]
+            angles, _ = self.path.angle_rows(todo)
+            try:
+                X, rmax, iters = _newton(_system(self.path.polyhedron),
+                                         np.array([X for X, _, _ in starts]), np.cos(angles))
+            except NonConvergence as exc:
+                exc.t = todo[exc.row]
+                raise
+            for t, x, r, k, (_, _, k0) in zip(todo, X, rmax.tolist(), iters.tolist(), starts):
+                self.cache[t] = (x, r, k0 + k)
+            self.solves += len(todo)
+            self.newton_iters += int(iters.sum())
+        return np.array([self.cache[t][0] for t in ts])
 
     def realization_at(self, t: float) -> Realization:
         self.solution_at(t)

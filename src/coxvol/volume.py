@@ -14,14 +14,17 @@ on all of [0, 1], where Gauss-Legendre rules converge in a few dozen nodes.
 
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
-integrable (their infinite edges all carry constant right angles).  At
-each node only the endpoints of the varying edges are computed, in one
-batched pass with the kinds they have at the target; a path that varies
-an edge at an ideal vertex raises IdealEdge.
+integrable (their infinite edges all carry constant right angles).  A
+rule's nodes are evaluated together: one stacked Gauss-Newton solve
+realizes every node, warm-started from the solutions cached before the
+rule, and one batched pass computes only the endpoints of the varying
+edges, with the kinds they have at the target; a path that varies an
+edge at an ideal vertex raises IdealEdge.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -30,9 +33,9 @@ import numpy as np
 
 from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
-from .realization import (PathRealizer, RealizationError, RESIDUAL_TOL,
-                          _compute_vertices, _expected_vertex_kinds, edge_length,
-                          hyperbolic_distance, realize)
+from .realization import (METRIC, DegenerateVertex, NonConvergence, PathRealizer,
+                          RealizationError, RESIDUAL_TOL, _compute_vertices,
+                          _expected_vertex_kinds, edge_length, realize)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -95,12 +98,23 @@ class DeformationPath:
         b = dict(self.waypoints[i + 1])
         return {e: (1 - lam) * a[e] + lam * b[e] for e in a}
 
-    def derivatives_at(self, t: float) -> dict[Edge, float]:
-        i = self._segment(t)
-        t0, t1 = self.times[i], self.times[i + 1]
-        a = dict(self.waypoints[i])
-        b = dict(self.waypoints[i + 1])
-        return {e: (b[e] - a[e]) / (t1 - t0) for e in a}
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """The waypoint angles, one row per waypoint, columns in
+        ``polyhedron.edges`` order."""
+        return np.array([[dict(wp)[e] for e in self.polyhedron.edges] for wp in self.waypoints])
+
+    def angle_rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The angles and their t-derivatives at each of ``ts``: two
+        (len(ts), E) arrays, columns in ``polyhedron.edges`` order, each
+        entry computed as ``angles_at`` computes it."""
+        ts = np.asarray(ts, dtype=float)
+        times = np.array(self.times)
+        i = np.searchsorted(times[1:-1], ts, side="right")
+        t0, t1 = times[i, None], times[i + 1, None]
+        a, b = self._table[i], self._table[i + 1]
+        lam = (ts[:, None] - t0) / (t1 - t0)
+        return (1 - lam) * a + lam * b, (b - a) / (t1 - t0)
 
     @property
     def varying_edges(self) -> tuple[Edge, ...]:
@@ -162,27 +176,31 @@ def default_path(p: AbstractPolyhedron, target: dict[Edge, float]) -> Deformatio
 
 
 @functools.cache
-def _squared_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _squared_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule in u on [0, 1], mapped through
     t = u^2: (t nodes ascending, weights w_i * u_i summing to 1)."""
     x, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (x + 1.0)
-    return tuple((u * u).tolist()), tuple((w * u).tolist())
+    rule = (u * u, w * u)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def segment_quadrature(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Integrate f over [a, b] in u, with t = a + (b - a) u^2, which
     absorbs a sqrt(t - a) behaviour at a.
 
-    Gauss-Legendre rules of 8, 16, 32, ... nodes in u, each evaluating f
-    in ascending t, run until two successive rules agree within tol or
-    QUAD_MAX_NODES is reached.  Returns the finer value and |Q_2n - Q_n|.
+    Gauss-Legendre rules of 8, 16, 32, ... nodes in u run until two
+    successive rules agree within tol or QUAD_MAX_NODES is reached.  f
+    takes a whole rule's nodes at once, an array in ascending t, and
+    returns its values there.  Returns the finer value and |Q_2n - Q_n|.
     """
     prev = None
     n = QUAD_START_NODES
     while True:
         nodes, weights = _squared_rule(n)
-        q = (b - a) * sum(w * f(a + (b - a) * s) for s, w in zip(nodes, weights))
+        q = (b - a) * float(weights @ f(a + (b - a) * nodes))
         if prev is not None and (abs(q - prev) <= tol or n >= QUAD_MAX_NODES):
             return q, abs(q - prev)
         prev = q
@@ -197,16 +215,18 @@ def segment_quadrature(f, a: float, b: float, tol: float) -> tuple[float, float]
 class VolumeResult:
     volume: float
     error_estimate: float
-    nodes: int
+    nodes: int  # integrand nodes
     doubled: bool = False
+    solves: int = 0  # rows solved, anchor and collapse check included
+    newton_iters: int = 0  # Gauss-Newton iterations, summed over the rows
 
 
 def orb_convention(v: VolumeResult) -> VolumeResult:
     """Report twice the true volume (the doubling convention)."""
     if v.doubled:
         return v
-    return VolumeResult(volume=2.0 * v.volume, error_estimate=2.0 * v.error_estimate,
-                        nodes=v.nodes, doubled=True)
+    return dataclasses.replace(v, volume=2.0 * v.volume, error_estimate=2.0 * v.error_estimate,
+                               doubled=True)
 
 
 class _Integrand:
@@ -223,34 +243,50 @@ class _Integrand:
     def __init__(self, path: DeformationPath):
         self.path = path
         self.calls = 0
+        p = path.polyhedron
         varying = path.varying_edges
-        self.kinds = _expected_vertex_kinds(path.polyhedron, path.target_angles)
+        self.kinds = _expected_vertex_kinds(p, path.target_angles)
         for e in varying:
             if any(self.kinds[v] != COMPACT for v in e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
-        self.varying = varying
         self.ends = sorted({v for e in varying for v in e})
+        # each varying edge's column in the angle rows and its endpoints' rows in ends
+        self.cols = [p.edges.index(e) for e in varying]
+        self.tails, self.heads = np.array([[self.ends.index(v) for v in e] for e in varying]).T
         try:
             self.walker = PathRealizer(path)
         except RealizationError as exc:
             raise PathRealizationFailure(PathRealizer.ANCHOR_T, exc)
 
-    def lengths_at(self, t: float) -> dict[Edge, float]:
+    def lengths_at(self, ts) -> np.ndarray:
+        """The varying edges' lengths at each of ``ts``, one row each: one
+        stacked solve for the uncached ts and one vertex pass."""
         p = self.path.polyhedron
         try:
-            X = self.walker.solution_at(t)
-            W = _compute_vertices(p, X.reshape(len(p.faces), 4), self.ends, self.kinds)
-        except RealizationError as exc:
-            raise PathRealizationFailure(t, exc)
-        verts = dict(zip(self.ends, W))
-        return {e: hyperbolic_distance(verts[e[0]], verts[e[1]]) for e in self.varying}
+            X = self.walker.solutions_at(ts)
+            W = _compute_vertices(p, X.reshape(len(X), len(p.faces), 4), self.ends, self.kinds)
+        except NonConvergence as exc:
+            raise PathRealizationFailure(exc.t, exc)
+        except DegenerateVertex as exc:
+            raise PathRealizationFailure(float(ts[exc.row]), exc)
+        Wt, Wh = W[:, self.tails], W[:, self.heads]
+        # hyperbolic_distance, row by row
+        return np.arccosh(np.maximum(-((Wt * METRIC)[..., None, :] @ Wh[..., :, None])[..., 0, 0], 1.0))
 
-    def __call__(self, t: float) -> float:
-        self.calls += 1
-        lens = self.lengths_at(t)
-        derivs = self.path.derivatives_at(t)
-        return sum(lens[e] * derivs[e] for e in self.varying)
+    def collapse_length(self) -> float:
+        """The longest varying edge at COLLAPSE_CHECK_T, reached by one
+        one-row solve from the anchor."""
+        try:
+            self.walker.solution_at(COLLAPSE_CHECK_T)
+        except RealizationError as exc:
+            raise PathRealizationFailure(COLLAPSE_CHECK_T, exc)
+        return float(self.lengths_at([COLLAPSE_CHECK_T]).max())
+
+    def __call__(self, ts) -> np.ndarray:
+        self.calls += len(ts)
+        lens = self.lengths_at(ts)
+        return (lens * self.path.angle_rows(ts)[1][:, self.cols]).sum(axis=1)
 
 
 def schlafli_volume(lp_target: LabeledPolyhedron | None,
@@ -276,7 +312,7 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
     f = _Integrand(path)
-    worst = max(f.lengths_at(COLLAPSE_CHECK_T).values())
+    worst = f.collapse_length()
     if worst > COLLAPSE_LENGTH_THRESHOLD:
         raise NonCollapsingStart(
             f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "
@@ -289,7 +325,8 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
                  for (_, x), (_, y) in zip(wa, wb))
     return VolumeResult(volume=-0.5 * sum(q for q, _ in segments),
                         error_estimate=0.5 * (sum(d for _, d in segments) + RESIDUAL_TOL * travel),
-                        nodes=f.calls)
+                        nodes=f.calls, solves=f.walker.solves,
+                        newton_iters=f.walker.newton_iters)
 
 
 # ---------------------------------------------------------------------------

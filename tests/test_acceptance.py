@@ -153,7 +153,7 @@ def test_criterion_7_differential_self_consistency(lambert_cube):
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
         acc = lambda u: -0.5 * segment_quadrature(f, 0.0, u, 1e-10)[0]
         deriv = (acc(t + h) - acc(t - h)) / (2 * h)
-        assert deriv == pytest.approx(-0.5 * f(t), rel=1e-6)
+        assert deriv == pytest.approx(-0.5 * f([t])[0], rel=1e-6)
 
     for e, n in lambert_cube.labels.items():
         if n == 3:

@@ -2,6 +2,7 @@
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -405,3 +406,71 @@ def test_solver_never_calls_lstsq(monkeypatch, lambert_cube):
     assert realize(right_angled(corpus.loebell(5))).residual <= 1e-10
     src = Path(realization.__file__).parent
     assert not [f.name for f in src.glob("*.py") if "lstsq" in f.read_text()]
+
+
+def newton_or_failure(sys_, X0, targets):
+    """``_newton`` on a stack: (X, rmax, steps), or the NonConvergence it raised."""
+    try:
+        return realization._newton(sys_, X0, targets)
+    except NonConvergence as exc:
+        return exc
+
+
+def one_row(sys_, x0, targets):
+    out = newton_or_failure(sys_, x0[None], targets[None])
+    return out if isinstance(out, NonConvergence) else tuple(a[0] for a in out)
+
+
+stack_targets = st.one_of(
+    st.tuples(*[st.integers(3, 8)] * 3).map(lambert_with),
+    st.sampled_from([load("lambert_cube"), load("triangular_prism"), load("pyramid"),
+                     right_angled(corpus.loebell(5))]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lp=stack_targets, ts=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6),
+       scale=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), seed=st.integers(0, 2**16),
+       singular=st.booleans())
+def test_stacked_rows_match_one_row_solves(lp, ts, scale, seed, singular):
+    # rows leave the work set at different steps; each row's iterates,
+    # line search and failure are its own, bit for bit.  Starts far
+    # from the solution stagnate or reach the iteration limit (lowered
+    # here to keep the test fast), and an all-zero start has a singular
+    # Newton matrix.
+    p = lp.base
+    path = default_path(p, lp.angles())
+    anchor = PathRealizer(path).solution_at(PathRealizer.ANCHOR_T)
+    X0 = anchor + scale * np.random.default_rng(seed).standard_normal((len(ts), anchor.size))
+    if singular:
+        X0[-1] = 0.0
+    sys_ = realization._system(p)
+    targets = np.array([sys_.targets(path.angles_at(t)) for t in ts])
+    with mock.patch.object(realization, "MAX_NEWTON_ITERS", 20):
+        rows = [one_row(sys_, x0, tg) for x0, tg in zip(X0, targets)]
+        stacked = newton_or_failure(sys_, X0, targets)
+    failed = [i for i, row in enumerate(rows) if isinstance(row, NonConvergence)]
+    if failed:
+        first = rows[failed[0]]
+        assert isinstance(stacked, NonConvergence)
+        assert stacked.row == failed[0]
+        assert stacked.best_residual == first.best_residual
+        assert str(stacked) == str(first)
+        return
+    X, rmax, steps = stacked
+    for i, (x, r, k) in enumerate(rows):
+        assert np.array_equal(X[i], x) and rmax[i] == r and steps[i] == k
+
+
+def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
+    # 0.3 and 0.35 both start from the anchor at 0.5, not 0.35 from 0.3;
+    # each row then equals a one-row solve from that start
+    path = default_path(lambert_cube.base, lambert_cube.angles())
+    walker = PathRealizer(path)
+    anchor = walker.cache[PathRealizer.ANCHOR_T][0]
+    X = walker.solutions_at([0.35, 0.3])
+    for t, x in zip((0.35, 0.3), X):
+        ref, _, _ = solve_at(lambert_cube.base, path.angles_at(t), warm_start=anchor)
+        assert np.array_equal(x, ref)
+    assert walker.solves == 3
+    assert np.array_equal(walker.solutions_at([0.3])[0], X[1])
+    assert walker.solves == 3

@@ -1,7 +1,9 @@
 """Volume integration along angle-deformation paths."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -203,6 +205,38 @@ def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
     assert calls == [False, True]
 
 
+@pytest.mark.parametrize("ts,failing", [((0.45, 0.55, 0.95), 0.95),
+                                         ((0.95, 0.45, 0.05, 0.55), 0.05)])
+def test_failing_row_of_a_rule_raises_at_its_t(lambert_cube, monkeypatch, ts, failing):
+    # from the anchor at 0.5, t = 0.45 and 0.55 converge in 3 steps and
+    # t = 0.05 and 0.95 need more: with a 3-step limit the stack fails
+    # at its smallest failing t, with that row's own residual
+    from coxvol import realization
+    from coxvol.realization import NonConvergence, solve_at
+
+    path = default_path(lambert_cube.base, lambert_cube.angles())
+    f = _Integrand(path)
+    anchor = f.walker.cache[0.5][0]
+    monkeypatch.setattr(realization, "MAX_NEWTON_ITERS", 3)
+    with pytest.raises(NonConvergence) as alone:
+        solve_at(path.polyhedron, path.angles_at(failing), warm_start=anchor)
+    with pytest.raises(PathRealizationFailure) as info:
+        f(list(ts))
+    assert info.value.t == failing
+    assert str(alone.value) in str(info.value)
+    assert f"{alone.value.best_residual:.3e}" in str(info.value)
+
+
+def test_lambert_volume_counts_its_solves(lambert_cube):
+    # the anchor, the collapse check and one solve per node of the 8- and
+    # 16-node rules
+    res = schlafli_volume(lambert_cube)
+    assert res.nodes == 24
+    assert res.solves == res.nodes + 2
+    assert res.newton_iters >= res.solves
+    assert orb_convention(res).solves == res.solves
+
+
 def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     # vertex 0 has angle sum 0.9*pi at the waypoint
     p = lambert_cube.base
@@ -235,7 +269,7 @@ def test_quadrature_error_estimate(lambert_cube):
 
 def test_adaptive_quadrature_on_known_integral():
     # the per-segment rule of schlafli_volume, doubled until converged
-    val, err = segment_quadrature(math.sin, 0.0, math.pi, 1e-12)
+    val, err = segment_quadrature(np.sin, 0.0, math.pi, 1e-12)
     assert val == pytest.approx(2.0, abs=1e-12)
     assert err < 1e-12
 
@@ -250,7 +284,7 @@ def test_accumulated_integral_derivative(lambert_cube):
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
         acc = lambda u: segment_quadrature(f, 0.0, u, 1e-10)[0]
         deriv = (acc(t + h) - acc(t - h)) / (2 * h)
-        assert deriv == pytest.approx(f(t), rel=1e-6)
+        assert deriv == pytest.approx(f([t])[0], rel=1e-6)
 
 
 def _lob_quad(theta):
@@ -280,8 +314,7 @@ def _kellerhals_lambert(alpha, beta, gamma):
     return 0.25 * (s - _lob_quad(2.0 * theta) + 2.0 * _lob_quad(math.pi / 2 - theta))
 
 
-@pytest.mark.parametrize("lmn", [(3, 3, 3), (3, 4, 5), (4, 4, 4), (3, 3, 8),
-                                 (5, 6, 7), (8, 8, 8)])
+@pytest.mark.parametrize("lmn", list(itertools.product(range(3, 9), repeat=3)))
 def test_lambert_family_closed_form(lambert_cube, lmn):
     labels = dict(lambert_cube.labels)
     essential = sorted(e for e, n in labels.items() if n == 3)
