@@ -164,7 +164,8 @@ class _System:
         """The Gauss-Newton step of each row of X with residual r: J step
         = -r, and orthogonal to the gauge tangents.  Raises LinAlgError
         when a Newton matrix is singular."""
-        rhs = np.concatenate((-r, np.zeros(r.shape[:-1] + (6,))), axis=-1)
+        rhs = np.zeros(X.shape)
+        rhs[..., :self.n_eq] = -r
         return np.linalg.solve(self.newton_matrix(X), rhs[..., None])[..., 0]
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
