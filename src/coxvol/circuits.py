@@ -7,10 +7,20 @@ when the 2k endpoints of the crossed edges are pairwise distinct.
 Circuits come out canonical by construction, each face cycle its own
 ``poly_model.canonical_cycle`` and the cycles in ascending order, so
 nothing downstream re-canonicalizes or re-sorts them.
+
+``iter_circuits`` is the one enumerator.  Its depth-first search enters
+a face only if the path can still close up in time, judged by
+breadth-first distances back to the start face, so it walks no branch
+that yields nothing.  A search that runs to the end keeps its circuits
+on the polyhedron (which is immutable), and every later call for the
+same k replays them; a caller that stops early, as ``haken.classify``
+does at its witness, leaves nothing behind.  ``enumerate_circuits`` is
+the same circuits as a fresh list.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .poly_model import AbstractPolyhedron, Edge
@@ -41,38 +51,80 @@ def _build_circuit(p: AbstractPolyhedron, faces: tuple[int, ...]) -> Circuit:
     return Circuit(faces=faces, crossed_edges=edges, prismatic=len(set(ends)) == len(ends))
 
 
-def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
+def iter_circuits(p: AbstractPolyhedron, k: int) -> Iterator[Circuit]:
     """All length-k dual cycles, one representative per rotation/reversal
-    class, in ascending order of their face tuples.
+    class, in ascending order of their face tuples, as an iterator.
 
     Uses the standard smallest-start enumeration: cycles are grown from
     their minimal face id, and the direction is fixed by requiring the
     second face to be smaller than the last, which makes each emitted
     tuple its own canonical_cycle.  Starts run in ascending order and
     every step tries neighbors in ascending order, so the depth-first
-    search emits the tuples sorted.
+    search emits the tuples sorted.  A neighbor is entered only when its
+    distance back to the start, through faces above the start, leaves
+    room to close the cycle within k faces; the branches this cuts
+    yield nothing, so the output does not change.
+
+    The first search for k that runs to the end stores its circuits on
+    ``p``; later calls replay them.  An iterator dropped early stores
+    nothing.
     """
     if k < 3:
         raise ValueError("k-circuits need k >= 3")
+    found = vars(p).setdefault("_circuits", {})
+    if k in found:
+        return iter(found[k])
+    return _search(p, k, found)
+
+
+def _search(p: AbstractPolyhedron, k: int, found: dict) -> Iterator[Circuit]:
     adj = p.face_neighbors
-    out: list[Circuit] = []
-
-    def grow(path: list[int], used: set[int]):
-        if len(path) == k:
-            if path[0] in adj[path[-1]] and path[1] < path[-1]:
-                out.append(_build_circuit(p, tuple(path)))
-            return
-        for g in adj[path[-1]]:
-            if g > path[0] and g not in used:
-                used.add(g)
-                path.append(g)
-                grow(path, used)
-                path.pop()
-                used.remove(g)
-
+    out = []
     for start in adj:
-        grow([start], {start})
-    return out
+        near = _distances(adj, start, k - 2)
+        path = [start]
+        branches = [iter(adj[start])]
+        while branches:
+            room = k - len(path)  # steps left back to the start, the closing edge included
+            for g in branches[-1]:
+                if g > start and near[g] <= room and g not in path:
+                    break
+            else:
+                branches.pop()
+                path.pop()
+                continue
+            if room > 1:
+                path.append(g)
+                branches.append(iter(adj[g]))
+            elif path[1] < g:  # g is the k-th face and, at distance 1, closes the cycle
+                c = _build_circuit(p, (*path, g))
+                out.append(c)
+                yield c
+    found[k] = tuple(out)
+
+
+def _distances(adj: dict[int, tuple[int, ...]], start: int, depth: int) -> list[int]:
+    """Breadth-first distance from ``start`` to each face, walking only
+    faces above ``start``; a face farther than ``depth`` gets depth + 1."""
+    far = depth + 1
+    dist = [far] * len(adj)
+    dist[start] = 0
+    layer = [start]
+    for d in range(1, depth + 1):
+        nxt = []
+        for f in layer:
+            for g in adj[f]:
+                if g > start and dist[g] == far:
+                    dist[g] = d
+                    nxt.append(g)
+        layer = nxt
+    return dist
+
+
+def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
+    """``iter_circuits(p, k)`` as a fresh list: the first call for a k
+    enumerates and stores the circuits on ``p``, later ones copy them."""
+    return list(iter_circuits(p, k))
 
 
 def circuits_up_to(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> list[Circuit]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, enumerate_circuits,
+from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, iter_circuits,
                        separating_triangles, vertex_sides)
 # unused here, but the benchmark tracer binds coxvol.haken.circuits_up_to by name
 from .circuits import circuits_up_to  # noqa: F401
@@ -110,12 +110,13 @@ def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerd
     The witness is the first circuit with an incompressible side in the
     order prismatic first, then the rest, each by length and then by
     faces, so that it is the most meaningful curve available.  A first
-    pass enumerates circuits one length at a time, counts every one it
+    pass iterates the circuits one length at a time, counts every one it
     visits, and tests only the prismatic ones, stopping at the first
-    witness; only if it finds none does a second pass enumerate them
-    again for the first non-prismatic witness, counting nothing more.  A
-    Small verdict still tests both disk sides of every circuit up to the
-    cap.
+    witness, inside its length: the rest of that length is never
+    enumerated.  Only if it finds none does a second pass iterate them
+    again, from the circuits the first pass left stored on ``p``, for the
+    first non-prismatic witness, counting nothing more.  A Small verdict
+    still tests both disk sides of every circuit up to the cap.
     """
     tris = separating_triangles(p)
     if tris:
@@ -127,12 +128,12 @@ def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerd
     lengths = range(3, min(cap, len(p.faces)) + 1)
     visited = 0
     for k in lengths:
-        for c in enumerate_circuits(p, k):
+        for c in iter_circuits(p, k):
             visited += 1
             if c.prismatic and incompressible(c):
                 return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
     for k in lengths:
-        for c in enumerate_circuits(p, k):
+        for c in iter_circuits(p, k):
             if not c.prismatic and incompressible(c):
                 return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
     return HakenVerdict(SMALL, None, "none-up-to-cap", cap, visited)

@@ -285,46 +285,50 @@ def _newton(sys_: _System, X0: np.ndarray,
 # Euclidean-flavored seed
 
 
-def _tutte_positions(p: AbstractPolyhedron) -> dict[int, np.ndarray]:
-    """Planar spring embedding with the outer face pinned to a polygon."""
+def _tutte_positions(p: AbstractPolyhedron) -> np.ndarray:
+    """Planar spring embedding with the outer face pinned to a polygon;
+    one row per vertex, in ``p.vertices`` order."""
     outer = p.outer_face if p.outer_face is not None else 0
-    boundary = list(p.faces[outer])
-    verts = list(p.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    index = {v: i for i, v in enumerate(p.vertices)}
+    n = len(index)
+    pinned = [index[v] for v in p.faces[outer]]
+    # both directions of every edge, as (row, column) vertex indices
+    ends = np.fromiter((index[v] for e in p.edges for v in e), int).reshape(-1, 2)
+    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
     A = np.zeros((n, n))
+    A[rows, cols] = -1.0
+    A[np.diag_indices(n)] = np.bincount(rows, minlength=n)
+    # a pinned vertex's row only fixes it in place
+    A[pinned] = 0.0
+    A[pinned, pinned] = 1.0
     b = np.zeros((n, 2))
-    for i, v in enumerate(verts):
-        if v in boundary:
-            k = boundary.index(v)
-            ang = 2 * math.pi * k / len(boundary)
-            A[i, i] = 1.0
-            b[i] = (2.0 * math.cos(ang), 2.0 * math.sin(ang))
-        else:
-            nbrs = [e[0] if e[1] == v else e[1] for e in p.vertex_edges[v]]
-            A[i, i] = len(nbrs)
-            for w in nbrs:
-                A[i, index[w]] -= 1.0
-    pos = np.linalg.solve(A, b)
-    return {v: pos[i] for i, v in enumerate(verts)}
+    for k, i in enumerate(pinned):
+        ang = 2 * math.pi * k / len(pinned)
+        b[i] = (2.0 * math.cos(ang), 2.0 * math.sin(ang))
+    return np.linalg.solve(A, b)
 
 
 def _sphere_normals(p: AbstractPolyhedron) -> np.ndarray:
     """Rough outward unit normals from an inverse-stereographic lift."""
-    pos = _tutte_positions(p)
-    sph = {}
-    for v, (x, y) in pos.items():
-        r2 = x * x + y * y
-        sph[v] = np.array([2 * x, 2 * y, r2 - 1.0]) / (r2 + 1.0)
-    out = np.zeros((len(p.faces), 3))
-    for fid, cyc in enumerate(p.faces):
-        c = np.sum([sph[v] for v in cyc], axis=0)
-        nrm = np.linalg.norm(c)
-        if nrm < 1e-9:
-            c = np.array([0.0, 0.0, 1.0 if fid == (p.outer_face or 0) else -1.0])
-            nrm = 1.0
-        out[fid] = c / nrm
-    return out
+    x, y = _tutte_positions(p).T
+    r2 = x * x + y * y
+    sph = np.stack([2 * x, 2 * y, r2 - 1.0], axis=1) / (r2 + 1.0)[:, None]
+    # each face's vertex rows added in cycle order, one place at a time,
+    # as np.sum adds a stack of rows
+    index = {v: i for i, v in enumerate(p.vertices)}
+    size = max(map(len, p.faces))
+    cycles = np.array([[index[v] for v in f] + [0] * (size - len(f)) for f in p.faces])
+    lengths = np.array([len(f) for f in p.faces])[:, None]
+    c = sph[cycles[:, 0]]
+    for j in range(1, size):
+        np.add(c, sph[cycles[:, j]], out=c, where=lengths > j)
+    nrm = _norms(c)
+    flat = nrm < 1e-9
+    if flat.any():
+        c[flat] = 0.0
+        c[flat, 2] = np.where(np.flatnonzero(flat) == (p.outer_face or 0), 1.0, -1.0)
+        nrm[flat] = 1.0
+    return c / nrm[:, None]
 
 
 def _seed(p: AbstractPolyhedron) -> np.ndarray:
@@ -392,7 +396,8 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
         raise RealizationError("no finite trivalent vertex to anchor the gauge")
     fa, fb, fc = sorted(p.vertex_faces[anchor_v])
     b0 = vertices[anchor_v][0]
-    b3 = E[fa]
+    # normalized first, or b1 below is orthogonal to b3 only up to the residual
+    b3 = E[fa] / math.sqrt(mdot(E[fa], E[fa]))
     w = E[fb] - mdot(E[fb], b3) * b3
     b1 = w / math.sqrt(mdot(w, w))
     # complete the frame: b2 = Minkowski-orthogonal complement of (b0,b1,b3)

@@ -4,9 +4,10 @@ from itertools import permutations
 
 import pytest
 
-from coxvol.circuits import (circuits_up_to, enumerate_circuits,
+from coxvol import circuits
+from coxvol.circuits import (circuits_up_to, enumerate_circuits, iter_circuits,
                              separating_triangles, vertex_sides)
-from coxvol.corpus import CORPUS, load
+from coxvol.corpus import CORPUS, load, loebell
 from coxvol.poly_model import apply_automorphism_to_edges, automorphisms, canonical_cycle
 
 
@@ -97,11 +98,12 @@ def test_k_below_three_rejected(cube_all2):
         enumerate_circuits(cube_all2.base, 2)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("name", [*sorted(CORPUS), "L5"])
 def test_circuits_come_out_canonical_and_sorted(name):
-    p = load(name).base
+    p = loebell(5) if name == "L5" else load(name).base
     nf = len(p.faces)
-    for k in range(3, nf + 1):
+    top = 5 if name == "L5" else nf
+    for k in range(3, top + 1):
         found = [c.faces for c in enumerate_circuits(p, k)]
         assert all(faces == canonical_cycle(faces) for faces in found)
         assert all(a < b for a, b in zip(found, found[1:]))
@@ -109,3 +111,53 @@ def test_circuits_come_out_canonical_and_sorted(name):
         brute = {canonical_cycle(seq) for seq in permutations(range(nf), k)
                  if all((seq[i], seq[(i + 1) % k]) in p.face_adjacency for i in range(k))}
         assert set(found) == brute
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_iterator_and_list_agree(name):
+    # each on a polyhedron of its own, so each runs the search itself
+    nf = len(load(name).base.faces)
+    p, q = load(name).base, load(name).base
+    for k in range(3, nf + 1):
+        assert list(iter_circuits(p, k)) == enumerate_circuits(q, k)
+        # and again, replayed
+        assert list(iter_circuits(q, k)) == enumerate_circuits(p, k)
+
+
+def test_later_calls_replay_the_first_search(monkeypatch):
+    searched = []
+    search = circuits._search
+
+    def counted(p, k, found):
+        searched.append(k)
+        return search(p, k, found)
+
+    monkeypatch.setattr(circuits, "_search", counted)
+    p = loebell(7)
+    first = enumerate_circuits(p, 5)
+    assert enumerate_circuits(p, 5) == list(iter_circuits(p, 5)) == first
+    separating_triangles(p)
+    circuits_up_to(p, 5)
+    assert searched == [5, 3, 4]
+
+
+def test_mutating_a_returned_list_leaves_the_next_call_unchanged(cube_all2):
+    p = cube_all2.base
+    quads = enumerate_circuits(p, 4)
+    expected = list(quads)
+    quads.pop()
+    quads.reverse()
+    assert enumerate_circuits(p, 4) == expected
+    assert list(iter_circuits(p, 4)) == expected
+
+
+@pytest.mark.parametrize("taken", [0, 1, 8, 97])
+def test_an_abandoned_iterator_stores_nothing(taken):
+    p = loebell(7)
+    it = iter_circuits(p, 5)
+    head = [next(it) for _ in range(taken)]
+    it.close()
+    assert 5 not in vars(p).get("_circuits", {})
+    full = enumerate_circuits(p, 5)
+    assert full[:taken] == head
+    assert full == enumerate_circuits(loebell(7), 5) and len(full) == 98

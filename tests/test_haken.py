@@ -4,11 +4,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxvol import haken
-from coxvol.circuits import circuits_up_to, enumerate_circuits
-from coxvol.corpus import load
-from coxvol.haken import (base_form, classify, find_compressions,
+from coxvol import corpus, haken
+from coxvol.circuits import circuits_up_to, enumerate_circuits, iter_circuits
+from coxvol.corpus import CORPUS, load
+from coxvol.haken import (HakenVerdict, base_form, classify, find_compressions,
                           is_compressible, orbifolds_of)
 from coxvol.poly_model import AbstractPolyhedron
 
@@ -128,12 +130,15 @@ def test_lazy_scan_stops_at_the_witness_length(loebell, monkeypatch):
 
     def recording(p, k):
         asked.append(k)
-        return enumerate_circuits(p, k)
+        return iter_circuits(p, k)
 
-    monkeypatch.setattr(haken, "enumerate_circuits", recording)
-    v = classify(loebell(8))
+    monkeypatch.setattr(haken, "iter_circuits", recording)
+    p = loebell(8)
+    v = classify(p)
     assert v.witness.k == 5
     assert asked == [3, 4, 5]
+    # and inside k = 5: that search never ran to the end, so nothing is stored
+    assert sorted(vars(p)["_circuits"]) == [3, 4]
 
 
 @pytest.mark.parametrize("prismatic_from_k", [None, 6])
@@ -148,7 +153,7 @@ def test_non_prismatic_witness_is_only_a_fallback(prismatic_from_k, loebell, mon
                 for c in enumerate_circuits(p, k)]
 
     p = loebell(5)
-    monkeypatch.setattr(haken, "enumerate_circuits", flagged)
+    monkeypatch.setattr(haken, "iter_circuits", flagged)
     v = classify(p, cap=7)
     first = first_witness(p, [c for k in range(3, 8) for c in flagged(p, k)])
     assert v.witness == first
@@ -227,3 +232,31 @@ def test_circuits_around_one_vertex_are_vertex_links(name, loebell):
             for orb in orbifolds_of(p, c):
                 assert base_form(p, orb) == "vertex-link"
     assert seen == len(p.vertices)  # one link per vertex
+
+
+def eager_classify(p, cap):
+    """The verdict from every circuit up to the cap, enumerated in full
+    before any is tested."""
+    tris = [c for c in enumerate_circuits(p, 3) if c.prismatic]
+    if tris:
+        return HakenVerdict("Small", tris[0], "separating-triangle", cap, 0)
+    scanned = circuits_up_to(p, cap)
+    w = first_witness(p, scanned)
+    if w is None:
+        return HakenVerdict("Small", None, "none-up-to-cap", cap, len(scanned))
+    visited = scanned.index(w) + 1 if w.prismatic else len(scanned)
+    return HakenVerdict("Large", w, "incompressible-orbifold", cap, visited)
+
+
+def shape(name, seed):
+    """A fresh copy of a corpus polyhedron or of L(n), relabeled unless seed is 0."""
+    p = load(name).base if name in CORPUS else corpus.loebell(int(name[1:]))
+    return relabeled(p, seed) if seed else p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from([*CORPUS, *(f"L{n}" for n in range(5, 13))]),
+       seed=st.integers(0, 3), cap=st.integers(3, 7))
+def test_lazy_classify_matches_the_eager_scan(name, seed, cap):
+    # each on a fresh polyhedron, so the lazy scan finds no stored circuits
+    assert classify(shape(name, seed), cap) == eager_classify(shape(name, seed), cap)

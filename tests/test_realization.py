@@ -1,5 +1,6 @@
 """Face-plane solver in the hyperboloid model."""
 
+import itertools
 import math
 from pathlib import Path
 from unittest import mock
@@ -474,3 +475,50 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     assert walker.solves == 3
     assert np.array_equal(walker.solutions_at([0.3])[0], X[1])
     assert walker.solves == 3
+
+
+def sphere_normals_by_loops(p):
+    """Oracle: the sphere-lift seed directions built one vertex and one
+    face at a time."""
+    outer = p.outer_face if p.outer_face is not None else 0
+    boundary = list(p.faces[outer])
+    verts = list(p.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    A = np.zeros((n, n))
+    b = np.zeros((n, 2))
+    for i, v in enumerate(verts):
+        if v in boundary:
+            ang = 2 * math.pi * boundary.index(v) / len(boundary)
+            A[i, i] = 1.0
+            b[i] = (2.0 * math.cos(ang), 2.0 * math.sin(ang))
+        else:
+            nbrs = [e[0] if e[1] == v else e[1] for e in p.vertex_edges[v]]
+            A[i, i] = len(nbrs)
+            for w in nbrs:
+                A[i, index[w]] -= 1.0
+    pos = np.linalg.solve(A, b)
+    sph = {}
+    for v, (x, y) in zip(verts, pos):
+        r2 = x * x + y * y
+        sph[v] = np.array([2 * x, 2 * y, r2 - 1.0]) / (r2 + 1.0)
+    out = np.zeros((len(p.faces), 3))
+    for fid, cyc in enumerate(p.faces):
+        c = np.sum([sph[v] for v in cyc], axis=0)
+        out[fid] = c / np.linalg.norm(c)
+    return out
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "L5", "L8", "L12"])
+def test_seed_matches_loop_oracle(name, loebell):
+    # bit for bit, so the cold solves, and realize, do not move
+    p = load(name).base if name in CORPUS else relabeled_loebell(loebell, int(name[1:])).base
+    assert np.array_equal(realization._sphere_normals(p), sphere_normals_by_loops(p))
+
+
+def test_realized_normals_meet_their_targets(loebell):
+    # the gauge frame is orthonormal, so moving the solution into it keeps
+    # the solver's residual: Newton stops at 1e-11
+    lambert = [lambert_with(lmn) for lmn in itertools.product(range(3, 9), repeat=3)]
+    right = [right_angled(loebell(n)) for n in range(5, 13)]
+    assert max(gram_residual(realize(lp)) for lp in lambert + right) <= 2e-11
