@@ -22,10 +22,10 @@ neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
 the x0=0 slice.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
-a path at its midpoint and reaches other points by warm-started solves,
-one row each: a single point is a one-row stack, a batch of points one
-stacked solve.  Nothing is retried: a failed solve raises
-NonConvergence.
+a path at its midpoint and reaches other points by one stacked solve
+per request, each row warm-started by one rule, from the nearest
+solution cached before the request: a single point is a one-row stack.
+Nothing is retried: a failed solve raises NonConvergence.
 
 The residual and Jacobian are gathers over edge-to-face and
 apex-to-face index arrays, built once per polyhedron and kept on it.
@@ -474,14 +474,14 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
 class PathRealizer:
     """Continuation cache along a deformation path, on the path's polyhedron.
 
-    One cold solve at ANCHOR_T anchors the path.  ``solution_at(t)`` is
-    one solve warm-started from the nearest cached solution, the lower
-    on a tie.  ``solutions_at(ts)`` solves every uncached t in one
-    stacked Gauss-Newton call, each warm-started by the same rule from
-    the solutions cached before the call.  Solutions are cached only
-    when they converge, and requests issued in a fixed order produce
-    bit-identical results.  ``solves`` and ``newton_iters`` count the
-    rows solved and their Gauss-Newton iterations.
+    One cold solve at ANCHOR_T anchors the path.  ``solutions_at(ts)``
+    solves every uncached t in one stacked Gauss-Newton call, each row
+    warm-started from the nearest solution cached before the call, the
+    lower t on a tie; ``solution_at(t)`` is its one-row case.  Solutions
+    are cached only when they converge, and requests issued in a fixed
+    order produce bit-identical results.  ``solves`` and
+    ``newton_iters`` count the rows solved and their Gauss-Newton
+    iterations.
     """
 
     ANCHOR_T = 0.5
@@ -495,13 +495,8 @@ class PathRealizer:
         self.newton_iters = iters
 
     def solution_at(self, t: float) -> np.ndarray:
-        if t not in self.cache:
-            X, _, iters = self.cache[min(self.cache, key=lambda s: (abs(t - s), s))]
-            X, rmax, k = solve_at(self.path.polyhedron, self.path.angles_at(t), warm_start=X)
-            self.cache[t] = (X, rmax, iters + k)
-            self.solves += 1
-            self.newton_iters += k
-        return self.cache[t][0]
+        """The solution at ``t``: a one-row ``solutions_at``."""
+        return self.solutions_at([t])[0]
 
     def solutions_at(self, ts) -> np.ndarray:
         """The solutions at ``ts``, one row each.  When a row of the stack
@@ -510,6 +505,7 @@ class PathRealizer:
         todo = sorted(set(map(float, ts)) - self.cache.keys())
         if todo:
             known = np.array(sorted(self.cache))
+            # argmin takes the first, lower, t of a tie
             nearest = known[np.abs(np.array(todo)[:, None] - known).argmin(axis=1)]
             starts = [self.cache[s] for s in nearest]
             angles, _ = self.path.angle_rows(todo)
@@ -543,9 +539,11 @@ def edge_length(r: Realization, e: Edge) -> float:
     vb, kb = r.vertices[e[1]]
     if ka != andreev.COMPACT or kb != andreev.COMPACT:
         raise IdealEndpoint(f"edge {e} has an ideal endpoint; length is infinite")
-    return hyperbolic_distance(va, vb)
+    return float(hyperbolic_distance(va, vb))
 
 
-def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Distance between two points of the hyperboloid <x,x> = -1."""
-    return math.acosh(max(-mdot(x, y), 1.0))
+def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Distance between points of the hyperboloid <x,x> = -1, one per row
+    of two stacks (..., 4); the Minkowski product is summed in np.dot's
+    order."""
+    return np.arccosh(np.maximum(-((x * METRIC)[..., None, :] @ y[..., :, None])[..., 0, 0], 1.0))

@@ -3,10 +3,12 @@
 For a one-parameter family of 3-dimensional polyhedra,
 -2 dV/dt = sum_e len_e(t) * dtheta_e/dt, so the volume of a target
 polyhedron is recovered by integrating along an angle path from a
-degenerate (zero volume) configuration.  The default path interpolates
-linearly from the collapse configuration obtained by shrinking every
-angle's deviation from pi/2 until an admissibility constraint becomes
-an equality.
+degenerate (zero volume) configuration.  A path is piecewise linear
+through waypoints at strictly increasing times, and ``angle_rows`` is
+its one interpolation: the angles at one t are its one-row case.  The
+default path interpolates linearly from the collapse configuration
+obtained by shrinking every angle's deviation from pi/2 until an
+admissibility constraint becomes an equality.
 
 Near the collapse end the integrand grows like sqrt(t); integrating
 each path segment [a, b] in u, with t = a + (b - a) u^2, makes it smooth
@@ -19,13 +21,15 @@ rule's nodes are evaluated together: one stacked Gauss-Newton solve
 realizes every node, warm-started from the solutions cached before the
 rule, and one batched pass computes only the endpoints of the varying
 edges, with the kinds they have at the target; a path that varies an
-edge at an ideal vertex raises IdealEdge.
+edge at an ideal vertex raises IdealEdge.  The collapse check at the
+start of the path is the one-row case of the same pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +37,9 @@ import numpy as np
 
 from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
-from .realization import (METRIC, DegenerateVertex, NonConvergence, PathRealizer,
-                          RealizationError, RESIDUAL_TOL, _compute_vertices,
-                          _expected_vertex_kinds, edge_length, realize)
+from .realization import (DegenerateVertex, NonConvergence, PathRealizer, RealizationError,
+                          RESIDUAL_TOL, _compute_vertices, _expected_vertex_kinds,
+                          edge_length, hyperbolic_distance, realize)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -76,6 +80,10 @@ class DeformationPath:
             raise ValueError("need as many times as waypoints, at least two")
         if self.times[0] != 0.0 or self.times[-1] != 1.0:
             raise ValueError("path must run over t in [0, 1]")
+        if any(a >= b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("path times must be strictly increasing")
+        if any(tuple(e for e, _ in wp) != self.polyhedron.edges for wp in self.waypoints):
+            raise ValueError("every waypoint must list exactly the polyhedron's edges, in order")
 
     @staticmethod
     def from_configs(p: AbstractPolyhedron, configs, times=None) -> "DeformationPath":
@@ -84,30 +92,21 @@ class DeformationPath:
         wps = tuple(tuple(sorted(cfg.items())) for cfg in configs)
         return DeformationPath(p, tuple(times), wps)
 
-    def _segment(self, t: float) -> int:
-        for i in range(len(self.times) - 1):
-            if t < self.times[i + 1]:
-                return i
-        return len(self.times) - 2
-
     def angles_at(self, t: float) -> dict[Edge, float]:
-        i = self._segment(t)
-        t0, t1 = self.times[i], self.times[i + 1]
-        lam = (t - t0) / (t1 - t0)
-        a = dict(self.waypoints[i])
-        b = dict(self.waypoints[i + 1])
-        return {e: (1 - lam) * a[e] + lam * b[e] for e in a}
+        """The angles at ``t``: the one-row case of ``angle_rows``."""
+        return dict(zip(self.polyhedron.edges, self.angle_rows([t])[0][0].tolist()))
 
     @functools.cached_property
     def _table(self) -> np.ndarray:
         """The waypoint angles, one row per waypoint, columns in
         ``polyhedron.edges`` order."""
-        return np.array([[dict(wp)[e] for e in self.polyhedron.edges] for wp in self.waypoints])
+        return np.array([[a[e] for e in self.polyhedron.edges] for a in map(dict, self.waypoints)])
 
     def angle_rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The angles and their t-derivatives at each of ``ts``: two
-        (len(ts), E) arrays, columns in ``polyhedron.edges`` order, each
-        entry computed as ``angles_at`` computes it."""
+        (len(ts), E) arrays, columns in ``polyhedron.edges`` order.  On
+        the segment [t0, t1] between waypoints a and b an angle is
+        (1 - lam) a + lam b with lam = (t - t0) / (t1 - t0)."""
         ts = np.asarray(ts, dtype=float)
         times = np.array(self.times)
         i = np.searchsorted(times[1:-1], ts, side="right")
@@ -116,15 +115,11 @@ class DeformationPath:
         lam = (ts[:, None] - t0) / (t1 - t0)
         return (1 - lam) * a + lam * b, (b - a) / (t1 - t0)
 
-    @property
+    @functools.cached_property
     def varying_edges(self) -> tuple[Edge, ...]:
-        first = dict(self.waypoints[0])
-        varying = set()
-        for wp in self.waypoints[1:]:
-            for e, v in wp:
-                if abs(v - first[e]) > 1e-15:
-                    varying.add(e)
-        return tuple(sorted(varying))
+        """The edges whose angle leaves its start value at some waypoint."""
+        moved = (np.abs(self._table[1:] - self._table[0]) > 1e-15).any(axis=0)
+        return tuple(itertools.compress(self.polyhedron.edges, moved))
 
     @property
     def target_angles(self) -> dict[Edge, float]:
@@ -270,18 +265,7 @@ class _Integrand:
             raise PathRealizationFailure(exc.t, exc)
         except DegenerateVertex as exc:
             raise PathRealizationFailure(float(ts[exc.row]), exc)
-        Wt, Wh = W[:, self.tails], W[:, self.heads]
-        # hyperbolic_distance, row by row
-        return np.arccosh(np.maximum(-((Wt * METRIC)[..., None, :] @ Wh[..., :, None])[..., 0, 0], 1.0))
-
-    def collapse_length(self) -> float:
-        """The longest varying edge at COLLAPSE_CHECK_T, reached by one
-        one-row solve from the anchor."""
-        try:
-            self.walker.solution_at(COLLAPSE_CHECK_T)
-        except RealizationError as exc:
-            raise PathRealizationFailure(COLLAPSE_CHECK_T, exc)
-        return float(self.lengths_at([COLLAPSE_CHECK_T]).max())
+        return hyperbolic_distance(W[:, self.tails], W[:, self.heads])
 
     def __call__(self, ts) -> np.ndarray:
         self.calls += len(ts)
@@ -312,7 +296,7 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
     f = _Integrand(path)
-    worst = f.collapse_length()
+    worst = f.lengths_at([COLLAPSE_CHECK_T]).max()
     if worst > COLLAPSE_LENGTH_THRESHOLD:
         raise NonCollapsingStart(
             f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "

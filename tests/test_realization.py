@@ -68,22 +68,24 @@ def test_path_realizer_is_deterministic(lambert_cube):
 
 
 def test_warm_start_is_the_nearest_cached_solution(lambert_cube, monkeypatch):
-    # the lower cached t wins an exact tie
-    warm = []
-    solve_at = realization.solve_at
+    # the lower cached t wins an exact tie; every solve passes through
+    # _newton, whose stack holds copies of the starts
+    starts = []
+    newton = realization._newton
 
-    def recorded(p, angles, warm_start=None):
-        warm.append(warm_start)
-        return solve_at(p, angles, warm_start)
+    def recorded(sys_, X0, targets):
+        starts.append(X0)
+        return newton(sys_, X0, targets)
 
-    monkeypatch.setattr(realization, "solve_at", recorded)
+    monkeypatch.setattr(realization, "_newton", recorded)
     path = default_path(lambert_cube.base, lambert_cube.angles())
     for t, source in ((0.25, 0.125), (0.3, 0.375)):
         walker = PathRealizer(path)
         for s in (0.125, 0.375, t):
             walker.solution_at(s)
-        assert warm[-1] is walker.cache[source][0]
-    assert warm[0] is None and len(warm) == 8
+        assert np.array_equal(starts[-1], walker.cache[source][0][None])
+    assert np.array_equal(starts[0], realization._seed(lambert_cube.base)[None])
+    assert len(starts) == 8
 
 
 @pytest.mark.parametrize("name,max_label", [
@@ -475,6 +477,14 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     assert walker.solves == 3
     assert np.array_equal(walker.solutions_at([0.3])[0], X[1])
     assert walker.solves == 3
+    # solution_at is the one-row case: on a fresh walker holding 0.125 and
+    # 0.375, each t starts from the nearest of those, the lower on a tie
+    for t, source in ((0.25, 0.125), (0.3, 0.375), (0.45, 0.5), (1.0, 0.5)):
+        walker = PathRealizer(path)
+        walker.solutions_at([0.125, 0.375])
+        ref, _, _ = solve_at(lambert_cube.base, path.angles_at(t),
+                             warm_start=walker.cache[source][0])
+        assert np.array_equal(walker.solution_at(t), ref)
 
 
 def sphere_normals_by_loops(p):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coxvol.corpus import load
@@ -135,13 +137,13 @@ def test_ideal_edge_refused_before_any_solve(pyramid, monkeypatch):
     from coxvol import realization
 
     calls = []
-    solve_at = realization.solve_at
+    newton = realization._newton
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return solve_at(*args, **kwargs)
+        return newton(*args)
 
-    monkeypatch.setattr(realization, "solve_at", counted)
+    monkeypatch.setattr(realization, "_newton", counted)
     labels = dict(pyramid.labels)
     labels[(0, 3)] = 6  # pyramid row (2,2,3,6)
     with pytest.raises(IdealEdge):
@@ -189,15 +191,16 @@ def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
     from coxvol.realization import NonConvergence
 
     calls = []
-    solve_at = realization.solve_at
+    newton = realization._newton
+    seed = realization._seed(lambert_cube.base)[None]
 
-    def warm_fails(p, angles, warm_start=None):
-        calls.append(warm_start is not None)
-        if warm_start is not None:
+    def warm_fails(sys_, X0, targets):
+        calls.append(not np.array_equal(X0, seed))
+        if calls[-1]:
             raise NonConvergence("Newton iteration limit reached", 3e-3)
-        return solve_at(p, angles)
+        return newton(sys_, X0, targets)
 
-    monkeypatch.setattr(realization, "solve_at", warm_fails)
+    monkeypatch.setattr(realization, "_newton", warm_fails)
     with pytest.raises(PathRealizationFailure) as info:
         schlafli_volume(lambert_cube)
     assert info.value.t == COLLAPSE_CHECK_T
@@ -342,11 +345,74 @@ def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
         schlafli_volume(cube_all2)
 
 
-@pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5, 1.0), (0.1, 1.0), (0.0, 2.0)])
-def test_deformation_path_rejects_bad_times(lambert_cube, times):
-    waypoints = (tuple(sorted(lambert_cube.angles().items())),) * 2
-    with pytest.raises(ValueError):
+LAMBERT_WAYPOINT = tuple(sorted(load("lambert_cube").angles().items()))
+
+
+@pytest.mark.parametrize("times,waypoints,message", [
+    ((0.0,), (LAMBERT_WAYPOINT,) * 2, "as many times as waypoints"),
+    ((0.0, 0.5, 1.0), (LAMBERT_WAYPOINT,) * 2, "as many times as waypoints"),
+    ((0.1, 1.0), (LAMBERT_WAYPOINT,) * 2, "over t in"),
+    ((0.0, 2.0), (LAMBERT_WAYPOINT,) * 2, "over t in"),
+    # a backwards time folds the path over itself, and a repeated one
+    # makes a zero-length segment
+    ((0.0, 0.7, 0.3, 1.0), (LAMBERT_WAYPOINT,) * 4, "strictly increasing"),
+    ((0.0, 0.5, 0.5, 1.0), (LAMBERT_WAYPOINT,) * 4, "strictly increasing"),
+    ((0.0, 1.0), (LAMBERT_WAYPOINT, LAMBERT_WAYPOINT[1:]), "exactly the polyhedron's edges"),
+    ((0.0, 1.0), (LAMBERT_WAYPOINT, LAMBERT_WAYPOINT + (((8, 9), 1.0),)),
+     "exactly the polyhedron's edges"),
+], ids=["one-time", "count-mismatch", "late-start", "late-end",
+        "backwards", "repeated", "missing-edge", "extra-edge"])
+def test_deformation_path_rejects_bad_times(lambert_cube, times, waypoints, message):
+    with pytest.raises(ValueError, match=message):
         DeformationPath(lambert_cube.base, times, waypoints)
+
+
+def angles_by_segment(path, t):
+    """Oracle: the angles at t from the waypoints around t, one edge at a
+    time, as DeformationPath computed them before it had angle rows."""
+    i = next((i for i in range(len(path.times) - 1) if t < path.times[i + 1]),
+             len(path.times) - 2)
+    t0, t1 = path.times[i], path.times[i + 1]
+    lam = (t - t0) / (t1 - t0)
+    a, b = dict(path.waypoints[i]), dict(path.waypoints[i + 1])
+    return {e: (1 - lam) * a[e] + lam * b[e] for e in a}
+
+
+def varying_by_loop(path):
+    """Oracle: the varying edges by a loop over the waypoints."""
+    first = dict(path.waypoints[0])
+    varying = set()
+    for wp in path.waypoints[1:]:
+        for e, v in wp:
+            if abs(v - first[e]) > 1e-15:
+                varying.add(e)
+    return tuple(sorted(varying))
+
+
+@st.composite
+def paths_and_times(draw):
+    p = draw(st.sampled_from([load("lambert_cube").base, load("pyramid").base]))
+    n = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 2, max_size=n - 2, unique=True))
+    times = (0.0, *sorted(inner), 1.0)
+    # an edge is held, nudged below or above the 1e-15 threshold, or moved
+    moves = st.sampled_from([0.0, 5e-16, 2e-15]) | st.floats(-0.5, 0.5)
+    start = {e: draw(st.floats(0.3, 1.6)) for e in p.edges}
+    held = draw(st.lists(st.booleans(), min_size=len(p.edges), max_size=len(p.edges)))
+    configs = [start] + [{e: start[e] + (0.0 if h else draw(moves))
+                          for e, h in zip(p.edges, held)} for _ in range(n - 1)]
+    path = DeformationPath.from_configs(p, configs, times)
+    ts = draw(st.lists(st.sampled_from(times) | st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return path, ts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=paths_and_times())
+def test_angle_rows_match_the_per_edge_oracles(case):
+    path, ts = case
+    for t in ts:
+        assert path.angles_at(t) == angles_by_segment(path, t)
+    assert path.varying_edges == varying_by_loop(path)
 
 
 def test_schlafli_volume_needs_a_target_or_a_path():
