@@ -18,7 +18,7 @@ from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
 from .realization import LabelingRejected, RealizationError, realize
-from .volume import VolumeError, orb_convention, schlafli_volume
+from .volume import DEFAULT_TOL, VolumeError, orb_convention, schlafli_volume
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("volume", _cmd_volume, help="integrate the volume along a collapse path")
     p.add_argument("file")
     p.add_argument("--doubled", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("census", _cmd_census, help="orbit census of admissible labelings")
     p.add_argument("file")

@@ -202,15 +202,6 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
-def _singular(sys_: _System, x: np.ndarray, r: np.ndarray) -> bool:
-    """Whether the Newton matrix of the one row x is singular."""
-    try:
-        sys_.step(x, r)
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
 def _newton(sys_: _System, X0: np.ndarray,
             targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton on a stack of rows, X0 (R, 4F) with targets
@@ -218,7 +209,9 @@ def _newton(sys_: _System, X0: np.ndarray,
 
     Each iteration makes one batched solve over the live rows; each row
     takes its own line search and leaves the work set when it converges
-    or fails.  The pass after MAX_NEWTON_ITERS steps is the last.  Once
+    or fails.  When the batched solve is singular, the live rows are
+    solved one by one: a singular row fails alone, the others keep their
+    step.  The pass after MAX_NEWTON_ITERS steps is the last.  Once
     every row has finished, a failure raises NonConvergence for the
     first failing row, with its index and its own best residual.
     """
@@ -245,12 +238,16 @@ def _newton(sys_: _System, X0: np.ndarray,
         try:
             step = sys_.step(X[rows], r[rows])
         except np.linalg.LinAlgError:
-            singular = np.array([_singular(sys_, X[i], r[i]) for i in live])
-            failed.update((i, ("singular Newton matrix", best[i])) for i in live[singular])
-            live = rows = live[~singular]
+            kept = {}  # one-row solves: a singular row fails alone
+            for i in live:
+                try:
+                    kept[i] = sys_.step(X[[i]], r[[i]])[0]
+                except np.linalg.LinAlgError:
+                    failed[i] = ("singular Newton matrix", best[i])
+            live = rows = np.array(list(kept), dtype=int)
             if not live.size:
                 break
-            step = sys_.step(X[rows], r[rows])
+            step = np.array(list(kept.values()))
         if live.size < n:  # the line search indexes steps by row
             full = np.zeros_like(X)
             full[rows] = step

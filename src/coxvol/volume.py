@@ -135,9 +135,10 @@ def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float
     pi/2 by s makes some decisive circuit or face row of the
     admissibility table an equality.
 
-    Vertex rows are skipped: for an admissible target they bind at
-    s = 1 at the earliest, and an ideal vertex's row would bind there
-    exactly, which rounding can put just below 1.
+    A target on such a row's bound or past it raises VolumeError before
+    any solve.  Vertex rows are skipped: for an admissible target they
+    bind at s = 1 at the earliest, and an ideal vertex's row would bind
+    there exactly, which rounding can put just below 1.
     """
     dev = {e: target[e] - math.pi / 2 for e in target}
     s0 = 0.0
@@ -147,14 +148,11 @@ def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float
         base = len(row.edges) * math.pi / 2
         bound = row.bound * math.pi
         slope = sum(dev[e] for e in row.edges)
-        if abs(slope) < 1e-14:
-            if abs(base - bound) < 1e-12:
-                raise VolumeError(
-                    "target sits on an admissibility boundary with no way to move off it")
-            continue
-        s_eq = (bound - base) / slope
-        if 0.0 <= s_eq < 1.0:
-            s0 = max(s0, s_eq)
+        if base + slope >= bound - 1e-12:
+            raise VolumeError(f"target sits on an admissibility boundary or past it: "
+                              f"condition {row.condition} row {row.witness}")
+        if base >= bound:  # fails at the start, so slope < 0
+            s0 = max(s0, (bound - base) / slope)
     return s0
 
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import importlib.resources
+import math
 
 import pytest
 
 from coxvol.cli import main
+from coxvol.lobachevsky import lob
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,10 @@ def test_circuits_output(capsys, data_dir):
     assert len(circuit_lines) == 15
     assert sum("prismatic=True" in ln for ln in circuit_lines) == 3
     assert "count=15 prismatic=3" in result_line(out)
+    # without --k, every circuit up to the cap: the 8 triangles and the 15 4-circuits
+    code, out = run(capsys, "circuits", str(data_dir / "cube_all2.apoly"), "--cap", "4")
+    assert code == 0
+    assert result_line(out) == "RESULT circuits ok count=23 prismatic=3"
 
 
 def test_classify_exit_codes(capsys, data_dir):
@@ -223,12 +229,22 @@ def test_pyramid_table(capsys):
                     "--regime", "ideal")
     assert code == 0
     assert "matched=17 rows=17" in result_line(out)
+    code, out = run(capsys, "pyramid-table", "--max-label", "3")
+    assert code == 0
+    assert "no extra admissible rows" in out
+    assert " extra=0 " in result_line(out)
 
 
 def test_lob_and_idealtet(capsys):
     code, out = run(capsys, "lob", "pi/6")
     assert code == 0
     assert out.splitlines()[0] == "0.507470803204827"
+    # the "n*pi/d" and plain-float forms of an angle
+    for text, theta in (("2*pi/7", 2 * math.pi / 7), ("0.5", 0.5)):
+        code, out = run(capsys, "lob", text)
+        assert code == 0
+        assert out.splitlines()[0] == f"{lob(theta):.15g}"
+        assert result_line(out) == f"RESULT lob ok theta={theta:.15g} value={lob(theta):.15g}"
     code, out = run(capsys, "idealtet", "pi/3", "pi/3", "pi/3")
     assert code == 0
     assert out.splitlines()[0] == "1.01494160640965"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvol import corpus, realization
-from coxvol.andreev import ALLOW_IDEAL, COMPACT, INADMISSIBLE, check
+from coxvol.andreev import ALLOW_IDEAL, COMPACT, INADMISSIBLE, check, default_regime
 from coxvol.census import enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
@@ -127,6 +127,30 @@ def test_pyramid_realization_with_ideal_apex(pyramid):
     assert mdot(vec, vec) == pytest.approx(0.0, abs=1e-8)
     for v in range(4):
         assert r.vertices[v][1] == "compact"
+
+
+PYRAMID = load("pyramid")
+PYRAMID_BASE = ((0, 1), (1, 2), (2, 3), (0, 3))  # the base square's edges in cyclic order
+CUBE = load("cube_all2").base
+
+
+def pyramid_row(row):
+    """The bundled pyramid with base labels ``row`` in cyclic order, apex edges at 2."""
+    labels = dict(PYRAMID.labels)
+    labels.update(zip(PYRAMID_BASE, row))
+    return LabeledPolyhedron(base=PYRAMID.base, labels=labels)
+
+
+@pytest.mark.parametrize("lp,regime", [
+    (pyramid_row((3, 6, 3, 6)), None), (pyramid_row((4, 4, 4, 4)), None),
+    (LabeledPolyhedron(base=CUBE, labels=dict.fromkeys(CUBE.edges, 3)), ALLOW_IDEAL),
+], ids=["pyramid-3636", "pyramid-4444", "cube-all3"])
+def test_every_vertex_ideal_leaves_no_gauge_anchor(lp, regime):
+    # admissible, but every vertex is ideal or 4-valent: the gauge is
+    # fixed at a finite trivalent vertex, and there is none
+    assert check(lp, regime or default_regime(lp.base)).realizable
+    with pytest.raises(RealizationError, match="no finite trivalent vertex to anchor the gauge"):
+        realize(lp, regime)
 
 
 def test_rejected_labeling_cannot_be_realized(cube_all2):

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coxvol.corpus import load
+from coxvol.andreev import check, default_regime
+from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import LabeledPolyhedron
+from coxvol.realization import RealizationError
 from coxvol.volume import (COLLAPSE_CHECK_T, DeformationPath, IdealEdge, NonCollapsingStart,
                            PathRealizationFailure, _Integrand, collapse_fraction,
                            default_path,
@@ -133,7 +135,9 @@ def test_ideal_trivalent_vertex_rejected(pyramid, cube_all2):
             schlafli_volume(lp)
 
 
-def test_ideal_edge_refused_before_any_solve(pyramid, monkeypatch):
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The arguments of every ``realization._newton`` call made in the test."""
     from coxvol import realization
 
     calls = []
@@ -144,11 +148,45 @@ def test_ideal_edge_refused_before_any_solve(pyramid, monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(realization, "_newton", counted)
+    return calls
+
+
+def test_ideal_edge_refused_before_any_solve(pyramid, newton_calls):
     labels = dict(pyramid.labels)
     labels[(0, 3)] = 6  # pyramid row (2,2,3,6)
     with pytest.raises(IdealEdge):
         schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
-    assert calls == []
+    assert newton_calls == []
+
+
+@pytest.mark.parametrize("labels", [
+    # the separating triangle's row sums to exactly pi
+    "2,4,3,2,3,3,2,4,3", "6,6,3,4,2,6,2,6,2",
+    # the same row sums to 3*pi/2
+    "2,2,2,4,2,2,2,5,3",
+])
+def test_target_past_a_circuit_refused_before_any_solve(triangular_prism, newton_calls, labels):
+    p = triangular_prism.base
+    lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, map(int, labels.split(",")))))
+    assert not check(lp).realizable
+    with pytest.raises(VolumeError, match="condition 3"):
+        schlafli_volume(lp)
+    assert newton_calls == []
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_rejected_labelings_get_no_volume(name):
+    # random labelings with labels 2..6; every one the admissibility
+    # check rejects must end in a typed error, never in a volume
+    p = load(name).base
+    rng = np.random.default_rng(len(name))
+    draws = [LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels.tolist())))
+             for labels in rng.integers(2, 7, (40, len(p.edges)))]
+    rejected = [lp for lp in draws if not check(lp, default_regime(p)).realizable]
+    assert rejected
+    for lp in rejected:
+        with pytest.raises((VolumeError, RealizationError)):
+            schlafli_volume(lp)
 
 
 def test_one_system_per_polyhedron(monkeypatch):
