@@ -7,17 +7,19 @@ against the published row list.  All three decide admissibility in
 one place, ``_screen``, which sums the rows of ``andreev.constraints``
 over integer angle units (a common denominator of all 1/n), so every
 comparison stays exact; none calls ``andreev.check``.
-The orbit census grows labelings edge by edge: the edges are placed
-vertex by vertex, in ``p.vertices`` order, and each decisive row is
-tested on the whole frontier of partial labelings as soon as its last
-edge is placed, so a prefix that already fails a row is never
-extended.  The survivors are returned to ``p.edges`` order and read as
-mixed-radix ids, the first edge most significant; ids order labelings
-lexicographically, so an orbit's smallest member has the smallest id,
-one vectorized minimum over the group, and the sorted ids list the
-orbits in order.  A vertex of an orbit row is ideal when its row fails
-the strict screen.  The pyramid table screens the base rows of the
-bundled pyramid once, over every base sequence, apex edges at 2.
+The orbit census grows labelings edge by edge, in ``p.edges`` order:
+each decisive row is tested on the whole frontier of partial labelings
+as soon as its last edge is placed, so a prefix that already fails a
+row is never extended.  The growth is orderly (Read 1978; McKay
+1998): after each placement a prefix that some automorphism maps to a
+lexicographically smaller prefix is dropped too, since neither it nor
+any extension is its orbit's smallest member.  Labelings are compared
+by their mixed-radix ids, the first edge most significant, and the test
+is one float64 matrix product per step over differences of ids.  What
+is left once every edge is placed is the smallest member of each orbit,
+once, in ascending order.  A vertex of an orbit row is ideal when its
+row fails the strict screen.  The pyramid table screens the base rows
+of the bundled pyramid once, over every base sequence, apex edges at 2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .realization import RealizationError
 
 # the largest label space (max_label - 1)^E a census may explore, checked
 # before any work; the growth allocates only its surviving prefixes.  Every
-# orbit id is below it, and so below 2^53: float64 holds the ids exactly
+# id is below it, and so below 2^53: float64 holds the differences of
+# prefix ids that the orbit test sums exactly
 CANDIDATE_BUDGET = 4_000_000
 
 
@@ -107,32 +110,65 @@ def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
     return ok & (len(p.faces) >= _andreev.MIN_FACES)
 
 
-def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarray:
-    """Every admissible labeling as an (N, E) int8 array of digits
-    (label - 2) in ``p.edges`` column order, grown one edge at a time.
+def _prefix_tests(p: AbstractPolyhedron, nchoices: int) -> list[np.ndarray]:
+    """For each prefix length k = 1..E, a (k, ·) float64 matrix D with one
+    column per automorphism g that can move a k-edge prefix x: x @ D is
+    negative in g's column exactly when x^g[:j] < x[:j], where
+    x^g[i] = x[perm[i]] and j is the longest run of leading positions i
+    with perm[i] < k.  Each column holds mixed-radix weights (first edge
+    most significant), so x @ D is a difference of ids, exact in float64
+    below CANDIDATE_BUDGET."""
+    perms = np.array(_edge_perms(p))
+    G, E = perms.shape
+    weights = float(nchoices) ** np.arange(E - 1, -1, -1)
+    # (k - 1, g, i) with i inside g's leading run of the first k edges
+    k, g, i = np.nonzero(np.cumprod(perms < np.arange(1, E + 1)[:, None, None], axis=2))
+    D = np.zeros((E, E, G))
+    D[k, perms[g, i], g] = weights[i]
+    D[k, i, g] -= weights[i]
+    return [Dn[:n, Dn.any(axis=0)] for n, Dn in enumerate(D, 1)]
 
-    Edges are placed vertex by vertex; after each placement the frontier
-    keeps only the prefixes that pass the rows whose last edge was just
-    placed, so memory follows the surviving prefixes, never the
+
+# float64 entries of x @ D formed at once when the orbit test runs in blocks
+_PRODUCT_BLOCK = 2**16
+
+
+def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarray:
+    """The smallest member of every automorphism orbit of admissible
+    labelings, as an (N, E) int8 array of digits (label - 2) in
+    ``p.edges`` order, ascending, grown one edge at a time.
+
+    After each placement the frontier keeps only the prefixes that pass
+    the rows whose last edge was just placed, and then only those that no
+    automorphism maps to a lexicographically smaller prefix
+    (``_prefix_tests``): neither such a prefix nor any extension of it
+    is its orbit's minimum.  Admissibility is invariant under the group,
+    so an orbit minimum is never dropped; once every edge is placed the
+    test is the full one, and what is left is the orbit minima, once
+    each.  The frontier grows in lexicographic order, so they come out
+    sorted.  Memory follows the surviving prefixes, never the
     (max_label - 1)^E product.
     """
-    order: list[Edge] = []
-    for v in p.vertices:
-        order += [e for e in p.vertex_edges[v] if e not in order]
-    col = {e: i for i, e in enumerate(order)}
-    due: list[list[_andreev.Constraint]] = [[] for _ in order]
+    col = {e: i for i, e in enumerate(p.edges)}
+    due: list[list[_andreev.Constraint]] = [[] for _ in p.edges]
     for row in _andreev.constraints(p):
         due[max(col[e] for e in row.edges)].append(row)
+    tests = _prefix_tests(p, max_label - 1)
     choices = np.arange(max_label - 1, dtype=np.int8)
     # one empty prefix to grow from, none below MIN_FACES faces
     digits = np.zeros((int(len(p.faces) >= _andreev.MIN_FACES), 0), dtype=np.int8)
-    for step, rows in enumerate(due):
+    for step, (rows, D) in enumerate(zip(due, tests)):
         grown = np.empty((len(digits), len(choices), step + 1), dtype=np.int8)
         grown[:, :, :step] = digits[:, None]
         grown[:, :, step] = choices
         grown = grown.reshape(-1, step + 1)
         digits = grown[_screen(rows, grown, col, max_label, allow_ideal)]
-    return digits[:, [col[e] for e in p.edges]]
+        minimal = np.ones(len(digits), dtype=bool)
+        block = max(1, _PRODUCT_BLOCK // max(1, D.shape[1]))
+        for start in range(0, len(digits), block):
+            minimal[start:start + block] = (digits[start:start + block] @ D >= 0).all(axis=1)
+        digits = digits[minimal]
+    return digits
 
 
 def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
@@ -140,7 +176,7 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
                         with_volumes: bool = False) -> list[CensusRow]:
     """One census row per automorphism orbit of admissible labelings,
     each the lexicographically smallest member of its orbit, in
-    ascending order.
+    ascending order, as ``_grow`` leaves them.
 
     With volumes, a row whose volume raises a VolumeError or
     RealizationError keeps ``volume=None`` and records the error's type
@@ -151,24 +187,11 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     allow_ideal = _andreev.allows_ideal(regime)
     if not validate(p).passed:
         raise ValueError("polyhedron fails validation")
-    E = len(p.edges)
-    nchoices = max_label - 1
-    total = nchoices ** E
+    total = (max_label - 1) ** len(p.edges)
     if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
-    digits = _grow(p, max_label, allow_ideal).astype(np.float64)
-
-    # A labeling's id is its digits in mixed radix, the first edge most
-    # significant, so ids order labelings lexicographically.  The orbit
-    # representative is the smallest id over the group; relabeling a row
-    # by perm moves its column j to position perm^-1(j).  Ids are float64,
-    # exact below CANDIDATE_BUDGET, for the BLAS matrix-vector product.
-    weights = nchoices ** np.arange(E - 1, -1, -1, dtype=np.int64)
-    canon = np.full(len(digits), total, dtype=np.float64)
-    for perm in _edge_perms(p):
-        np.minimum(canon, digits @ weights[np.argsort(perm)].astype(np.float64), out=canon)
-    digits = np.unique(canon).astype(np.int64)[:, None] // weights % nchoices
+    digits = _grow(p, max_label, allow_ideal)
 
     # every row passed the regime's screen, so a vertex whose row fails
     # the strict one sits exactly at its bound: it is ideal

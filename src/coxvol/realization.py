@@ -19,7 +19,8 @@ the minimum-norm Gauss-Newton step wherever J has full row rank.  The
 finished solution is moved to a canonical gauge so output is
 deterministic: the anchor face normal becomes (0,0,0,1), its first
 neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
-the x0=0 slice.
+the x0=0 slice.  A realization reports the residual of the normals it
+returns, measured after that move.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
 a path at its midpoint and reaches other points by one stacked solve
@@ -130,9 +131,9 @@ class _System:
         G = E * METRIC
         nf, ne = self.nf, self.ne
         r = np.empty(X.shape[:-1] + (self.n_eq,))
-        r[..., :nf] = np.einsum("...ij,...ij->...i", G, E) - 1.0
         # batched matmul adds the four products in np.dot's order, which
         # einsum and (a * b).sum(1) do not
+        r[..., :nf] = (G[..., None, :] @ E[..., :, None])[..., 0, 0] - 1.0
         r[..., nf:nf + ne] = (G[..., self.fi, None, :] @ E[..., self.fj, :, None])[..., 0, 0] + targets
         if len(self.apex_faces):
             r[..., nf + ne:] = np.linalg.det(E[..., self.apex_faces, :])
@@ -437,15 +438,20 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
 
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
-                      X: np.ndarray, rmax: float, iters: int) -> Realization:
+                      X: np.ndarray, iters: int) -> Realization:
+    """The gauge-fixed realization of the raw normals X; its residual is
+    the largest residual of the normals it returns, measured after the
+    gauge transform."""
     kinds = _expected_vertex_kinds(p, angles)
     E = X.reshape(len(p.faces), 4)
     W = _compute_vertices(p, E, p.vertices, kinds)
     vertices = {v: (w, kinds[v]) for v, w in zip(p.vertices, W)}
     E, vertices = _gauge_transform(p, E, vertices)
+    sys_ = _system(p)
+    residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
     normals = {fid: E[fid] for fid in range(len(p.faces))}
     return Realization(polyhedron=p, angles=dict(angles), normals=normals,
-                       vertices=vertices, residual=rmax,
+                       vertices=vertices, residual=residual,
                        dof_audit=dof_audit(p), newton_iters=iters)
 
 
@@ -485,9 +491,9 @@ class PathRealizer:
 
     def __init__(self, path):
         self.path = path
-        X, rmax, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
-        # t -> (stacked normals, residual, Newton iterations of the solves that reached t)
-        self.cache: dict[float, tuple[np.ndarray, float, int]] = {self.ANCHOR_T: (X, rmax, iters)}
+        X, _, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
+        # t -> (stacked normals, Newton iterations of the solves that reached t)
+        self.cache: dict[float, tuple[np.ndarray, int]] = {self.ANCHOR_T: (X, iters)}
         self.solves = 1
         self.newton_iters = iters
 
@@ -507,21 +513,21 @@ class PathRealizer:
             starts = [self.cache[s] for s in nearest]
             angles, _ = self.path.angle_rows(todo)
             try:
-                X, rmax, iters = _newton(_system(self.path.polyhedron),
-                                         np.array([X for X, _, _ in starts]), np.cos(angles))
+                X, _, iters = _newton(_system(self.path.polyhedron),
+                                      np.array([X for X, _ in starts]), np.cos(angles))
             except NonConvergence as exc:
                 exc.t = todo[exc.row]
                 raise
-            for t, x, r, k, (_, _, k0) in zip(todo, X, rmax.tolist(), iters.tolist(), starts):
-                self.cache[t] = (x, r, k0 + k)
+            for t, x, k, (_, k0) in zip(todo, X, iters.tolist(), starts):
+                self.cache[t] = (x, k0 + k)
             self.solves += len(todo)
             self.newton_iters += int(iters.sum())
         return np.array([self.cache[t][0] for t in ts])
 
     def realization_at(self, t: float) -> Realization:
         self.solution_at(t)
-        X, rmax, iters = self.cache[t]
-        return build_realization(self.path.polyhedron, self.path.angles_at(t), X, rmax, iters)
+        X, iters = self.cache[t]
+        return build_realization(self.path.polyhedron, self.path.angles_at(t), X, iters)
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

@@ -187,12 +187,12 @@ def test_criterion_8_solver(lambert_cube, triangular_prism, pyramid, cube_all2):
 
     p = lambert_cube.base
     angles = lambert_cube.angles()
-    X, rmax, iters = solve_at(p, angles)
-    r1 = build_realization(p, angles, X, rmax, iters)
+    X, _, iters = solve_at(p, angles)
+    r1 = build_realization(p, angles, X, iters)
     rng = np.random.default_rng(11)
-    X2, rmax2, _ = solve_at(p, angles,
-                            warm_start=X + 1e-6 * rng.standard_normal(X.shape))
-    r2 = build_realization(p, angles, X2, rmax2, 0)
+    X2, _, _ = solve_at(p, angles,
+                        warm_start=X + 1e-6 * rng.standard_normal(X.shape))
+    r2 = build_realization(p, angles, X2, 0)
     for fid in r1.normals:
         assert np.allclose(r1.normals[fid], r2.normals[fid], atol=1e-8)
     report(8, "residuals <= 1e-10 on all corpus realizations; cube DOF 0; "

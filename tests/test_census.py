@@ -1,5 +1,6 @@
 """Labeling censuses and the pyramid table comparison."""
 
+import functools
 import hashlib
 import random
 import tracemalloc
@@ -9,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxvol import andreev, census
 from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            CensusBudgetExceeded, PUBLISHED_PYRAMID_ROWS,
-                           _admissible_mask, _pyramid_screen, cube_three_threes,
-                           enumerate_labelings, format_pyramid_diff,
-                           pyramid_census)
+                           _admissible_mask, _edge_perms, _pyramid_screen,
+                           cube_three_threes, enumerate_labelings,
+                           format_pyramid_diff, pyramid_census)
 from coxvol.corpus import load
-from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, edge_key
 
 
 def test_cube_census_small(cube_all2):
@@ -33,8 +36,6 @@ def test_cube_census_small(cube_all2):
 
 
 def test_census_rows_are_canonical_and_admissible(cube_all2):
-    from coxvol.census import _edge_perms
-
     rows = enumerate_labelings(cube_all2.base, 3)
     perms = _edge_perms(cube_all2.base)
     edges = cube_all2.base.edges
@@ -42,6 +43,16 @@ def test_census_rows_are_canonical_and_admissible(cube_all2):
         assert r.labels == min(tuple(r.labels[i] for i in perm) for perm in perms)
         lp = LabeledPolyhedron(base=cube_all2.base, labels=dict(zip(edges, r.labels)))
         assert andreev.check(lp).realizable
+
+
+@functools.cache
+def admissible_by_brute_force(name, max_label, regime):
+    """Every admissible labeling of a corpus polyhedron, in its
+    ``p.edges`` order, screened over the whole label product."""
+    p = load(name).base
+    E = len(p.edges)
+    candidates = np.indices((max_label - 1,) * E, dtype=np.int8).reshape(E, -1).T + 2
+    return candidates[_admissible_mask(p, candidates, max_label, regime)]
 
 
 @pytest.mark.parametrize("name, max_label, regime", [
@@ -55,16 +66,17 @@ def test_census_rows_are_canonical_and_admissible(cube_all2):
 def test_census_orbits_match_brute_force(name, max_label, regime):
     # oracle: screen every candidate, then take each survivor's tuple
     # minimum over the group one row at a time
-    from coxvol.census import _edge_perms
-
     p = load(name).base
-    candidates = np.array(list(product(range(2, max_label + 1), repeat=len(p.edges))))
+    admissible = admissible_by_brute_force(name, max_label, regime)
     perms = _edge_perms(p)
     expected = sorted({min(tuple(row[i] for i in perm) for perm in perms)
-                       for row in map(tuple, candidates[
-                           _admissible_mask(p, candidates, max_label, regime)].tolist())})
+                       for row in map(tuple, admissible.tolist())})
     rows = enumerate_labelings(p, max_label, regime)
     assert [r.labels for r in rows] == expected
+    # Burnside: the orbit count is the mean number of admissible
+    # labelings each automorphism fixes, x[perm] == x
+    fixed = sum(int((admissible[:, list(perm)] == admissible).all(axis=1).sum()) for perm in perms)
+    assert len(rows) * len(perms) == fixed
     # each row's outcome and vertex summary are the exact checker's
     for r in rows:
         report = andreev.check(LabeledPolyhedron(base=p, labels=dict(zip(p.edges, r.labels))),
@@ -119,18 +131,30 @@ def test_census_memory_follows_the_frontier(cube_all2):
     assert peak < 8 * 2**20
 
 
+def relabeled(p, image, order, turns):
+    """``p`` with vertex v renamed image[v], its faces in ``order`` and
+    face f's cycle rotated by turns[f]."""
+    faces = []
+    for fid in order:
+        f, r = p.faces[fid], turns[fid]
+        faces.append(tuple(image[v] for v in f[r:] + f[:r]))
+    return AbstractPolyhedron(
+        name=p.name, faces=tuple(faces),
+        outer_face=None if p.outer_face is None else order.index(p.outer_face),
+        ideal_candidates=frozenset(image[v] for v in p.ideal_candidates))
+
+
 def test_census_is_independent_of_vertex_and_face_order(cube_all2):
-    # vertex ids permuted, faces shuffled and each cycle rotated: the
-    # growth places edges in another order, the orbits stay the same
+    # vertex ids permuted, faces shuffled and each cycle rotated: p.edges,
+    # the order the growth places and compares edges in, changes; the
+    # orbits stay the same
     p = cube_all2.base
     rng = random.Random(3)
     image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
-    faces = []
-    for f in p.faces:
-        r = rng.randrange(len(f))
-        faces.append(tuple(image[v] for v in f[r:] + f[:r]))
-    rng.shuffle(faces)
-    moved = AbstractPolyhedron(name=p.name, faces=tuple(faces))
+    turns = [rng.randrange(len(f)) for f in p.faces]
+    order = list(range(len(p.faces)))
+    rng.shuffle(order)
+    moved = relabeled(p, image, order, turns)
 
     def kinds(rows):
         return Counter((r.outcome, tuple(sorted(r.vertex_summary.items()))) for r in rows)
@@ -147,13 +171,70 @@ def test_census_budget(cube_all2):
 
 
 def test_candidate_budget_keeps_float64_ids_exact():
-    # orbit ids run in float64 and stay below the budget
+    # the prefix orbit test takes differences of ids in float64; every
+    # id is below the budget
     assert census.CANDIDATE_BUDGET < 2**53
 
 
-def test_lambert_orbit_in_census(cube_all2, lambert_cube):
-    from coxvol.census import _edge_perms
+def test_growth_keeps_only_orbit_minima(monkeypatch, cube_all2):
+    # the orbit test on every prefix leaves 4,896 rows to screen on cube
+    # max-label 4 strict, where the growth that kept every admissible
+    # labeling screened 80,316
+    screened = []
+    screen = census._screen
 
+    def counting(rows, digits, *args):
+        screened.append(len(digits))
+        return screen(rows, digits, *args)
+
+    monkeypatch.setattr(census, "_screen", counting)
+    p = cube_all2.base
+    labelings = list(map(tuple, census._grow(p, 4, False).tolist()))
+    assert sum(screened) == 4896
+    assert len(labelings) == 436
+    assert labelings == sorted(set(labelings))
+    perms = _edge_perms(p)
+    for x in labelings:
+        assert x == min(tuple(x[i] for i in perm) for perm in perms)
+
+
+def orbit_minima_by_canonicalization(p, labels, max_label):
+    """Oracle: the post-hoc pass the census ran before its growth tested
+    prefixes.  Each admissible labeling's id in mixed radix, first edge
+    most significant, is minimized over the group through the permuted
+    weights ``weights[argsort(perm)]``; np.unique lists the orbits."""
+    r, E = max_label - 1, len(p.edges)
+    weights = r ** np.arange(E - 1, -1, -1, dtype=np.int64)
+    W = np.array([weights[np.argsort(perm)] for perm in _edge_perms(p)], dtype=np.float64)
+    ids = ((labels - 2).astype(np.float64) @ W.T).min(axis=1)
+    return list(map(tuple, (np.unique(ids).astype(np.int64)[:, None] // weights % r + 2).tolist()))
+
+
+@pytest.mark.parametrize("regime", andreev.REGIMES)
+@pytest.mark.parametrize("name", ["cube_all2", "triangular_prism", "pyramid"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_census_matches_the_canonicalization_oracle(name, regime, data):
+    # every distinct corpus type above MIN_FACES (lambert_cube is the cube;
+    # the tetrahedron's censuses are all empty), relabeled, at every
+    # max-label the budget admits: max-label 2 has radix 1
+    base = load(name).base
+    image = dict(zip(base.vertices, data.draw(st.permutations(base.vertices))))
+    p = relabeled(base, image, data.draw(st.permutations(range(len(base.faces)))),
+                  [data.draw(st.integers(0, len(f) - 1)) for f in base.faces])
+    col = {e: i for i, e in enumerate(p.edges)}
+    moved = [col[edge_key(image[a], image[b])] for a, b in base.edges]
+    max_label = 2
+    while (max_label - 1) ** len(p.edges) <= census.CANDIDATE_BUDGET:
+        admissible = admissible_by_brute_force(name, max_label, regime)
+        labels = np.empty_like(admissible)
+        labels[:, moved] = admissible
+        assert ([r.labels for r in enumerate_labelings(p, max_label, regime)]
+                == orbit_minima_by_canonicalization(p, labels, max_label)), max_label
+        max_label += 1
+
+
+def test_lambert_orbit_in_census(cube_all2, lambert_cube):
     perms = _edge_perms(cube_all2.base)
     edges = cube_all2.base.edges
     target = tuple(lambert_cube.labels[e] for e in edges)
