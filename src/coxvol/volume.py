@@ -3,12 +3,15 @@
 For a one-parameter family of 3-dimensional polyhedra,
 -2 dV/dt = sum_e len_e(t) * dtheta_e/dt, so the volume of a target
 polyhedron is recovered by integrating along an angle path from a
-degenerate (zero volume) configuration.  A path is piecewise linear
-through waypoints at strictly increasing times, and ``angle_rows`` is
-its one interpolation: the angles at one t are its one-row case.  The
-default path interpolates linearly from the collapse configuration
-obtained by shrinking every angle's deviation from pi/2 until an
-admissibility constraint becomes an equality.
+degenerate (zero volume) configuration.  A path is a table of waypoint
+angles, evenly spaced over t in [0, 1] and linear between them; the
+volume depends only on the end points, so the spacing is a choice of
+parametrization.  ``angle_rows`` is the path's one interpolation: the
+angles at one t are its one-row case.  The default path has two
+waypoints, the collapse configuration obtained by shrinking every
+angle's deviation from pi/2 until an admissibility constraint becomes
+an equality, and the target.  ``schlafli_volume`` takes a path, or a
+labeling for its default path.
 
 Near the collapse end the integrand grows like sqrt(t); integrating
 each path segment [a, b] in u, with t = a + (b - a) u^2, makes it smooth
@@ -67,63 +70,54 @@ class PathRealizationFailure(VolumeError):
         super().__init__(f"realization failed at path parameter t={t}: {cause}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeformationPath:
-    """Piecewise-linear angle path through waypoint configurations."""
+    """Piecewise-linear angle path: ``table`` is a read-only (W, E) array
+    of waypoint angles, columns in ``polyhedron.edges`` order, and its W
+    waypoints sit evenly spaced at t = 0, 1/(W-1), ..., 1."""
 
     polyhedron: AbstractPolyhedron
-    times: tuple[float, ...]
-    waypoints: tuple[tuple[tuple[Edge, float], ...], ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.waypoints) or len(self.times) < 2:
-            raise ValueError("need as many times as waypoints, at least two")
-        if self.times[0] != 0.0 or self.times[-1] != 1.0:
-            raise ValueError("path must run over t in [0, 1]")
-        if any(a >= b for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("path times must be strictly increasing")
-        if any(tuple(e for e, _ in wp) != self.polyhedron.edges for wp in self.waypoints):
-            raise ValueError("every waypoint must list exactly the polyhedron's edges, in order")
+        table = np.array(self.table, dtype=float)
+        if table.ndim != 2 or len(table) < 2 or table.shape[1] != len(self.polyhedron.edges):
+            raise ValueError("need a table of at least two waypoints, one column per edge")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @staticmethod
-    def from_configs(p: AbstractPolyhedron, configs, times=None) -> "DeformationPath":
-        if times is None:
-            times = tuple(i / (len(configs) - 1) for i in range(len(configs)))
-        wps = tuple(tuple(sorted(cfg.items())) for cfg in configs)
-        return DeformationPath(p, tuple(times), wps)
+    def from_configs(p: AbstractPolyhedron, configs) -> "DeformationPath":
+        if any(cfg.keys() != set(p.edges) for cfg in configs):
+            raise ValueError("every waypoint must list exactly the polyhedron's edges")
+        return DeformationPath(p, [[cfg[e] for e in p.edges] for cfg in configs])
 
     def angles_at(self, t: float) -> dict[Edge, float]:
         """The angles at ``t``: the one-row case of ``angle_rows``."""
         return dict(zip(self.polyhedron.edges, self.angle_rows([t])[0][0].tolist()))
 
-    @functools.cached_property
-    def _table(self) -> np.ndarray:
-        """The waypoint angles, one row per waypoint, columns in
-        ``polyhedron.edges`` order."""
-        return np.array([[a[e] for e in self.polyhedron.edges] for a in map(dict, self.waypoints)])
-
     def angle_rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The angles and their t-derivatives at each of ``ts``: two
-        (len(ts), E) arrays, columns in ``polyhedron.edges`` order.  On
-        the segment [t0, t1] between waypoints a and b an angle is
-        (1 - lam) a + lam b with lam = (t - t0) / (t1 - t0)."""
-        ts = np.asarray(ts, dtype=float)
-        times = np.array(self.times)
-        i = np.searchsorted(times[1:-1], ts, side="right")
-        t0, t1 = times[i, None], times[i + 1, None]
-        a, b = self._table[i], self._table[i + 1]
-        lam = (ts[:, None] - t0) / (t1 - t0)
-        return (1 - lam) * a + lam * b, (b - a) / (t1 - t0)
+        (len(ts), E) arrays, columns in ``polyhedron.edges`` order.  With
+        n = W - 1 segments, t lies on segment k = min(floor(n t), n - 1),
+        between waypoints a and b, where an angle is (1 - lam) a + lam b
+        with lam = n t - k."""
+        n = len(self.table) - 1
+        s = np.asarray(ts, dtype=float) * n
+        k = np.clip(s.astype(int), 0, n - 1)
+        lam = (s - k)[:, None]
+        a, b = self.table[k], self.table[k + 1]
+        return (1 - lam) * a + lam * b, (b - a) * n
 
     @functools.cached_property
     def varying_edges(self) -> tuple[Edge, ...]:
         """The edges whose angle leaves its start value at some waypoint."""
-        moved = (np.abs(self._table[1:] - self._table[0]) > 1e-15).any(axis=0)
+        moved = (np.abs(self.table[1:] - self.table[0]) > 1e-15).any(axis=0)
         return tuple(itertools.compress(self.polyhedron.edges, moved))
 
     @property
     def target_angles(self) -> dict[Edge, float]:
-        return dict(self.waypoints[-1])
+        return dict(zip(self.polyhedron.edges, self.table[-1].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +154,8 @@ def default_path(p: AbstractPolyhedron, target: dict[Edge, float]) -> Deformatio
     """Linear path on ``p`` from the collapse configuration to the
     target angles; a labeling passes ``lp.base, lp.angles()``."""
     s0 = collapse_fraction(p, target)
-    collapse = {e: math.pi / 2 + s0 * (target[e] - math.pi / 2) for e in target}
-    return DeformationPath.from_configs(p, [collapse, target])
+    row = np.array([target[e] for e in p.edges])
+    return DeformationPath(p, [math.pi / 2 + s0 * (row - math.pi / 2), row])
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +265,12 @@ class _Integrand:
         return (lens * self.path.angle_rows(ts)[1][:, self.cols]).sum(axis=1)
 
 
-def schlafli_volume(lp_target: LabeledPolyhedron | None,
-                    path: DeformationPath | None = None,
+def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
                     tol: float = DEFAULT_TOL) -> VolumeResult:
-    """Integrate -1/2 sum len_e dtheta_e along the path.
-
-    Either a labeled target (default path built automatically) or an
-    explicit path must be given.  Each path segment is integrated over
-    its whole length by segment_quadrature, with tol per unit of t.
+    """Integrate -1/2 sum len_e dtheta_e along the path ``target``; a
+    labeling stands for its default path.  Each path segment is
+    integrated over its whole length by segment_quadrature, with tol per
+    unit of t.
 
     The error estimate is half the summed |Q_2n - Q_n| of the last two
     rules, plus a realization floor: every length comes from a Newton
@@ -286,10 +278,9 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
     errors of that order, weighted by the total angle travel
     sum_e |dtheta_e| of the path.
     """
-    if path is None:
-        if lp_target is None:
-            raise ValueError("need a target labeling or an explicit path")
-        path = default_path(lp_target.base, lp_target.angles())
+    path = target
+    if isinstance(target, LabeledPolyhedron):
+        path = default_path(target.base, target.angles())
     if not path.varying_edges:
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
@@ -301,10 +292,11 @@ def schlafli_volume(lp_target: LabeledPolyhedron | None,
             f"{COLLAPSE_LENGTH_THRESHOLD}; path start is not degenerate")
 
     # one rule per waypoint segment, so derivative jumps sit on segment ends
-    segments = [segment_quadrature(f, a, b, tol * (b - a))
-                for a, b in zip(path.times, path.times[1:])]
-    travel = sum(abs(y - x) for wa, wb in zip(path.waypoints, path.waypoints[1:])
-                 for (_, x), (_, y) in zip(wa, wb))
+    n = len(path.table) - 1
+    ends = [i / n for i in range(n + 1)]
+    segments = [segment_quadrature(f, a, b, tol * (b - a)) for a, b in zip(ends, ends[1:])]
+    # a plain sum in waypoint-then-edge order, not np.sum's pairwise one
+    travel = sum(np.abs(np.diff(path.table, axis=0)).ravel().tolist())
     return VolumeResult(volume=-0.5 * sum(q for q, _ in segments),
                         error_estimate=0.5 * (sum(d for _, d in segments) + RESIDUAL_TOL * travel),
                         nodes=f.calls, solves=f.walker.solves,
@@ -328,7 +320,7 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
     base = schlafli_volume(lp, tol=tol)
     perturbed = lp.angles()
     perturbed[edge] += delta_angle
-    v2 = schlafli_volume(None, path=default_path(lp.base, perturbed), tol=tol)
+    v2 = schlafli_volume(default_path(lp.base, perturbed), tol=tol)
     pred = -0.5 * edge_length(realize(lp), edge) * delta_angle
     return v2.volume - base.volume, pred
 

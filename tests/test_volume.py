@@ -44,7 +44,7 @@ def test_collapse_fraction_prism(triangular_prism):
 
 def test_default_path_endpoints(lambert_cube):
     path = default_path(lambert_cube.base, lambert_cube.angles())
-    assert path.times == (0.0, 1.0)
+    assert len(path.table) == 2
     assert path.angles_at(1.0) == pytest.approx(lambert_cube.angles())
     start = path.angles_at(0.0)
     for e, n in lambert_cube.labels.items():
@@ -57,7 +57,7 @@ def test_default_path_endpoints(lambert_cube):
 def test_zero_path_gives_zero_volume(lambert_cube):
     angles = {e: math.pi / 2 for e in lambert_cube.base.edges}
     path = DeformationPath.from_configs(lambert_cube.base, [angles, angles])
-    res = schlafli_volume(None, path=path)
+    res = schlafli_volume(path)
     assert res.volume == 0.0
     assert res.nodes == 0
 
@@ -80,9 +80,8 @@ def test_path_independence(lambert_cube):
     for e, n in lambert_cube.labels.items():
         if n == 3:
             mid[e] = 0.45 * math.pi
-    detour = DeformationPath.from_configs(
-        p, [start, mid, lambert_cube.angles()], times=(0.0, 0.6, 1.0))
-    other = schlafli_volume(None, path=detour, tol=1e-7)
+    detour = DeformationPath.from_configs(p, [start, mid, lambert_cube.angles()])
+    other = schlafli_volume(detour, tol=1e-7)
     assert other.volume == pytest.approx(direct.volume, abs=1e-6)
 
 
@@ -119,7 +118,7 @@ def test_varying_ideal_edge_rejected(pyramid):
     start[(0, 4)] = math.pi / 2 - 0.1  # an apex edge must stay constant
     path = DeformationPath.from_configs(p, [start, target])
     with pytest.raises(IdealEdge):
-        schlafli_volume(None, path=path)
+        schlafli_volume(path)
 
 
 def test_ideal_trivalent_vertex_rejected(pyramid, cube_all2):
@@ -285,10 +284,9 @@ def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     mid = dict(lambert_cube.angles())
     for e in p.vertex_edges[0]:
         mid[e] = 0.3 * math.pi
-    path = DeformationPath.from_configs(
-        p, [start, mid, lambert_cube.angles()], times=(0.0, 0.6, 1.0))
+    path = DeformationPath.from_configs(p, [start, mid, lambert_cube.angles()])
     with pytest.raises(PathRealizationFailure) as info:
-        schlafli_volume(None, path=path)
+        schlafli_volume(path)
     assert 0.0 < info.value.t < 1.0
 
 
@@ -298,7 +296,7 @@ def test_noncollapsing_start_rejected(lambert_cube):
     mid = {e: (a + math.pi / 2) / 2 for e, a in target.items()}
     path = DeformationPath.from_configs(p, [mid, target])
     with pytest.raises(NonCollapsingStart):
-        schlafli_volume(None, path=path)
+        schlafli_volume(path)
 
 
 def test_quadrature_error_estimate(lambert_cube):
@@ -383,46 +381,65 @@ def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
         schlafli_volume(cube_all2)
 
 
-LAMBERT_WAYPOINT = tuple(sorted(load("lambert_cube").angles().items()))
+LAMBERT_ROW = [load("lambert_cube").angles()[e] for e in load("lambert_cube").base.edges]
 
 
-@pytest.mark.parametrize("times,waypoints,message", [
-    ((0.0,), (LAMBERT_WAYPOINT,) * 2, "as many times as waypoints"),
-    ((0.0, 0.5, 1.0), (LAMBERT_WAYPOINT,) * 2, "as many times as waypoints"),
-    ((0.1, 1.0), (LAMBERT_WAYPOINT,) * 2, "over t in"),
-    ((0.0, 2.0), (LAMBERT_WAYPOINT,) * 2, "over t in"),
-    # a backwards time folds the path over itself, and a repeated one
-    # makes a zero-length segment
-    ((0.0, 0.7, 0.3, 1.0), (LAMBERT_WAYPOINT,) * 4, "strictly increasing"),
-    ((0.0, 0.5, 0.5, 1.0), (LAMBERT_WAYPOINT,) * 4, "strictly increasing"),
-    ((0.0, 1.0), (LAMBERT_WAYPOINT, LAMBERT_WAYPOINT[1:]), "exactly the polyhedron's edges"),
-    ((0.0, 1.0), (LAMBERT_WAYPOINT, LAMBERT_WAYPOINT + (((8, 9), 1.0),)),
-     "exactly the polyhedron's edges"),
-], ids=["one-time", "count-mismatch", "late-start", "late-end",
-        "backwards", "repeated", "missing-edge", "extra-edge"])
-def test_deformation_path_rejects_bad_times(lambert_cube, times, waypoints, message):
+@pytest.mark.parametrize("table,message", [
+    ([LAMBERT_ROW], "at least two waypoints"),
+    (LAMBERT_ROW * 2, "at least two waypoints"),
+    ([row[1:] for row in (LAMBERT_ROW,) * 2], "one column per edge"),
+    ([row + [1.0] for row in (LAMBERT_ROW,) * 2], "one column per edge"),
+], ids=["one-waypoint", "flat", "missing-edge", "extra-edge"])
+def test_deformation_path_rejects_bad_tables(lambert_cube, table, message):
     with pytest.raises(ValueError, match=message):
-        DeformationPath(lambert_cube.base, times, waypoints)
+        DeformationPath(lambert_cube.base, table)
+
+
+@pytest.mark.parametrize("change", [
+    lambda cfg: cfg.pop(next(iter(cfg))),
+    lambda cfg: cfg.update({(8, 9): 1.0}),
+], ids=["missing-edge", "extra-edge"])
+def test_from_configs_rejects_a_config_without_exactly_the_edges(lambert_cube, change):
+    cfg = lambert_cube.angles()
+    change(cfg)
+    with pytest.raises(ValueError, match="exactly the polyhedron's edges"):
+        DeformationPath.from_configs(lambert_cube.base, [lambert_cube.angles(), cfg])
+
+
+def test_path_table_is_a_read_only_copy(lambert_cube):
+    table = np.array([LAMBERT_ROW, LAMBERT_ROW])
+    path = DeformationPath(lambert_cube.base, table)
+    table[0, 0] = 0.0
+    assert path.table[0, 0] == LAMBERT_ROW[0]
+    assert table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        path.table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
+def test_a_labeling_is_shorthand_for_its_default_path(name):
+    lp = load(name)
+    assert schlafli_volume(lp) == schlafli_volume(default_path(lp.base, lp.angles()))
 
 
 def angles_by_segment(path, t):
-    """Oracle: the angles at t from the waypoints around t, one edge at a
-    time, as DeformationPath computed them before it had angle rows."""
-    i = next((i for i in range(len(path.times) - 1) if t < path.times[i + 1]),
-             len(path.times) - 2)
-    t0, t1 = path.times[i], path.times[i + 1]
-    lam = (t - t0) / (t1 - t0)
-    a, b = dict(path.waypoints[i]), dict(path.waypoints[i + 1])
-    return {e: (1 - lam) * a[e] + lam * b[e] for e in a}
+    """Oracle: the angles at t from the two waypoints around t, one edge
+    at a time in scalar floats."""
+    n = len(path.table) - 1
+    s = n * t
+    k = min(int(s), n - 1)
+    lam = s - k
+    a, b = path.table[k].tolist(), path.table[k + 1].tolist()
+    return {e: (1 - lam) * x + lam * y for e, x, y in zip(path.polyhedron.edges, a, b)}
 
 
 def varying_by_loop(path):
     """Oracle: the varying edges by a loop over the waypoints."""
-    first = dict(path.waypoints[0])
+    first = path.table[0].tolist()
     varying = set()
-    for wp in path.waypoints[1:]:
-        for e, v in wp:
-            if abs(v - first[e]) > 1e-15:
+    for row in path.table[1:].tolist():
+        for e, x, y in zip(path.polyhedron.edges, first, row):
+            if abs(y - x) > 1e-15:
                 varying.add(e)
     return tuple(sorted(varying))
 
@@ -431,16 +448,16 @@ def varying_by_loop(path):
 def paths_and_times(draw):
     p = draw(st.sampled_from([load("lambert_cube").base, load("pyramid").base]))
     n = draw(st.integers(2, 5))
-    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=n - 2, max_size=n - 2, unique=True))
-    times = (0.0, *sorted(inner), 1.0)
     # an edge is held, nudged below or above the 1e-15 threshold, or moved
     moves = st.sampled_from([0.0, 5e-16, 2e-15]) | st.floats(-0.5, 0.5)
     start = {e: draw(st.floats(0.3, 1.6)) for e in p.edges}
     held = draw(st.lists(st.booleans(), min_size=len(p.edges), max_size=len(p.edges)))
     configs = [start] + [{e: start[e] + (0.0 if h else draw(moves))
                           for e, h in zip(p.edges, held)} for _ in range(n - 1)]
-    path = DeformationPath.from_configs(p, configs, times)
-    ts = draw(st.lists(st.sampled_from(times) | st.floats(0.0, 1.0), min_size=1, max_size=6))
+    path = DeformationPath.from_configs(p, configs)
+    waypoint_ts = [i / (n - 1) for i in range(n)]
+    ts = draw(st.lists(st.sampled_from(waypoint_ts) | st.floats(0.0, 1.0),
+                       min_size=1, max_size=6))
     return path, ts
 
 
@@ -451,8 +468,3 @@ def test_angle_rows_match_the_per_edge_oracles(case):
     for t in ts:
         assert path.angles_at(t) == angles_by_segment(path, t)
     assert path.varying_edges == varying_by_loop(path)
-
-
-def test_schlafli_volume_needs_a_target_or_a_path():
-    with pytest.raises(ValueError, match="need a target labeling or an explicit path"):
-        schlafli_volume(None)
