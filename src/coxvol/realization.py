@@ -2,9 +2,10 @@
 
 Face planes are encoded by unit spacelike normals in Minkowski space
 (signature -+++), with <e_i, e_j> = -cos(angle) across every edge.
-A vertex is the common point of its first three face planes: the null
-vector of a 3x4 matrix, whose entries are the matrix's four signed 3x3
-minors.  Compact vertices are timelike, ideal vertices null.
+Edge lengths are read from the Gram matrix of the normals.  A vertex is
+the common point of its first three face planes: the null vector of a
+3x4 matrix, whose entries are the matrix's four signed 3x3 minors.
+Compact vertices are timelike, ideal vertices null.
 
 The solve is a damped Gauss-Newton iteration on the normals, run on a
 stack of rows: one row per angle assignment, one batched solve per
@@ -16,11 +17,10 @@ J annihilates the six gauge tangents at the current normals.  Each step
 solves the square system [J; T] x = [-r; 0] with T the tangent rows:
 the step solves J x = -r and is orthogonal to the gauge orbit, which is
 the minimum-norm Gauss-Newton step wherever J has full row rank.  The
-finished solution is moved to a canonical gauge so output is
-deterministic: the anchor face normal becomes (0,0,0,1), its first
-neighbor lands in the x2=0, x1>=0 half-plane, the third anchor face in
-the x0=0 slice.  A realization reports the residual of the normals it
-returns, measured after that move.
+solution is moved to a canonical gauge so output is deterministic: the
+anchor vertex goes to (1,0,0,0), the anchor face normal to (0,0,0,1),
+its first neighbor into the x2=0, x1>=0 half-plane, the third anchor
+face into x0=0.  A realization's vertices and residual come after that.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
 a path at its midpoint and reaches other points by one stacked solve
@@ -28,12 +28,11 @@ per request, each row warm-started by one rule, from the nearest
 solution cached before the request: a single point is a one-row stack.
 Nothing is retried: a failed solve raises NonConvergence.
 
-The residual and Jacobian are gathers over edge-to-face and
-apex-to-face index arrays, built once per polyhedron and kept on it.
-The same minors, one gather and one batched ``det``, give the vertices,
-the apex cofactors and the gauge frame.  Whether a vertex comes out
-compact or ideal is read from the vertex rows of the admissibility
-table (``andreev.constraints``).
+The residual, Jacobian and edge lengths are gathers over index arrays
+built once per polyhedron and kept on it.  The same minors, one gather
+and one batched ``det``, give the vertices, the cofactors and the gauge
+frame.  Whether a vertex comes out compact or ideal is read from the
+vertex rows of the admissibility table (``andreev.constraints``).
 """
 
 from __future__ import annotations
@@ -82,12 +81,6 @@ class NonConvergence(RealizationError):
 
 
 class DegenerateVertex(RealizationError):
-    def __init__(self, message: str, row: int = 0):
-        self.row = row  # the failing row of a stacked vertex pass
-        super().__init__(message)
-
-
-class IdealEndpoint(RealizationError):
     pass
 
 
@@ -112,14 +105,18 @@ class Realization:
 
 
 class _System:
-    """Residual + Jacobian for Gauss-Newton over the stacked normals."""
+    """Gauss-Newton residual and Jacobian, and edge lengths, over stacked normals."""
 
     def __init__(self, p: AbstractPolyhedron):
         self.nf = len(p.faces)
         self.edges = p.edges
         self.ne = len(self.edges)
-        # the two faces of each edge, and the four faces at each 4-valent apex
-        self.fi, self.fj = np.array([p.edge_faces[e] for e in self.edges]).T
+        # each edge's two faces, then the third face at each endpoint, and
+        # the four faces at each 4-valent apex
+        self.quads = np.array([(*p.edge_faces[e], *(next(
+            f for f in p.vertex_faces[v] if f not in p.edge_faces[e]) for v in e))
+            for e in self.edges])
+        self.fi, self.fj = self.quads[:, :2].T
         apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
         self.apex_faces = np.array([p.vertex_faces[v] for v in apexes], dtype=int).reshape(-1, 4)
         # validate leaves E = 3F - 6 - #apex, so n_eq + 6 = 4F: the square Newton solve relies on it
@@ -171,6 +168,26 @@ class _System:
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
         return np.array([math.cos(angles[e]) for e in self.edges])
+
+    def lengths(self, X: np.ndarray, cols) -> np.ndarray:
+        """The lengths of edges ``cols`` for each row of X (..., 4F), from
+        the cofactors C of the Gram matrix of each edge's faces: cosh len =
+        |C_gh| / sqrt(C_gg C_hh), g and h the third faces at its ends.
+        C_gg, the Gram determinant of the faces at the end away from g,
+        is positive exactly when that end is compact; else len is nan."""
+        C = self._gram_cofactors(X, cols)
+        cgg, chh = C[..., 2, 2], C[..., 3, 3]
+        ok = (cgg > 0) & (chh > 0)
+        cosh = np.abs(C[..., 2, 3]) / np.sqrt(np.where(ok, cgg * chh, 1.0))
+        return np.where(ok, np.arccosh(np.maximum(cosh, 1.0)), np.nan)
+
+    def open_end(self, x: np.ndarray, col: int) -> int:
+        """The end of edge ``col`` not compact at normals x (4F,), the first if neither is."""
+        return self.edges[col][int(self._gram_cofactors(x, [col])[0, 3, 3] > 0)]
+
+    def _gram_cofactors(self, X: np.ndarray, cols) -> np.ndarray:
+        E = X.reshape(X.shape[:-1] + (self.nf, 4))[..., self.quads[cols], :]
+        return _cofactors((E * METRIC) @ np.swapaxes(E, -1, -2))
 
 
 def _system(p: AbstractPolyhedron) -> _System:
@@ -360,40 +377,37 @@ def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> 
     return kinds
 
 
-def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray, vertices,
-                      kinds: dict[int, str]) -> np.ndarray:
-    """One row per listed vertex, for normals E (..., F, 4): the common
-    point of its first three face planes, on the future sheet, scaled to
-    <w,w> = -1 when compact and to w0 = 1 when ideal; (..., V, 4).  The
-    first vertex, in stack order, that does not come out of the kind
-    ``kinds`` expects raises DegenerateVertex with its stack row."""
-    W = _null_vectors(E[..., [p.vertex_faces[v][:3] for v in vertices], :] * METRIC)
-    mw = np.einsum("...ij,...ij->...i", W * METRIC, W)
-    q = mw / np.einsum("...ij,...ij->...i", W, W)
-    compact = np.array([kinds[v] == andreev.COMPACT for v in vertices])
-    bad = np.where(compact, q > -_TYPE_TOL, np.abs(q) > _TYPE_TOL).reshape(-1, len(vertices))
-    if bad.any():
-        row, k = np.argwhere(bad)[0]
+def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray, kinds: dict[int, str]) -> np.ndarray:
+    """One row per vertex, in ``p.vertices`` order, for normals E (F, 4):
+    the common point of its first three face planes, on the future
+    sheet, scaled to <w,w> = -1 when compact and to w0 = 1 when ideal.
+    The first vertex that does not come out of the kind ``kinds``
+    expects raises DegenerateVertex."""
+    W = _null_vectors(E[[p.vertex_faces[v][:3] for v in p.vertices]] * METRIC)
+    mw = -W[:, 0] ** 2 + W[:, 1] ** 2 + W[:, 2] ** 2 + W[:, 3] ** 2  # <w,w>, left to right
+    q = mw / np.einsum("ij,ij->i", W, W)
+    compact = np.array([kinds[v] == andreev.COMPACT for v in p.vertices])
+    bad = np.flatnonzero(np.where(compact, q > -_TYPE_TOL, np.abs(q) > _TYPE_TOL))
+    if bad.size:
+        k = bad[0]
         expected = "timelike" if compact[k] else "null"
-        raise DegenerateVertex(f"vertex {vertices[k]} expected {expected} but "
-                               f"<v,v>/|v|^2 = {q.reshape(bad.shape)[row, k]:.3e}", int(row))
-    W *= np.where(W[..., :1] < 0, -1.0, 1.0)
-    return W / np.where(compact, np.sqrt(np.abs(mw)), W[..., 0])[..., None]
+        raise DegenerateVertex(f"vertex {p.vertices[k]} expected {expected} but "
+                               f"<v,v>/|v|^2 = {q[k]:.3e}")
+    W *= np.where(W[:, :1] < 0, -1.0, 1.0)
+    return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None]
 
 
-def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
-                     vertices: dict[int, tuple[np.ndarray, str]]):
-    """Normals and vertices moved by the Lorentz change of basis that
-    fixes the canonical gauge."""
-    anchor_v = None
-    for v in p.vertices:
-        if vertices[v][1] == andreev.COMPACT and p.valence(v) == 3:
-            anchor_v = v
-            break
+def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray, kinds: dict[int, str]) -> np.ndarray:
+    """The normals E moved by the Lorentz change of basis that fixes the
+    canonical gauge."""
+    anchor_v = next((v for v in p.vertices
+                     if kinds[v] == andreev.COMPACT and p.valence(v) == 3), None)
     if anchor_v is None:
         raise RealizationError("no finite trivalent vertex to anchor the gauge")
+    # the anchor vertex by _compute_vertices' operations, bit for bit
+    a = _null_vectors(E[list(p.vertex_faces[anchor_v][:3])] * METRIC)
+    b0 = (-a if a[0] < 0 else a) / math.sqrt(abs(-a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2))
     fa, fb, fc = sorted(p.vertex_faces[anchor_v])
-    b0 = vertices[anchor_v][0]
     # normalized first, or b1 below is orthogonal to b3 only up to the residual
     b3 = E[fa] / math.sqrt(mdot(E[fa], E[fa]))
     w = E[fb] - mdot(E[fb], b3) * b3
@@ -405,7 +419,7 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray,
         b2 = -b2
     # coordinates: x -> (-<x,b0>, <x,b1>, <x,b2>, <x,b3>)
     T = np.vstack([-b0 * METRIC, b1 * METRIC, b2 * METRIC, b3 * METRIC])
-    return E @ T.T, {v: (T @ w, kind) for v, (w, kind) in vertices.items()}
+    return E @ T.T
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +457,11 @@ def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
     the largest residual of the normals it returns, measured after the
     gauge transform."""
     kinds = _expected_vertex_kinds(p, angles)
-    E = X.reshape(len(p.faces), 4)
-    W = _compute_vertices(p, E, p.vertices, kinds)
-    vertices = {v: (w, kinds[v]) for v, w in zip(p.vertices, W)}
-    E, vertices = _gauge_transform(p, E, vertices)
+    E = _gauge_transform(p, X.reshape(len(p.faces), 4), kinds)
+    vertices = {v: (w, kinds[v]) for v, w in zip(p.vertices, _compute_vertices(p, E, kinds))}
     sys_ = _system(p)
     residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
-    normals = {fid: E[fid] for fid in range(len(p.faces))}
-    return Realization(polyhedron=p, angles=dict(angles), normals=normals,
+    return Realization(polyhedron=p, angles=dict(angles), normals=dict(enumerate(E)),
                        vertices=vertices, residual=residual,
                        dof_audit=dof_audit(p), newton_iters=iters)
 
@@ -531,22 +542,11 @@ class PathRealizer:
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:
-    """Hyperbolic length of every edge with two compact endpoints; an
-    edge at an ideal vertex is infinitely long and left out."""
-    return {e: edge_length(r, e) for e in r.polyhedron.edges
-            if all(r.vertices[v][1] == andreev.COMPACT for v in e)}
-
-
-def edge_length(r: Realization, e: Edge) -> float:
-    va, ka = r.vertices[e[0]]
-    vb, kb = r.vertices[e[1]]
-    if ka != andreev.COMPACT or kb != andreev.COMPACT:
-        raise IdealEndpoint(f"edge {e} has an ideal endpoint; length is infinite")
-    return float(hyperbolic_distance(va, vb))
-
-
-def hyperbolic_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Distance between points of the hyperboloid <x,x> = -1, one per row
-    of two stacks (..., 4); the Minkowski product is summed in np.dot's
-    order."""
-    return np.arccosh(np.maximum(-((x * METRIC)[..., None, :] @ y[..., :, None])[..., 0, 0], 1.0))
+    """Hyperbolic length of every edge with two compact endpoints, read
+    from the Gram matrix of the realized normals; an edge at an ideal
+    vertex is infinitely long and left out."""
+    p = r.polyhedron
+    cols = [k for k, e in enumerate(p.edges)
+            if all(r.vertices[v][1] == andreev.COMPACT for v in e)]
+    lens = _system(p).lengths(np.concatenate([r.normals[f] for f in range(len(p.faces))]), cols)
+    return {p.edges[k]: length for k, length in zip(cols, lens.tolist())}

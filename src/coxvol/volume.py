@@ -22,10 +22,11 @@ excluded before evaluation; this is what keeps ideal-apex families
 integrable (their infinite edges all carry constant right angles).  A
 rule's nodes are evaluated together: one stacked Gauss-Newton solve
 realizes every node, warm-started from the solutions cached before the
-rule, and one batched pass computes only the endpoints of the varying
-edges, with the kinds they have at the target; a path that varies an
-edge at an ideal vertex raises IdealEdge.  The collapse check at the
-start of the path is the one-row case of the same pass.
+rule, and one batched pass reads the varying edges' lengths from the
+Gram matrices of their faces (``realization._System.lengths``); a path
+that varies an edge at a vertex ideal at the target raises IdealEdge.
+The collapse check at the start of the path is the one-row case of the
+same pass.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import numpy as np
 
 from .andreev import COMPACT, VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
-from .realization import (DegenerateVertex, NonConvergence, PathRealizer, RealizationError,
-                          RESIDUAL_TOL, _compute_vertices, _expected_vertex_kinds,
-                          edge_length, hyperbolic_distance, realize)
+from .realization import (NonConvergence, PathRealizer, RealizationError, RESIDUAL_TOL,
+                          _expected_vertex_kinds, _system, edge_lengths, realize)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -219,28 +219,25 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
 class _Integrand:
     """len-weighted angle-velocity sum along ``path``, with realization cache.
 
-    Only the endpoints of the varying edges are computed, with the kinds
-    they have at the target, which must be compact.  On the default path
-    a vertex row's slack is linear in t and positive at the start, so
-    these vertices are compact at every node.  On an explicit path
-    through a waypoint where one is not, its row fails the timelike
-    check and the node raises PathRealizationFailure.
+    The varying edges' endpoints must be compact at the target.  On the
+    default path a vertex row's slack is linear in t and positive at the
+    start, so these vertices are compact at every node.  On an explicit
+    path through a waypoint where one is not, its edges' lengths come
+    out nan and the node raises PathRealizationFailure naming it.
     """
 
     def __init__(self, path: DeformationPath):
         self.path = path
         self.calls = 0
         p = path.polyhedron
-        varying = path.varying_edges
-        self.kinds = _expected_vertex_kinds(p, path.target_angles)
-        for e in varying:
-            if any(self.kinds[v] != COMPACT for v in e):
+        kinds = _expected_vertex_kinds(p, path.target_angles)
+        for e in path.varying_edges:
+            if any(kinds[v] != COMPACT for v in e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
-        self.ends = sorted({v for e in varying for v in e})
-        # each varying edge's column in the angle rows and its endpoints' rows in ends
-        self.cols = [p.edges.index(e) for e in varying]
-        self.tails, self.heads = np.array([[self.ends.index(v) for v in e] for e in varying]).T
+        # each varying edge's column in the angle rows
+        self.cols = [p.edges.index(e) for e in path.varying_edges]
+        self.system = _system(p)
         try:
             self.walker = PathRealizer(path)
         except RealizationError as exc:
@@ -248,16 +245,18 @@ class _Integrand:
 
     def lengths_at(self, ts) -> np.ndarray:
         """The varying edges' lengths at each of ``ts``, one row each: one
-        stacked solve for the uncached ts and one vertex pass."""
-        p = self.path.polyhedron
+        stacked solve for the uncached ts and one Gram-matrix pass."""
         try:
             X = self.walker.solutions_at(ts)
-            W = _compute_vertices(p, X.reshape(len(X), len(p.faces), 4), self.ends, self.kinds)
         except NonConvergence as exc:
             raise PathRealizationFailure(exc.t, exc)
-        except DegenerateVertex as exc:
-            raise PathRealizationFailure(float(ts[exc.row]), exc)
-        return hyperbolic_distance(W[:, self.tails], W[:, self.heads])
+        lens = self.system.lengths(X, self.cols)
+        if np.isnan(lens).any():
+            row, k = np.argwhere(np.isnan(lens))[0]
+            v = self.system.open_end(X[row], self.cols[k])
+            raise PathRealizationFailure(float(ts[row]), RealizationError(
+                f"vertex {v} is not compact"))
+        return lens
 
     def __call__(self, ts) -> np.ndarray:
         self.calls += len(ts)
@@ -321,7 +320,7 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
     perturbed = lp.angles()
     perturbed[edge] += delta_angle
     v2 = schlafli_volume(default_path(lp.base, perturbed), tol=tol)
-    pred = -0.5 * edge_length(realize(lp), edge) * delta_angle
+    pred = -0.5 * edge_lengths(realize(lp))[edge] * delta_angle
     return v2.volume - base.volume, pred
 
 

@@ -15,14 +15,13 @@ from coxvol.andreev import ALLOW_IDEAL, COMPACT, INADMISSIBLE, check, default_re
 from coxvol.census import enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
-from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_length,
-                                edge_lengths, mdot,
+from coxvol.realization import (METRIC, PathRealizer, dof_audit, edge_lengths, mdot,
                                 realize, solve_at, build_realization,
-                                IdealEndpoint, LabelingRejected, NonConvergence,
+                                LabelingRejected, NonConvergence,
                                 RealizationError, _System,
                                 _cofactors, _compute_vertices,
                                 _expected_vertex_kinds, _null_vectors)
-from coxvol.volume import default_path, schlafli_volume
+from coxvol.volume import DeformationPath, default_path, schlafli_volume
 
 
 def gram_residual(r):
@@ -125,6 +124,8 @@ def test_pyramid_realization_with_ideal_apex(pyramid):
     vec, kind = r.vertices[4]
     assert kind == "ideal"
     assert mdot(vec, vec) == pytest.approx(0.0, abs=1e-8)
+    # scaled to w0 = 1 in the reported frame, not in the solver's
+    assert vec[0] == pytest.approx(1.0, abs=1e-12)
     for v in range(4):
         assert r.vertices[v][1] == "compact"
 
@@ -174,18 +175,22 @@ def test_gauge_normalization(lambert_cube):
     assert len(anchored) == 1
 
 
-def test_perturbed_restart_determinism(lambert_cube):
-    p = lambert_cube.base
-    angles = lambert_cube.angles()
+@pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
+def test_perturbed_restart_determinism(name):
+    # the restart lands elsewhere on the gauge orbit; compact and ideal
+    # vertices alike are computed in the gauged frame, so neither moves
+    lp = load(name)
+    p = lp.base
+    angles = lp.angles()
     X, _, iters = solve_at(p, angles)
     r1 = build_realization(p, angles, X, iters)
     rng = np.random.default_rng(3)
-    X2, _, _ = solve_at(p, angles, warm_start=X + 1e-6 * rng.standard_normal(X.shape))
+    X2, _, _ = solve_at(p, angles, warm_start=X + 1e-3 * rng.standard_normal(X.shape))
     r2 = build_realization(p, angles, X2, 0)
     for fid in r1.normals:
-        assert np.allclose(r1.normals[fid], r2.normals[fid], atol=1e-8)
+        assert np.max(np.abs(r1.normals[fid] - r2.normals[fid])) <= 1e-8
     for v in r1.vertices:
-        assert np.allclose(r1.vertices[v][0], r2.vertices[v][0], atol=1e-8)
+        assert np.max(np.abs(r1.vertices[v][0] - r2.vertices[v][0])) <= 1e-8, v
 
 
 def test_edge_lengths_constant_on_label_orbits(lambert_cube):
@@ -207,20 +212,16 @@ def test_edge_lengths_shrink_toward_collapse(lambert_cube):
     prev = None
     for t in (1.0, 0.5, 0.25, 0.1, 0.02, 1e-4):
         r = walker.realization_at(t)
-        worst = max(edge_length(r, e) for e in varying)
+        worst = max(edge_lengths(r)[e] for e in varying)
         if prev is not None:
             assert worst < prev
         prev = worst
     assert prev < 0.05
 
 
-def test_ideal_edge_length_raises(pyramid):
-    r = realize(pyramid)
-    apex_edge = (0, 4)
-    with pytest.raises(IdealEndpoint):
-        edge_length(r, apex_edge)
-    finite = edge_lengths(r)
-    assert apex_edge not in finite
+def test_ideal_edges_have_no_length(pyramid):
+    finite = edge_lengths(realize(pyramid))
+    assert set(finite) == {(0, 1), (1, 2), (2, 3), (0, 3)}  # the apex edges are left out
     assert all(length > 0 for length in finite.values())
 
 
@@ -257,14 +258,18 @@ def test_null_vectors_annihilate_their_rows():
     assert np.all(Mw <= bound)
 
 
+def svd_vertex(E, faces):
+    """Oracle: the future-pointing null vector of the planes ``faces`` by SVD."""
+    w = np.linalg.svd(E[list(faces)] * METRIC)[2][-1]
+    return -w if w[0] < 0 else w
+
+
 def vertices_by_svd(p, E, kinds):
     """Oracle: each vertex from the SVD null space of all its face
     planes, one vertex at a time."""
     out = []
     for v in p.vertices:
-        w = np.linalg.svd(E[list(p.vertex_faces[v])] * METRIC)[2][-1]
-        if w[0] < 0:
-            w = -w
+        w = svd_vertex(E, p.vertex_faces[v])
         out.append(w / math.sqrt(-mdot(w, w)) if kinds[v] == COMPACT else w / w[0])
     return np.array(out)
 
@@ -291,9 +296,53 @@ def test_vertices_match_svd_oracle(name, loebell):
     for t in (0.3, 0.7, 1.0):
         E = walker.solution_at(t).reshape(len(p.faces), 4)
         kinds = _expected_vertex_kinds(p, path.angles_at(t))
-        W = _compute_vertices(p, E, p.vertices, kinds)
+        W = _compute_vertices(p, E, kinds)
         ref = vertices_by_svd(p, E, kinds)
         assert np.all(np.linalg.norm(W - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+
+def test_gram_lengths_match_the_vertex_oracle(sweep):
+    # cosh len = |C_gh| / sqrt(C_gg C_hh) against arccosh(-<u,v>) of the
+    # SVD vertices u, v, on every edge with two compact endpoints
+    corpus_rows = [realize(load(name)) for name in ("lambert_cube", "triangular_prism", "pyramid")]
+    worst = 0.0
+    for r in sweep + corpus_rows:
+        p = r.polyhedron
+        E = np.array([r.normals[f] for f in range(len(p.faces))])
+        kinds = {v: kind for v, (_, kind) in r.vertices.items()}
+        W = dict(zip(p.vertices, vertices_by_svd(p, E, kinds)))
+        cols = [k for k, e in enumerate(p.edges) if all(kinds[v] == COMPACT for v in e)]
+        ref = [math.acosh(-mdot(W[a], W[b])) for a, b in (p.edges[k] for k in cols)]
+        worst = max(worst, np.max(np.abs(_System(p).lengths(E.ravel(), cols) - ref)))
+    assert worst <= 1e-10
+
+
+def test_gram_lengths_are_nan_exactly_at_non_timelike_ends(lambert_cube):
+    # vertex 0 has angle sum 0.9*pi at the middle waypoint, so the nodes
+    # around it realize a vertex 0 that is not compact; the nodes keep
+    # clear of the two t where the sum crosses pi
+    p = lambert_cube.base
+    mid = dict(lambert_cube.angles())
+    for e in p.vertex_edges[0]:
+        mid[e] = 0.3 * math.pi
+    path = DeformationPath.from_configs(p, [dict.fromkeys(p.edges, math.pi / 2), mid,
+                                            lambert_cube.angles()])
+    ts = np.linspace(0.05, 0.95, 19)
+    sums = path.angle_rows(ts)[0][:, [p.edges.index(e) for e in p.vertex_edges[0]]].sum(axis=1)
+    assert np.min(np.abs(sums - math.pi)) > 0.01
+    X = PathRealizer(path).solutions_at(ts)
+    lens = _System(p).lengths(X, list(range(len(p.edges))))
+    for x, row in zip(X, lens):
+        W = {v: svd_vertex(x.reshape(-1, 4), p.vertex_faces[v]) for v in p.vertices}
+        timelike = {v: mdot(w, w) < 0 for v, w in W.items()}
+        for e, length in zip(p.edges, row.tolist()):
+            if timelike[e[0]] and timelike[e[1]]:
+                u, v = (W[v] / math.sqrt(-mdot(W[v], W[v])) for v in e)
+                assert length == pytest.approx(math.acosh(-mdot(u, v)), abs=1e-10)
+            else:
+                assert math.isnan(length)
+    assert np.isnan(lens[sums <= math.pi]).any(axis=1).all()
+    assert not np.isnan(lens[sums > math.pi]).any()
 
 
 def system_by_loops(p, X, targets):
@@ -400,6 +449,14 @@ def lambert_with(lmn):
     labels = dict(LAMBERT.labels)
     labels.update(zip(LAMBERT_BAND, lmn))
     return LabeledPolyhedron(base=LAMBERT.base, labels=labels)
+
+
+@pytest.fixture(scope="module")
+def sweep(loebell):
+    """Realizations of the 216 Lambert triples with labels 3..8 and of
+    right-angled L(5..12)."""
+    lambert = [lambert_with(lmn) for lmn in itertools.product(range(3, 9), repeat=3)]
+    return [realize(lp) for lp in lambert + [right_angled(loebell(n)) for n in range(5, 13)]]
 
 
 targets_on_paths = st.one_of(
@@ -550,13 +607,10 @@ def test_seed_matches_loop_oracle(name, loebell):
     assert np.array_equal(realization._sphere_normals(p), sphere_normals_by_loops(p))
 
 
-def test_realized_normals_meet_their_targets(loebell):
+def test_realized_normals_meet_their_targets(sweep):
     # the gauge frame is orthonormal, so moving the solution into it keeps
     # the solver's residual: Newton stops at 1e-11.  The reported residual
     # is measured on the returned normals, so it bounds their miss
-    lambert = [lambert_with(lmn) for lmn in itertools.product(range(3, 9), repeat=3)]
-    right = [right_angled(loebell(n)) for n in range(5, 13)]
-    realized = [realize(lp) for lp in lambert + right]
-    assert max(gram_residual(r) for r in realized) <= 2e-11
-    for r in realized:
+    assert max(gram_residual(r) for r in sweep) <= 2e-11
+    for r in sweep:
         assert gram_residual(r) <= r.residual, r.polyhedron.name

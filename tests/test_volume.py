@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coxvol.andreev import check, default_regime
+from coxvol.census import PUBLISHED_PYRAMID_ROWS
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import RealizationError
@@ -285,9 +287,12 @@ def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     for e in p.vertex_edges[0]:
         mid[e] = 0.3 * math.pi
     path = DeformationPath.from_configs(p, [start, mid, lambert_cube.angles()])
-    with pytest.raises(PathRealizationFailure) as info:
+    with pytest.raises(PathRealizationFailure, match="vertex 0 is not compact") as info:
         schlafli_volume(path)
+    # the refusal rests on geometry: vertex 0's angle sum is at most pi there
+    angles = path.angle_rows([info.value.t])[0][0]
     assert 0.0 < info.value.t < 1.0
+    assert sum(angles[p.edges.index(e)] for e in p.vertex_edges[0]) <= math.pi
 
 
 def test_noncollapsing_start_rejected(lambert_cube):
@@ -371,6 +376,48 @@ def test_pyramid_volume_pinned(pyramid):
     assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
     # the value before the Gauss-Newton system was vectorized
     assert res.volume == pytest.approx(0.250960250836782, abs=1e-12)
+
+
+PYRAMID_BASE = ((0, 1), (1, 2), (2, 3), (0, 3))  # the base square's edges in cyclic order
+
+
+def pyramid_oracle(row):
+    """Oracle: the pyramid with its apex at infinity, right-angled apex
+    edges and base labels ``row`` in cyclic order has volume
+    sum_i f(c_i, c_i+1), with c_i = cos(pi/n_i) and
+    f(x, y) = 1/2 int_0^asin(x) artanh(y / cos phi) dphi."""
+    c = [math.cos(math.pi / n) for n in row]
+    total = 0.0
+    for x, y in zip(c, c[1:] + c[:1]):
+        # epsabs=1e-15 is below what quad can certify and warns
+        val, err = quad(lambda phi: math.atanh(y / math.cos(phi)), 0.0, math.asin(x),
+                        epsabs=1e-14, epsrel=1e-13)
+        assert err < 1e-13
+        total += 0.5 * val
+    return total
+
+
+# the published rows whose base vertices are all compact: 1/a + 1/b > 1/2
+# for every two cyclically adjacent labels
+COMPACT_BASE_ROWS = [row for row in PUBLISHED_PYRAMID_ROWS if all(
+    Fraction(1, a) + Fraction(1, b) > Fraction(1, 2) for a, b in zip(row, row[1:] + row[:1]))]
+
+
+def test_pyramid_rows_match_the_one_dimensional_oracle(pyramid):
+    assert len(COMPACT_BASE_ROWS) == 15
+    vols = {}
+    for row in COMPACT_BASE_ROWS:
+        labels = dict(pyramid.labels)
+        labels.update(zip(PYRAMID_BASE, row))
+        res = vols[row] = schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
+        err = res.volume - pyramid_oracle(row)
+        assert abs(err) <= 1e-10, row
+        assert abs(err) <= res.error_estimate, row
+    # additivity: the compact rows built from copies of smaller ones
+    for big, small, k in (((2, 3, 3, 3), (2, 2, 3, 3), 2), ((3, 3, 3, 3), (2, 2, 3, 3), 4),
+                          ((3, 4, 3, 4), (2, 2, 3, 4), 4)):
+        a, b = vols[big], vols[small]
+        assert abs(a.volume - k * b.volume) <= a.error_estimate + k * b.error_estimate, big
 
 
 def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
