@@ -1,21 +1,20 @@
 """Hyperbolic volume via Schlaefli's differential formula.
 
 For a one-parameter family of 3-dimensional polyhedra,
--2 dV/dt = sum_e len_e(t) * dtheta_e/dt, so the volume of a target
-polyhedron is recovered by integrating along an angle path from a
-degenerate (zero volume) configuration.  A path is a table of waypoint
-angles, evenly spaced over t in [0, 1] and linear between them; the
-volume depends only on the end points, so the spacing is a choice of
-parametrization.  ``angle_rows`` is the path's one interpolation: the
-angles at one t are its one-row case.  The default path has two
-waypoints, the collapse configuration obtained by shrinking every
-angle's deviation from pi/2 until an admissibility constraint becomes
-an equality, and the target.  ``schlafli_volume`` takes a path, or a
-labeling for its default path.
+-2 dV/dt = sum_e len_e(t) * dtheta_e/dt, and the integral of the right
+side along an angle path depends only on its two ends (Milnor).  A path
+is one straight segment, from start angles to end angles over t in
+[0, 1], and ``schlafli_volume`` of it is V(end) - V(start); a detour is
+a chain of segments, and its integral the sum of theirs.
+``angle_rows`` is the segment's one interpolation: the angles at one t
+are its one-row case.  A labeling's volume is the integral along its
+default path, from the collapse configuration obtained by shrinking
+every angle's deviation from pi/2 until an admissibility constraint
+becomes an equality, where the volume is zero, to its angles.
 
-Near the collapse end the integrand grows like sqrt(t); integrating
-each path segment [a, b] in u, with t = a + (b - a) u^2, makes it smooth
-on all of [0, 1], where Gauss-Legendre rules converge in a few dozen nodes.
+Near the collapse end the integrand grows like sqrt(t); integrating in
+u, with t = u^2, makes it smooth on all of [0, 1], where Gauss-Legendre
+rules converge in a few dozen nodes.
 
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
@@ -25,8 +24,8 @@ realizes every node, warm-started from the solutions cached before the
 rule, and one batched pass reads the varying edges' lengths from the
 Gram matrices of their faces (``realization._System.lengths``); a path
 that varies an edge at a vertex ideal at the target raises IdealEdge.
-The collapse check at the start of the path is the one-row case of the
-same pass.
+The check that a labeling's default path starts collapsed is the
+one-row case of the same pass.
 """
 
 from __future__ import annotations
@@ -72,24 +71,24 @@ class PathRealizationFailure(VolumeError):
 
 @dataclass(frozen=True, eq=False)
 class DeformationPath:
-    """Piecewise-linear angle path: ``table`` is a read-only (W, E) array
-    of waypoint angles, columns in ``polyhedron.edges`` order, and its W
-    waypoints sit evenly spaced at t = 0, 1/(W-1), ..., 1."""
+    """Straight angle path: ``table`` is a read-only (2, E) array, the
+    start angles and then the end angles, columns in ``polyhedron.edges``
+    order; at t in [0, 1] the angles are (1 - t) start + t end."""
 
     polyhedron: AbstractPolyhedron
     table: np.ndarray
 
     def __post_init__(self):
         table = np.array(self.table, dtype=float)
-        if table.ndim != 2 or len(table) < 2 or table.shape[1] != len(self.polyhedron.edges):
-            raise ValueError("need a table of at least two waypoints, one column per edge")
+        if table.shape != (2, len(self.polyhedron.edges)):
+            raise ValueError("need a table of two rows, start and end, one column per edge")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @staticmethod
     def from_configs(p: AbstractPolyhedron, configs) -> "DeformationPath":
         if any(cfg.keys() != set(p.edges) for cfg in configs):
-            raise ValueError("every waypoint must list exactly the polyhedron's edges")
+            raise ValueError("every configuration must list exactly the polyhedron's edges")
         return DeformationPath(p, [[cfg[e] for e in p.edges] for cfg in configs])
 
     def angles_at(self, t: float) -> dict[Edge, float]:
@@ -97,27 +96,23 @@ class DeformationPath:
         return dict(zip(self.polyhedron.edges, self.angle_rows([t])[0][0].tolist()))
 
     def angle_rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """The angles and their t-derivatives at each of ``ts``: two
-        (len(ts), E) arrays, columns in ``polyhedron.edges`` order.  With
-        n = W - 1 segments, t lies on segment k = min(floor(n t), n - 1),
-        between waypoints a and b, where an angle is (1 - lam) a + lam b
-        with lam = n t - k."""
-        n = len(self.table) - 1
-        s = np.asarray(ts, dtype=float) * n
-        k = np.clip(s.astype(int), 0, n - 1)
-        lam = (s - k)[:, None]
-        a, b = self.table[k], self.table[k + 1]
-        return (1 - lam) * a + lam * b, (b - a) * n
+        """The angles at each of ``ts``, a (len(ts), E) array with
+        columns in ``polyhedron.edges`` order, and their t-derivative,
+        the same (E,) row b - a at every t: with start a and end b, an
+        angle is (1 - t) a + t b."""
+        a, b = self.table
+        t = np.asarray(ts, dtype=float)[:, None]
+        return (1 - t) * a + t * b, b - a
 
     @functools.cached_property
     def varying_edges(self) -> tuple[Edge, ...]:
-        """The edges whose angle leaves its start value at some waypoint."""
-        moved = (np.abs(self.table[1:] - self.table[0]) > 1e-15).any(axis=0)
+        """The edges whose end angle differs from their start angle."""
+        moved = np.abs(self.table[1] - self.table[0]) > 1e-15
         return tuple(itertools.compress(self.polyhedron.edges, moved))
 
     @property
     def target_angles(self) -> dict[Edge, float]:
-        return dict(zip(self.polyhedron.edges, self.table[-1].tolist()))
+        return dict(zip(self.polyhedron.edges, self.table[1].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ class VolumeResult:
     error_estimate: float
     nodes: int  # integrand nodes
     doubled: bool = False
-    solves: int = 0  # rows solved, anchor and collapse check included
+    solves: int = 0  # rows solved, anchor and (for a labeling) collapse check included
     newton_iters: int = 0  # Gauss-Newton iterations, summed over the rows
 
 
@@ -219,11 +214,12 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
 class _Integrand:
     """len-weighted angle-velocity sum along ``path``, with realization cache.
 
-    The varying edges' endpoints must be compact at the target.  On the
-    default path a vertex row's slack is linear in t and positive at the
-    start, so these vertices are compact at every node.  On an explicit
-    path through a waypoint where one is not, its edges' lengths come
-    out nan and the node raises PathRealizationFailure naming it.
+    The varying edges' endpoints must be compact at the target.  A
+    vertex row's slack is linear in t, and on the default path it is
+    positive at the start too, so these vertices are compact at every
+    node.  On an explicit path that starts where one is not, its edges'
+    lengths come out nan near the start and the node raises
+    PathRealizationFailure naming it.
     """
 
     def __init__(self, path: DeformationPath):
@@ -261,21 +257,20 @@ class _Integrand:
     def __call__(self, ts) -> np.ndarray:
         self.calls += len(ts)
         lens = self.lengths_at(ts)
-        return (lens * self.path.angle_rows(ts)[1][:, self.cols]).sum(axis=1)
+        return (lens * self.path.angle_rows(ts)[1][self.cols]).sum(axis=1)
 
 
 def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
                     tol: float = DEFAULT_TOL) -> VolumeResult:
-    """Integrate -1/2 sum len_e dtheta_e along the path ``target``; a
-    labeling stands for its default path.  Each path segment is
-    integrated over its whole length by segment_quadrature, with tol per
-    unit of t.
+    """Integrate -1/2 sum len_e dtheta_e along the path ``target``, over
+    its whole length by segment_quadrature: V(end) - V(start).  A
+    labeling stands for its default path, whose start is checked to be
+    collapsed, so the integral is its volume.
 
-    The error estimate is half the summed |Q_2n - Q_n| of the last two
-    rules, plus a realization floor: every length comes from a Newton
-    solve stopped at a residual of RESIDUAL_TOL, so both rules carry
-    errors of that order, weighted by the total angle travel
-    sum_e |dtheta_e| of the path.
+    The error estimate is half |Q_2n - Q_n| of the last two rules, plus
+    a realization floor: every length comes from a Newton solve stopped
+    at a residual of RESIDUAL_TOL, so both rules carry errors of that
+    order, weighted by the total angle travel sum_e |dtheta_e| of the path.
     """
     path = target
     if isinstance(target, LabeledPolyhedron):
@@ -284,20 +279,19 @@ def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
         return VolumeResult(volume=0.0, error_estimate=0.0, nodes=0)
 
     f = _Integrand(path)
-    worst = f.lengths_at([COLLAPSE_CHECK_T]).max()
-    if worst > COLLAPSE_LENGTH_THRESHOLD:
-        raise NonCollapsingStart(
-            f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "
-            f"{COLLAPSE_LENGTH_THRESHOLD}; path start is not degenerate")
+    # checked numerically: a row at its bound does not always collapse the
+    # polyhedron (a prismatic 4-circuit can pinch instead)
+    if isinstance(target, LabeledPolyhedron):
+        worst = f.lengths_at([COLLAPSE_CHECK_T]).max()
+        if worst > COLLAPSE_LENGTH_THRESHOLD:
+            raise NonCollapsingStart(
+                f"max varying-edge length {worst:.3g} at t={COLLAPSE_CHECK_T} exceeds "
+                f"{COLLAPSE_LENGTH_THRESHOLD}; path start is not degenerate")
 
-    # one rule per waypoint segment, so derivative jumps sit on segment ends
-    n = len(path.table) - 1
-    ends = [i / n for i in range(n + 1)]
-    segments = [segment_quadrature(f, a, b, tol * (b - a)) for a, b in zip(ends, ends[1:])]
-    # a plain sum in waypoint-then-edge order, not np.sum's pairwise one
-    travel = sum(np.abs(np.diff(path.table, axis=0)).ravel().tolist())
-    return VolumeResult(volume=-0.5 * sum(q for q, _ in segments),
-                        error_estimate=0.5 * (sum(d for _, d in segments) + RESIDUAL_TOL * travel),
+    q, d = segment_quadrature(f, 0.0, 1.0, tol)
+    # a plain sum in edge order, not np.sum's pairwise one
+    travel = sum(np.abs(path.table[1] - path.table[0]).tolist())
+    return VolumeResult(volume=-0.5 * q, error_estimate=0.5 * (d + RESIDUAL_TOL * travel),
                         nodes=f.calls, solves=f.walker.solves,
                         newton_iters=f.walker.newton_iters)
 
@@ -310,18 +304,18 @@ def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
                        tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Compare a finite volume difference against the Schlaefli prediction.
 
-    Returns (numeric dV, predicted dV = -len_e/2 * dtheta), len_e read
-    from ``realize(lp)``.  Both vanish for a zero perturbation and both
-    are negative when the angle grows.
+    Returns (numeric dV, predicted dV = -len_e/2 * dtheta): the numeric
+    dV integrates the one segment from ``lp.angles()`` to the perturbed
+    angles, and len_e is read from ``realize(lp)``.  Both vanish for a
+    zero perturbation and both are negative when the angle grows.
     """
     if delta_angle == 0.0:
         return 0.0, 0.0
-    base = schlafli_volume(lp, tol=tol)
     perturbed = lp.angles()
     perturbed[edge] += delta_angle
-    v2 = schlafli_volume(default_path(lp.base, perturbed), tol=tol)
+    dv = schlafli_volume(DeformationPath.from_configs(lp.base, [lp.angles(), perturbed]), tol=tol)
     pred = -0.5 * edge_lengths(realize(lp))[edge] * delta_angle
-    return v2.volume - base.volume, pred
+    return dv.volume, pred
 
 
 def hyperbolic_triangle_area(alpha: float, beta: float, gamma: float) -> float:

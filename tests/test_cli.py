@@ -3,6 +3,8 @@
 import hashlib
 import importlib.resources
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +306,28 @@ def test_validate_lists_every_violation(capsys, tmp_path):
     assert code == 2
     assert out.count("violation ") == 5
     assert result_line(out) == "RESULT validate invalid violations=5"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The ``coxvol ...`` lines of README's ``## Command line`` block, as
+    (arguments, comment) pairs."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln.partition("#") for ln in block.splitlines() if ln.startswith("coxvol ")]
+    return [(shlex.split(cmd)[1:], comment.strip()) for cmd, _, comment in lines]
+
+
+@pytest.mark.skipif(not README.exists(), reason="no README.md in this checkout")
+def test_readme_command_lines_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv, comment in commands:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if argv == ["volume", "lambert_cube", "--doubled"]:
+            vol = float(result_line(out).split("volume=")[1].split()[0])
+            assert comment.startswith("~")
+            assert abs(vol - float(comment[1:])) <= 5e-7

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coxvol.andreev import check, default_regime
-from coxvol.census import PUBLISHED_PYRAMID_ROWS
+from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import RealizationError
@@ -75,6 +75,7 @@ def test_lambert_volume_and_doubling(lambert_cube):
 
 
 def test_path_independence(lambert_cube):
+    # a detour is a chain of segments: start -> mid -> target
     p = lambert_cube.base
     direct = schlafli_volume(lambert_cube, tol=1e-7)
     start = {e: math.pi / 2 for e in p.edges}
@@ -82,9 +83,9 @@ def test_path_independence(lambert_cube):
     for e, n in lambert_cube.labels.items():
         if n == 3:
             mid[e] = 0.45 * math.pi
-    detour = DeformationPath.from_configs(p, [start, mid, lambert_cube.angles()])
-    other = schlafli_volume(detour, tol=1e-7)
-    assert other.volume == pytest.approx(direct.volume, abs=1e-6)
+    other = sum(schlafli_volume(DeformationPath.from_configs(p, ends), tol=1e-7).volume
+                for ends in ((start, mid), (mid, lambert_cube.angles())))
+    assert other == pytest.approx(direct.volume, abs=1e-6)
 
 
 def test_volume_decreases_with_larger_angles(lambert_cube):
@@ -280,13 +281,13 @@ def test_lambert_volume_counts_its_solves(lambert_cube):
 
 
 def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
-    # vertex 0 has angle sum 0.9*pi at the waypoint
+    # vertex 0 has angle sum 0.9*pi at the start of the segment and 4*pi/3
+    # at its end, so it is compact at the target but not near the start
     p = lambert_cube.base
-    start = {e: math.pi / 2 for e in p.edges}
     mid = dict(lambert_cube.angles())
     for e in p.vertex_edges[0]:
         mid[e] = 0.3 * math.pi
-    path = DeformationPath.from_configs(p, [start, mid, lambert_cube.angles()])
+    path = DeformationPath.from_configs(p, [mid, lambert_cube.angles()])
     with pytest.raises(PathRealizationFailure, match="vertex 0 is not compact") as info:
         schlafli_volume(path)
     # the refusal rests on geometry: vertex 0's angle sum is at most pi there
@@ -295,13 +296,22 @@ def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     assert sum(angles[p.edges.index(e)] for e in p.vertex_edges[0]) <= math.pi
 
 
-def test_noncollapsing_start_rejected(lambert_cube):
+def test_noncollapsing_start_rejected(triangular_prism, lambert_cube, newton_calls):
+    # the triangle circuit binds first, but the prism does not collapse
+    # there: the labeling is refused after the anchor and check solves
+    with pytest.raises(NonCollapsingStart):
+        schlafli_volume(triangular_prism)
+    assert [len(X0) for _, X0, _ in newton_calls] == [1, 1]
+    # an explicit path is not checked for collapse: from a realized start
+    # it integrates V(end) - V(start)
     p = lambert_cube.base
     target = lambert_cube.angles()
     mid = {e: (a + math.pi / 2) / 2 for e, a in target.items()}
-    path = DeformationPath.from_configs(p, [mid, target])
-    with pytest.raises(NonCollapsingStart):
-        schlafli_volume(path)
+    step = schlafli_volume(DeformationPath.from_configs(p, [mid, target]))
+    whole, part = schlafli_volume(lambert_cube), schlafli_volume(default_path(p, mid))
+    assert 0.0 < step.volume < whole.volume
+    assert abs(step.volume - (whole.volume - part.volume)) <= \
+        step.error_estimate + whole.error_estimate + part.error_estimate
 
 
 def test_quadrature_error_estimate(lambert_cube):
@@ -312,7 +322,7 @@ def test_quadrature_error_estimate(lambert_cube):
 
 
 def test_adaptive_quadrature_on_known_integral():
-    # the per-segment rule of schlafli_volume, doubled until converged
+    # the rule of schlafli_volume, doubled until converged
     val, err = segment_quadrature(np.sin, 0.0, math.pi, 1e-12)
     assert val == pytest.approx(2.0, abs=1e-12)
     assert err < 1e-12
@@ -420,6 +430,27 @@ def test_pyramid_rows_match_the_one_dimensional_oracle(pyramid):
         assert abs(a.volume - k * b.volume) <= a.error_estimate + k * b.error_estimate, big
 
 
+def test_segment_out_of_an_ideal_base_row(pyramid, newton_calls):
+    # (2,2,3,6) has an ideal base vertex at the end of edge (0,3); the
+    # segment to (2,2,3,5) varies only that edge, which is compact at
+    # its end, and integrates the oracle's difference
+    def angles(row):
+        labels = dict(pyramid.labels)
+        labels.update(zip(PYRAMID_BASE, row))
+        return LabeledPolyhedron(base=pyramid.base, labels=labels).angles()
+
+    ends = [angles((2, 2, 3, 6)), angles((2, 2, 3, 5))]
+    res = schlafli_volume(DeformationPath.from_configs(pyramid.base, ends))
+    expected = pyramid_oracle((2, 2, 3, 5)) - pyramid_oracle((2, 2, 3, 6))
+    assert expected == pytest.approx(-0.0905651271399, abs=1e-12)
+    assert abs(res.volume - expected) <= res.error_estimate
+    # the reverse segment ends at the ideal vertex: refused before any solve
+    newton_calls.clear()
+    with pytest.raises(IdealEdge):
+        schlafli_volume(DeformationPath.from_configs(pyramid.base, ends[::-1]))
+    assert newton_calls == []
+
+
 def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
     # every deviation from pi/2 is zero, so the 4-circuit rows stay at
     # their bound 2*pi along the whole path; without this check the
@@ -431,14 +462,15 @@ def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
 LAMBERT_ROW = [load("lambert_cube").angles()[e] for e in load("lambert_cube").base.edges]
 
 
-@pytest.mark.parametrize("table,message", [
-    ([LAMBERT_ROW], "at least two waypoints"),
-    (LAMBERT_ROW * 2, "at least two waypoints"),
-    ([row[1:] for row in (LAMBERT_ROW,) * 2], "one column per edge"),
-    ([row + [1.0] for row in (LAMBERT_ROW,) * 2], "one column per edge"),
-], ids=["one-waypoint", "flat", "missing-edge", "extra-edge"])
-def test_deformation_path_rejects_bad_tables(lambert_cube, table, message):
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("table", [
+    [LAMBERT_ROW],
+    LAMBERT_ROW * 2,
+    [LAMBERT_ROW] * 3,
+    [row[1:] for row in (LAMBERT_ROW,) * 2],
+    [row + [1.0] for row in (LAMBERT_ROW,) * 2],
+], ids=["one-row", "flat", "three-rows", "missing-edge", "extra-edge"])
+def test_deformation_path_rejects_bad_tables(lambert_cube, table):
+    with pytest.raises(ValueError, match="two rows, start and end, one column per edge"):
         DeformationPath(lambert_cube.base, table)
 
 
@@ -465,45 +497,41 @@ def test_path_table_is_a_read_only_copy(lambert_cube):
 
 @pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
 def test_a_labeling_is_shorthand_for_its_default_path(name):
+    # the same path and rules; only the labeling checks its start for
+    # collapse, which solves one row more and moves the warm starts
     lp = load(name)
-    assert schlafli_volume(lp) == schlafli_volume(default_path(lp.base, lp.angles()))
+    labeled = schlafli_volume(lp)
+    explicit = schlafli_volume(default_path(lp.base, lp.angles()))
+    assert abs(labeled.volume - explicit.volume) <= labeled.error_estimate + explicit.error_estimate
+    assert labeled.nodes == explicit.nodes
+    assert labeled.solves == explicit.solves + 1
 
 
-def angles_by_segment(path, t):
-    """Oracle: the angles at t from the two waypoints around t, one edge
-    at a time in scalar floats."""
-    n = len(path.table) - 1
-    s = n * t
-    k = min(int(s), n - 1)
-    lam = s - k
-    a, b = path.table[k].tolist(), path.table[k + 1].tolist()
-    return {e: (1 - lam) * x + lam * y for e, x, y in zip(path.polyhedron.edges, a, b)}
+PATH_BASES = [load("lambert_cube").base, load("pyramid").base]
+
+
+def angles_by_edge(path, t):
+    """Oracle: the angles at t from the start and end rows, one edge at a
+    time in scalar floats."""
+    a, b = path.table.tolist()
+    return {e: (1 - t) * x + t * y for e, x, y in zip(path.polyhedron.edges, a, b)}
 
 
 def varying_by_loop(path):
-    """Oracle: the varying edges by a loop over the waypoints."""
-    first = path.table[0].tolist()
-    varying = set()
-    for row in path.table[1:].tolist():
-        for e, x, y in zip(path.polyhedron.edges, first, row):
-            if abs(y - x) > 1e-15:
-                varying.add(e)
-    return tuple(sorted(varying))
+    """Oracle: the varying edges by a loop over the edges."""
+    a, b = path.table.tolist()
+    return tuple(e for e, x, y in zip(path.polyhedron.edges, a, b) if abs(y - x) > 1e-15)
 
 
 @st.composite
 def paths_and_times(draw):
-    p = draw(st.sampled_from([load("lambert_cube").base, load("pyramid").base]))
-    n = draw(st.integers(2, 5))
+    p = draw(st.sampled_from(PATH_BASES))
     # an edge is held, nudged below or above the 1e-15 threshold, or moved
     moves = st.sampled_from([0.0, 5e-16, 2e-15]) | st.floats(-0.5, 0.5)
     start = {e: draw(st.floats(0.3, 1.6)) for e in p.edges}
-    held = draw(st.lists(st.booleans(), min_size=len(p.edges), max_size=len(p.edges)))
-    configs = [start] + [{e: start[e] + (0.0 if h else draw(moves))
-                          for e, h in zip(p.edges, held)} for _ in range(n - 1)]
-    path = DeformationPath.from_configs(p, configs)
-    waypoint_ts = [i / (n - 1) for i in range(n)]
-    ts = draw(st.lists(st.sampled_from(waypoint_ts) | st.floats(0.0, 1.0),
+    end = {e: start[e] + draw(moves) for e in p.edges}
+    path = DeformationPath.from_configs(p, [start, end])
+    ts = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                        min_size=1, max_size=6))
     return path, ts
 
@@ -513,5 +541,28 @@ def paths_and_times(draw):
 def test_angle_rows_match_the_per_edge_oracles(case):
     path, ts = case
     for t in ts:
-        assert path.angles_at(t) == angles_by_segment(path, t)
+        assert path.angles_at(t) == angles_by_edge(path, t)
+    a, b = path.table.tolist()
+    assert path.angle_rows(ts)[1].tolist() == [y - x for x, y in zip(a, b)]
     assert path.varying_edges == varying_by_loop(path)
+
+
+def test_lattice_edges_add_up(cube_all2):
+    # ROADMAP item 4's cross-check: along a one-label edge a -> b between
+    # admissible labelings, V(a) + (V(b) - V(a)) = V(b)
+    p = cube_all2.base
+    rows = enumerate_labelings(p, 4)
+    rng = np.random.default_rng(4)
+    edges = []
+    while len(edges) < 20:
+        a = dict(zip(p.edges, rows[rng.integers(len(rows))].labels))
+        e = p.edges[rng.integers(len(p.edges))]
+        b = {**a, e: int(rng.choice([n for n in (2, 3, 4) if n != a[e]]))}
+        lb = LabeledPolyhedron(base=p, labels=b)
+        if check(lb).realizable:
+            edges.append((LabeledPolyhedron(base=p, labels=a), lb))
+    for la, lb in edges:
+        va, vb = schlafli_volume(la), schlafli_volume(lb)
+        dv = schlafli_volume(DeformationPath.from_configs(p, [la.angles(), lb.angles()]))
+        assert abs(va.volume + dv.volume - vb.volume) <= \
+            va.error_estimate + dv.error_estimate + vb.error_estimate, (la.labels, lb.labels)
