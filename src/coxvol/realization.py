@@ -24,9 +24,11 @@ face into x0=0.  A realization's vertices and residual come after that.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
 a path at its midpoint and reaches other points by one stacked solve
-per request, each row warm-started by one rule, from the nearest
-solution cached before the request: a single point is a one-row stack.
-Nothing is retried: a failed solve raises NonConvergence.
+per request, each row warm-started by one rule from the solutions
+cached before the request: interpolated between cached neighbours,
+linearly in u = sqrt(t), or the nearer end outside the cached range; a
+single point is a one-row stack.  Nothing is retried: a failed solve
+raises NonConvergence.
 
 The residual, Jacobian and edge lengths are gathers over index arrays
 built once per polyhedron and kept on it.  The same minors, one gather
@@ -37,6 +39,7 @@ vertex rows of the admissibility table (``andreev.constraints``).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -490,12 +493,15 @@ class PathRealizer:
 
     One cold solve at ANCHOR_T anchors the path.  ``solutions_at(ts)``
     solves every uncached t in one stacked Gauss-Newton call, each row
-    warm-started from the nearest solution cached before the call, the
-    lower t on a tie; ``solution_at(t)`` is its one-row case.  Solutions
-    are cached only when they converge, and requests issued in a fixed
-    order produce bit-identical results.  ``solves`` and
-    ``newton_iters`` count the rows solved and their Gauss-Newton
-    iterations.
+    warm-started from the solutions cached before the call: a t between
+    two cached points starts from their solutions interpolated linearly
+    in u = sqrt(t), the variable of the volume quadrature, in which the
+    solutions are smooth at the collapse end; a t outside the cached
+    range starts from the nearer end, since extrapolation can overshoot.
+    ``solution_at(t)`` is the one-row case.  Solutions are cached only
+    when they converge, and requests issued in a fixed order produce
+    bit-identical results.  ``solves`` and ``newton_iters`` count the
+    rows solved and their Gauss-Newton iterations.
     """
 
     ANCHOR_T = 0.5
@@ -503,7 +509,8 @@ class PathRealizer:
     def __init__(self, path):
         self.path = path
         X, _, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
-        # t -> (stacked normals, Newton iterations of the solves that reached t)
+        # t -> (stacked normals, Newton iterations along the longest chain
+        # of solves that reached t)
         self.cache: dict[float, tuple[np.ndarray, int]] = {self.ANCHOR_T: (X, iters)}
         self.solves = 1
         self.newton_iters = iters
@@ -518,10 +525,8 @@ class PathRealizer:
         its ``t`` set."""
         todo = sorted(set(map(float, ts)) - self.cache.keys())
         if todo:
-            known = np.array(sorted(self.cache))
-            # argmin takes the first, lower, t of a tie
-            nearest = known[np.abs(np.array(todo)[:, None] - known).argmin(axis=1)]
-            starts = [self.cache[s] for s in nearest]
+            known = sorted(self.cache)
+            starts = [self._start(known, t) for t in todo]
             angles, _ = self.path.angle_rows(todo)
             try:
                 X, _, iters = _newton(_system(self.path.polyhedron),
@@ -534,6 +539,21 @@ class PathRealizer:
             self.solves += len(todo)
             self.newton_iters += int(iters.sum())
         return np.array([self.cache[t][0] for t in ts])
+
+    def _start(self, known: list[float], t: float) -> tuple[np.ndarray, int]:
+        """The warm start for an uncached ``t`` from the cached points
+        ``known`` (ascending), with its iteration count: between two of
+        them, their solutions interpolated linearly in u = sqrt(t) and the
+        larger count; outside their range, the nearer end's."""
+        j = bisect.bisect(known, t)
+        if j == 0 or j == len(known):
+            return self.cache[known[min(j, len(known) - 1)]]
+        (xa, ka), (xb, kb) = self.cache[known[j - 1]], self.cache[known[j]]
+        ua, ub = math.sqrt(known[j - 1]), math.sqrt(known[j])
+        if ub == ua:  # rounding merged the two u
+            return xa, ka
+        w = (math.sqrt(t) - ua) / (ub - ua)
+        return xa + w * (xb - xa), max(ka, kb)
 
     def realization_at(self, t: float) -> Realization:
         self.solution_at(t)

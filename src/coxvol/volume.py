@@ -18,14 +18,17 @@ rules converge in a few dozen nodes.
 
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
-integrable (their infinite edges all carry constant right angles).  A
-rule's nodes are evaluated together: one stacked Gauss-Newton solve
-realizes every node, warm-started from the solutions cached before the
-rule, and one batched pass reads the varying edges' lengths from the
-Gram matrices of their faces (``realization._System.lengths``); a path
-that varies an edge at a vertex ideal at the target raises IdealEdge.
-The check that a labeling's default path starts collapsed is the
-one-row case of the same pass.
+integrable (their infinite edges all carry constant right angles).  The
+first two rules, which always run, are evaluated in one stack, and each
+later rule in one more: one stacked Gauss-Newton solve realizes every
+node, each warm-started from the solutions cached before the stack,
+interpolated between cached neighbours, and one batched pass reads the
+varying edges' lengths from the Gram matrices of their faces
+(``realization._System.lengths``); a path that varies an edge at a
+vertex ideal at the target raises IdealEdge.  The check that a
+labeling's default path starts collapsed is the one-row case of the
+same pass, run first and alone: near the collapse end Newton converges
+only linearly, and every row of a stack would wait for it.
 """
 
 from __future__ import annotations
@@ -175,18 +178,22 @@ def segment_quadrature(f, a: float, b: float, tol: float) -> tuple[float, float]
 
     Gauss-Legendre rules of 8, 16, 32, ... nodes in u run until two
     successive rules agree within tol or QUAD_MAX_NODES is reached.  f
-    takes a whole rule's nodes at once, an array in ascending t, and
-    returns its values there.  Returns the finer value and |Q_2n - Q_n|.
+    takes an array of nodes and returns its values there: the first two
+    rules, which always run, in one call (the 8 nodes ascending in t,
+    then the 16), then one rule per call, ascending.  Each rule's
+    weights are summed over its own values.  Returns the finer value and
+    |Q_2n - Q_n|.
     """
-    prev = None
     n = QUAD_START_NODES
-    while True:
-        nodes, weights = _squared_rule(n)
-        q = (b - a) * float(weights @ f(a + (b - a) * nodes))
-        if prev is not None and (abs(q - prev) <= tol or n >= QUAD_MAX_NODES):
-            return q, abs(q - prev)
-        prev = q
+    first = [_squared_rule(n), _squared_rule(2 * n)]
+    values = np.split(f(a + (b - a) * np.concatenate([nodes for nodes, _ in first])), [n])
+    prev, q = ((b - a) * float(weights @ v) for (_, weights), v in zip(first, values))
+    n *= 2
+    while not (abs(q - prev) <= tol or n >= QUAD_MAX_NODES):
         n *= 2
+        nodes, weights = _squared_rule(n)
+        prev, q = q, (b - a) * float(weights @ f(a + (b - a) * nodes))
+    return q, abs(q - prev)
 
 
 # ---------------------------------------------------------------------------

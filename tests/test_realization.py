@@ -66,9 +66,27 @@ def test_path_realizer_is_deterministic(lambert_cube):
         assert np.array_equal(a, b)
 
 
-def test_warm_start_is_the_nearest_cached_solution(lambert_cube, monkeypatch):
-    # the lower cached t wins an exact tie; every solve passes through
-    # _newton, whose stack holds copies of the starts
+def interpolated_start(cache, t):
+    """Oracle: the warm start for an uncached t from ``cache`` (t -> (X,
+    iterations)), one t at a time in scalar floats: between two cached
+    points, their solutions interpolated linearly in u = sqrt(t), else
+    the nearer end; and its iteration count, the larger of the two."""
+    below = [s for s in cache if s < t]
+    above = [s for s in cache if s > t]
+    if not below or not above:
+        return cache[max(below) if below else min(above)]
+    (xa, ka), (xb, kb) = cache[max(below)], cache[min(above)]
+    ua, ub = math.sqrt(max(below)), math.sqrt(min(above))
+    w = (math.sqrt(t) - ua) / (ub - ua)
+    return xa + w * (xb - xa), max(ka, kb)
+
+
+def test_warm_start_interpolates_between_cached_neighbours(lambert_cube, monkeypatch):
+    # every solve passes through _newton, whose stack holds copies of the
+    # starts: the cold anchor starts from the seed; with 0.125, 0.375 and
+    # the anchor 0.5 cached, 0.25 and 0.3 start between 0.125 and 0.375,
+    # 0.45 between 0.375 and 0.5, 0.01 from the lower end and 1.0 from the
+    # upper end, and no row of the call starts from another row's solution
     starts = []
     newton = realization._newton
 
@@ -78,13 +96,20 @@ def test_warm_start_is_the_nearest_cached_solution(lambert_cube, monkeypatch):
 
     monkeypatch.setattr(realization, "_newton", recorded)
     path = default_path(lambert_cube.base, lambert_cube.angles())
-    for t, source in ((0.25, 0.125), (0.3, 0.375)):
-        walker = PathRealizer(path)
-        for s in (0.125, 0.375, t):
-            walker.solution_at(s)
-        assert np.array_equal(starts[-1], walker.cache[source][0][None])
+    walker = PathRealizer(path)
     assert np.array_equal(starts[0], realization._seed(lambert_cube.base)[None])
-    assert len(starts) == 8
+    walker.solutions_at([0.375, 0.125])
+    assert np.array_equal(starts[1], [walker.cache[0.5][0]] * 2)
+    before = dict(walker.cache)
+    ts = [0.45, 0.01, 0.3, 1.0, 0.25]
+    walker.solutions_at(ts)
+    assert len(starts) == 3
+    # rows in ascending t: 0.01, 0.25, 0.3, 0.45, 1.0
+    assert np.array_equal(starts[2], [interpolated_start(before, t)[0] for t in sorted(ts)])
+    assert np.array_equal(starts[2][0], before[0.125][0])
+    assert np.array_equal(starts[2][4], before[0.5][0])
+    for x0 in starts[2][1:4]:
+        assert not any(np.array_equal(x0, x) for x, _ in before.values())
 
 
 @pytest.mark.parametrize("name,max_label", [
@@ -558,14 +583,27 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     assert walker.solves == 3
     assert np.array_equal(walker.solutions_at([0.3])[0], X[1])
     assert walker.solves == 3
-    # solution_at is the one-row case: on a fresh walker holding 0.125 and
-    # 0.375, each t starts from the nearest of those, the lower on a tie
-    for t, source in ((0.25, 0.125), (0.3, 0.375), (0.45, 0.5), (1.0, 0.5)):
-        walker = PathRealizer(path)
-        walker.solutions_at([0.125, 0.375])
-        ref, _, _ = solve_at(lambert_cube.base, path.angles_at(t),
-                             warm_start=walker.cache[source][0])
-        assert np.array_equal(walker.solution_at(t), ref)
+    # on a walker holding 0.125, 0.375, the anchor and 0.9, each row of one
+    # call starts from the interpolation oracle over that cache, bracketed
+    # or not, and is bit-equal to a one-row solve from there; its cached
+    # iteration count adds its own to its start's, which at 0.7 is the
+    # upper neighbour's
+    walker = PathRealizer(path)
+    walker.solutions_at([0.125, 0.375, 0.9])
+    before = dict(walker.cache)
+    assert before[0.9][1] > before[0.5][1]
+    ts = (0.25, 0.3, 0.45, 0.7, 1e-6, 1.0)
+    X = walker.solutions_at(ts)
+    for t, x in zip(ts, X):
+        start, k0 = interpolated_start(before, t)
+        ref, _, iters = solve_at(lambert_cube.base, path.angles_at(t), warm_start=start)
+        assert np.array_equal(x, ref)
+        assert walker.cache[t][1] == k0 + iters
+    assert walker.solves == 4 + len(ts)
+    # solution_at is the one-row case
+    single = PathRealizer(path)
+    single.solutions_at([0.125, 0.375, 0.9])
+    assert np.array_equal(single.solution_at(0.25), X[0])
 
 
 def sphere_normals_by_loops(p):

@@ -15,8 +15,9 @@ from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import RealizationError
-from coxvol.volume import (COLLAPSE_CHECK_T, DeformationPath, IdealEdge, NonCollapsingStart,
-                           PathRealizationFailure, _Integrand, collapse_fraction,
+from coxvol.volume import (COLLAPSE_CHECK_T, QUAD_MAX_NODES, QUAD_START_NODES,
+                           DeformationPath, IdealEdge, NonCollapsingStart,
+                           PathRealizationFailure, _Integrand, _squared_rule, collapse_fraction,
                            default_path,
                            hyperbolic_triangle_area, monotonicity_probe,
                            orb_convention, schlafli_volume, segment_quadrature,
@@ -280,6 +281,46 @@ def test_lambert_volume_counts_its_solves(lambert_cube):
     assert orb_convention(res).solves == res.solves
 
 
+def test_lambert_volume_makes_three_stacked_solves(lambert_cube, newton_calls):
+    # the anchor, the collapse check alone, then the 8- and 16-node rules
+    # in one 24-row stack
+    res = schlafli_volume(lambert_cube)
+    assert [len(X0) for _, X0, _ in newton_calls] == [1, 1, 24]
+    assert res.solves == 26
+
+
+def quadrature_by_rules(f, a, b, tol):
+    """Oracle: segment_quadrature with one call of f per rule."""
+    prev, n = None, QUAD_START_NODES
+    while True:
+        nodes, weights = _squared_rule(n)
+        q = (b - a) * float(weights @ f(a + (b - a) * nodes))
+        if prev is not None and (abs(q - prev) <= tol or n >= QUAD_MAX_NODES):
+            return q, abs(q - prev)
+        prev, n = q, 2 * n
+
+
+@pytest.mark.parametrize("tol,sizes", [
+    (1.0, [24]), (1e-12, [24, 32, 64]), (0.0, [24, 32, 64, 128, 256])])
+def test_quadrature_stacks_its_first_two_rules(tol, sizes):
+    # f gets the 8- and 16-node rules in one call, each ascending in t,
+    # then one rule per call up to QUAD_MAX_NODES; (q, d) is the per-rule
+    # loop's, bit for bit
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.sqrt(t - 0.5) * np.cos(10.0 * t)
+
+    assert segment_quadrature(f, 0.5, 2.0, tol) == quadrature_by_rules(
+        lambda t: np.sqrt(t - 0.5) * np.cos(10.0 * t), 0.5, 2.0, tol)
+    assert [len(t) for t in calls] == sizes
+    first = np.concatenate([0.5 + 1.5 * _squared_rule(n)[0] for n in (8, 16)])
+    assert np.array_equal(calls[0], first)
+    assert not np.all(np.diff(calls[0]) > 0)
+    assert all(np.all(np.diff(t) > 0) for t in calls[1:])
+
+
 def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     # vertex 0 has angle sum 0.9*pi at the start of the segment and 4*pi/3
     # at its end, so it is compact at the target but not near the start
@@ -384,8 +425,25 @@ def test_pyramid_volume_pinned(pyramid):
     # agrees with an adaptive GL-10 integration of the same path to 1e-11
     res = schlafli_volume(pyramid)
     assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
-    # the value before the Gauss-Newton system was vectorized
-    assert res.volume == pytest.approx(0.250960250836782, abs=1e-12)
+    # the 1-D oracle's value, pyramid_oracle((2, 2, 3, 4)), met within the
+    # volume's own estimate
+    assert abs(res.volume - 0.2509602508352995) <= min(res.error_estimate, 1e-11)
+
+
+@pytest.mark.parametrize("lmn", [(8, 3, 6), (8, 3, 7)])
+def test_warm_starts_that_do_not_extrapolate_reach_kellerhals(lambert_cube, lmn):
+    # a tangent predictor in u, extrapolating past the cached points,
+    # sent these triples to the Newton iteration limit; interpolated
+    # starts reach the closed form within the volume's own estimate at
+    # the default tol (test_lambert_family_closed_form) and at a tol that
+    # runs the 32-node rule from many cached neighbours
+    labels = dict(lambert_cube.labels)
+    essential = sorted(e for e, n in labels.items() if n == 3)
+    labels.update(zip(essential, lmn))
+    res = schlafli_volume(LabeledPolyhedron(base=lambert_cube.base, labels=labels), tol=1e-10)
+    assert res.nodes == 56
+    err = res.volume - _kellerhals_lambert(*(math.pi / n for n in lmn))
+    assert abs(err) <= min(res.error_estimate, 1e-10)
 
 
 PYRAMID_BASE = ((0, 1), (1, 2), (2, 3), (0, 3))  # the base square's edges in cyclic order
