@@ -12,9 +12,9 @@ witness.  Its readers:
 - the census decides admissibility, vertex kinds included, from integer
   angles in units of pi/U, U a common denominator of all 1/n, and
   never calls ``check``;
-- the volume integrator's collapse path compares float angle sums with
-  bound*pi, and so does the realization for the kind (compact or
-  ideal) each vertex should come out as.
+- the volume integrator compares float angle sums with bound*pi, for
+  its collapse path and for the target's ideal vertices; the
+  realization reads a vertex's kind from the realized vertex instead.
 
 Condition 1 (positive angles) holds for every label n >= 2 and has no
 rows.

@@ -5,7 +5,9 @@ Face planes are encoded by unit spacelike normals in Minkowski space
 Edge lengths are read from the Gram matrix of the normals.  A vertex is
 the common point of its first three face planes: the null vector of a
 3x4 matrix, whose entries are the matrix's four signed 3x3 minors.
-Compact vertices are timelike, ideal vertices null.
+Compact vertices are timelike, ideal vertices null: a realized vertex's
+kind is read from the sign of <w,w>/|w|^2, within _TYPE_TOL of zero for
+ideal.
 
 The solve is a damped Gauss-Newton iteration on the normals, run on a
 stack of rows: one row per angle assignment, one batched solve per
@@ -17,10 +19,13 @@ J annihilates the six gauge tangents at the current normals.  Each step
 solves the square system [J; T] x = [-r; 0] with T the tangent rows:
 the step solves J x = -r and is orthogonal to the gauge orbit, which is
 the minimum-norm Gauss-Newton step wherever J has full row rank.  The
-solution is moved to a canonical gauge so output is deterministic: the
-anchor vertex goes to (1,0,0,0), the anchor face normal to (0,0,0,1),
-its first neighbor into the x2=0, x1>=0 half-plane, the third anchor
-face into x0=0.  A realization's vertices and residual come after that.
+solution is moved to a canonical gauge, fixed by the normals alone, so
+output is deterministic and all-ideal rows have one too: the point x
+minimizing sum_f (<x, e_f> + 1)^2 goes on the time axis, face 0 and its
+first neighbour, projected orthogonal to x, span the x3 axis and the
+x2=0, x1>0 half-plane, and the third face at the first end of their
+shared edge gets x2>0.  A realization's vertices and residual come after
+that.
 
 A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
 a path at its midpoint and reaches other points by one stacked solve
@@ -33,8 +38,7 @@ raises NonConvergence.
 The residual, Jacobian and edge lengths are gathers over index arrays
 built once per polyhedron and kept on it.  The same minors, one gather
 and one batched ``det``, give the vertices, the cofactors and the gauge
-frame.  Whether a vertex comes out compact or ideal is read from the
-vertex rows of the admissibility table (``andreev.constraints``).
+frame.
 """
 
 from __future__ import annotations
@@ -61,10 +65,8 @@ RESIDUAL_TOL = 1e-11
 MAX_NEWTON_ITERS = 200
 MIN_STEP = 1e-14
 
-# classification margins for <v,v> of a normalized direction and for a
-# vertex's angle slack in radians
+# classification margin for <v,v>/|v|^2 of a vertex direction
 _TYPE_TOL = 1e-7
-_SLACK_TOL = 1e-9
 
 
 class RealizationError(PolyhedronError):
@@ -361,59 +363,42 @@ def _seed(p: AbstractPolyhedron) -> np.ndarray:
 # vertices and gauge
 
 
-def _expected_vertex_kinds(p: AbstractPolyhedron, angles: dict[Edge, float]) -> dict[int, str]:
-    """Compact or ideal for each vertex, from the float slack of its
-    admissibility row; a slack below the margin is not realizable."""
-    kinds = {}
-    for row in andreev.constraints(p):
-        if row.condition != andreev.VERTEX:
-            continue
-        slack = sum(angles[e] for e in row.edges) - row.bound * math.pi
-        if slack > _SLACK_TOL:
-            kinds[row.witness] = andreev.COMPACT
-        elif slack >= -_SLACK_TOL:
-            kinds[row.witness] = andreev.IDEAL
-        else:
-            raise RealizationError(
-                f"vertex {row.witness} has angle sum below ({row.bound + 2}-2)*pi; "
-                "not realizable")
-    return kinds
-
-
-def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray, kinds: dict[int, str]) -> np.ndarray:
+def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One row per vertex, in ``p.vertices`` order, for normals E (F, 4):
     the common point of its first three face planes, on the future
-    sheet, scaled to <w,w> = -1 when compact and to w0 = 1 when ideal.
-    The first vertex that does not come out of the kind ``kinds``
-    expects raises DegenerateVertex."""
+    sheet, scaled to <w,w> = -1 when compact and to w0 = 1 when ideal;
+    and the compact mask, q = <w,w>/|w|^2 < -_TYPE_TOL.  An ideal vertex
+    has |q| <= _TYPE_TOL; a spacelike one raises DegenerateVertex."""
     W = _null_vectors(E[[p.vertex_faces[v][:3] for v in p.vertices]] * METRIC)
     mw = -W[:, 0] ** 2 + W[:, 1] ** 2 + W[:, 2] ** 2 + W[:, 3] ** 2  # <w,w>, left to right
     q = mw / np.einsum("ij,ij->i", W, W)
-    compact = np.array([kinds[v] == andreev.COMPACT for v in p.vertices])
-    bad = np.flatnonzero(np.where(compact, q > -_TYPE_TOL, np.abs(q) > _TYPE_TOL))
+    compact = q < -_TYPE_TOL
+    bad = np.flatnonzero(~compact & (np.abs(q) > _TYPE_TOL))
     if bad.size:
         k = bad[0]
-        expected = "timelike" if compact[k] else "null"
-        raise DegenerateVertex(f"vertex {p.vertices[k]} expected {expected} but "
+        raise DegenerateVertex(f"vertex {p.vertices[k]} is spacelike: "
                                f"<v,v>/|v|^2 = {q[k]:.3e}")
     W *= np.where(W[:, :1] < 0, -1.0, 1.0)
-    return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None]
+    return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None], compact
 
 
-def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray, kinds: dict[int, str]) -> np.ndarray:
-    """The normals E moved by the Lorentz change of basis that fixes the
-    canonical gauge."""
-    anchor_v = next((v for v in p.vertices
-                     if kinds[v] == andreev.COMPACT and p.valence(v) == 3), None)
-    if anchor_v is None:
-        raise RealizationError("no finite trivalent vertex to anchor the gauge")
-    # the anchor vertex by _compute_vertices' operations, bit for bit
-    a = _null_vectors(E[list(p.vertex_faces[anchor_v][:3])] * METRIC)
-    b0 = (-a if a[0] < 0 else a) / math.sqrt(abs(-a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2))
-    fa, fb, fc = sorted(p.vertex_faces[anchor_v])
-    # normalized first, or b1 below is orthogonal to b3 only up to the residual
-    b3 = E[fa] / math.sqrt(mdot(E[fa], E[fa]))
-    w = E[fb] - mdot(E[fb], b3) * b3
+def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
+    """The normals E (F, 4) moved by the Lorentz change of basis that
+    fixes the canonical gauge, which the normals alone determine (see
+    the module docstring)."""
+    A = E * METRIC
+    x = np.linalg.solve(A.T @ A, -A.sum(axis=0))
+    xx = mdot(x, x)
+    if not xx < 0:
+        raise RealizationError(f"the least-squares point of the face planes is not "
+                               f"timelike: <x,x> = {xx:.3e}")
+    b0 = x / math.sqrt(-xx)
+    fb = p.face_neighbors[0][0]
+    fc = next(f for f in p.vertex_faces[p.face_adjacency[0, fb][0]] if f not in (0, fb))
+    # x spans time, so adding <e,b0> b0 projects e onto its orthogonal space
+    w = E[0] + mdot(E[0], b0) * b0
+    b3 = w / math.sqrt(mdot(w, w))
+    w = E[fb] + mdot(E[fb], b0) * b0 - mdot(E[fb], b3) * b3
     b1 = w / math.sqrt(mdot(w, w))
     # complete the frame: b2 = Minkowski-orthogonal complement of (b0,b1,b3)
     b2 = _null_vectors(np.array([b0, b1, b3]) * METRIC)
@@ -459,9 +444,10 @@ def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
     """The gauge-fixed realization of the raw normals X; its residual is
     the largest residual of the normals it returns, measured after the
     gauge transform."""
-    kinds = _expected_vertex_kinds(p, angles)
-    E = _gauge_transform(p, X.reshape(len(p.faces), 4), kinds)
-    vertices = {v: (w, kinds[v]) for v, w in zip(p.vertices, _compute_vertices(p, E, kinds))}
+    E = _gauge_transform(p, X.reshape(len(p.faces), 4))
+    W, compact = _compute_vertices(p, E)
+    vertices = {v: (w, andreev.COMPACT if c else andreev.IDEAL)
+                for v, w, c in zip(p.vertices, W, compact.tolist())}
     sys_ = _system(p)
     residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
     return Realization(polyhedron=p, angles=dict(angles), normals=dict(enumerate(E)),
@@ -509,9 +495,7 @@ class PathRealizer:
     def __init__(self, path):
         self.path = path
         X, _, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
-        # t -> (stacked normals, Newton iterations along the longest chain
-        # of solves that reached t)
-        self.cache: dict[float, tuple[np.ndarray, int]] = {self.ANCHOR_T: (X, iters)}
+        self.cache: dict[float, np.ndarray] = {self.ANCHOR_T: X}  # t -> stacked normals
         self.solves = 1
         self.newton_iters = iters
 
@@ -529,36 +513,36 @@ class PathRealizer:
             starts = [self._start(known, t) for t in todo]
             angles, _ = self.path.angle_rows(todo)
             try:
-                X, _, iters = _newton(_system(self.path.polyhedron),
-                                      np.array([X for X, _ in starts]), np.cos(angles))
+                X, _, iters = _newton(_system(self.path.polyhedron), np.array(starts),
+                                      np.cos(angles))
             except NonConvergence as exc:
                 exc.t = todo[exc.row]
                 raise
-            for t, x, k, (_, k0) in zip(todo, X, iters.tolist(), starts):
-                self.cache[t] = (x, k0 + k)
+            self.cache.update(zip(todo, X))
             self.solves += len(todo)
             self.newton_iters += int(iters.sum())
-        return np.array([self.cache[t][0] for t in ts])
+        return np.array([self.cache[t] for t in ts])
 
-    def _start(self, known: list[float], t: float) -> tuple[np.ndarray, int]:
+    def _start(self, known: list[float], t: float) -> np.ndarray:
         """The warm start for an uncached ``t`` from the cached points
-        ``known`` (ascending), with its iteration count: between two of
-        them, their solutions interpolated linearly in u = sqrt(t) and the
-        larger count; outside their range, the nearer end's."""
+        ``known`` (ascending): between two of them, their solutions
+        interpolated linearly in u = sqrt(t); outside their range, the
+        nearer end's."""
         j = bisect.bisect(known, t)
         if j == 0 or j == len(known):
             return self.cache[known[min(j, len(known) - 1)]]
-        (xa, ka), (xb, kb) = self.cache[known[j - 1]], self.cache[known[j]]
+        xa, xb = self.cache[known[j - 1]], self.cache[known[j]]
         ua, ub = math.sqrt(known[j - 1]), math.sqrt(known[j])
         if ub == ua:  # rounding merged the two u
-            return xa, ka
+            return xa
         w = (math.sqrt(t) - ua) / (ub - ua)
-        return xa + w * (xb - xa), max(ka, kb)
+        return xa + w * (xb - xa)
 
     def realization_at(self, t: float) -> Realization:
-        self.solution_at(t)
-        X, iters = self.cache[t]
-        return build_realization(self.path.polyhedron, self.path.angles_at(t), X, iters)
+        """The realization at ``t``, reporting the walker's ``newton_iters``."""
+        X = self.solution_at(t)
+        return build_realization(self.path.polyhedron, self.path.angles_at(t), X,
+                                 self.newton_iters)
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .andreev import COMPACT, VERTEX, constraints
+from .andreev import VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 from .realization import (NonConvergence, PathRealizer, RealizationError, RESIDUAL_TOL,
-                          _expected_vertex_kinds, _system, edge_lengths, realize)
+                          _system, edge_lengths, realize)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -52,6 +52,8 @@ COLLAPSE_LENGTH_THRESHOLD = 0.05
 COLLAPSE_CHECK_T = 1e-6
 QUAD_START_NODES = 8
 QUAD_MAX_NODES = 256
+# margin for a vertex row's float angle slack, in radians, at the target
+_SLACK_TOL = 1e-9
 
 
 class VolumeError(PolyhedronError):
@@ -221,11 +223,13 @@ def orb_convention(v: VolumeResult) -> VolumeResult:
 class _Integrand:
     """len-weighted angle-velocity sum along ``path``, with realization cache.
 
-    The varying edges' endpoints must be compact at the target.  A
-    vertex row's slack is linear in t, and on the default path it is
-    positive at the start too, so these vertices are compact at every
-    node.  On an explicit path that starts where one is not, its edges'
-    lengths come out nan near the start and the node raises
+    The varying edges' endpoints must be compact at the target: checked
+    on the float slack of the vertex rows there, a vertex below its
+    bound raises RealizationError, and a varying edge at a vertex on it
+    IdealEdge.  A vertex row's slack is linear in t, and on the default
+    path it is positive at the start too, so these vertices are compact
+    at every node.  On an explicit path that starts where one is not,
+    its edges' lengths come out nan near the start and the node raises
     PathRealizationFailure naming it.
     """
 
@@ -233,9 +237,20 @@ class _Integrand:
         self.path = path
         self.calls = 0
         p = path.polyhedron
-        kinds = _expected_vertex_kinds(p, path.target_angles)
+        target = path.target_angles
+        ideal = set()
+        for row in constraints(p):
+            if row.condition != VERTEX:
+                continue
+            slack = sum(target[e] for e in row.edges) - row.bound * math.pi
+            if slack < -_SLACK_TOL:
+                raise RealizationError(
+                    f"vertex {row.witness} has angle sum below ({row.bound + 2}-2)*pi; "
+                    "not realizable")
+            if slack <= _SLACK_TOL:
+                ideal.add(row.witness)
         for e in path.varying_edges:
-            if any(kinds[v] != COMPACT for v in e):
+            if ideal.intersection(e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
         # each varying edge's column in the angle rows

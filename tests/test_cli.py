@@ -98,6 +98,24 @@ def test_realize_report(capsys, data_dir):
     assert int(result_line(out).split("iters=")[1].split()[0]) > 0
 
 
+def test_realize_all_ideal_cube(capsys, tmp_path):
+    # the cube with every edge labeled 3 has no finite vertex; its frame
+    # comes from the normals alone, and every vertex is reported ideal
+    from coxvol.corpus import load
+    from coxvol.poly_model import LabeledPolyhedron, serialize_polyhedron
+
+    cube = load("cube_all2").base
+    path = tmp_path / "cube_all3.apoly"
+    path.write_text(serialize_polyhedron(
+        LabeledPolyhedron(base=cube, labels=dict.fromkeys(cube.edges, 3))))
+    code, out = run(capsys, "realize", str(path), "--regime", "ideal")
+    assert code == 0
+    vertex_lines = [ln for ln in out.splitlines() if ln.startswith("vertex ")]
+    assert len(vertex_lines) == 8
+    assert all(ln.split()[2] == "ideal" for ln in vertex_lines)
+    assert result_line(out).startswith("RESULT realize ok")
+
+
 def test_realize_rejected(capsys, data_dir):
     code, out = run(capsys, "realize", str(data_dir / "cube_all2.apoly"))
     assert code == 1

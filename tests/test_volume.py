@@ -260,7 +260,7 @@ def test_failing_row_of_a_rule_raises_at_its_t(lambert_cube, monkeypatch, ts, fa
 
     path = default_path(lambert_cube.base, lambert_cube.angles())
     f = _Integrand(path)
-    anchor = f.walker.cache[0.5][0]
+    anchor = f.walker.cache[0.5]
     monkeypatch.setattr(realization, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(NonConvergence) as alone:
         solve_at(path.polyhedron, path.angles_at(failing), warm_start=anchor)
