@@ -18,8 +18,11 @@ by their mixed-radix ids, the first edge most significant, and the test
 is one float64 matrix product per step over differences of ids.  What
 is left once every edge is placed is the smallest member of each orbit,
 once, in ascending order.  A vertex of an orbit row is ideal when its
-row fails the strict screen.  The pyramid table screens the base rows
-of the bundled pyramid once, over every base sequence, apex edges at 2.
+row fails the strict screen.  The group enters as one (|G|, E) array of
+edge permutations, ``_edge_perms``, read by the orbit test and the cube
+placement search alike.  The pyramid table screens the base rows of the
+bundled pyramid once, over every base sequence, apex edges at 2, and
+puts sequences in dihedral canonical form as one array operation.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ from . import corpus
 from . import volume as _volume
 from .circuits import enumerate_circuits
 from .haken import classify
-from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron,
-                         apply_automorphism_to_edges, automorphisms, canonical_cycle,
-                         edge_key, validate)
+from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron, automorphisms,
+                         canonical_cycle, edge_key, validate)
 from .realization import RealizationError
 
 # the largest label space (max_label - 1)^E a census may explore, checked
@@ -63,15 +65,15 @@ class CensusRow:
     volume_error: tuple[str, str] | None = None  # (error type, message) when the volume failed
 
 
-def _edge_perms(p: AbstractPolyhedron) -> list[tuple[int, ...]]:
-    """Automorphism group as permutations of the sorted edge list."""
-    edges = p.edges
-    idx = {e: i for i, e in enumerate(edges)}
-    perms = []
-    for vmap in automorphisms(p):
-        emap = apply_automorphism_to_edges(p, vmap)
-        perms.append(tuple(idx[emap[e]] for e in edges))
-    return perms
+def _edge_perms(p: AbstractPolyhedron) -> np.ndarray:
+    """The automorphism group as a (|G|, E) array over ``p.edges``: row g
+    sends edge i to edge perms[g, i], in ``automorphisms`` order."""
+    verts = p.vertices
+    maps = np.searchsorted(verts, [list(map(m.__getitem__, verts)) for m in automorphisms(p)])
+    a, b = np.searchsorted(verts, p.edges).T
+    index = np.full((len(verts), len(verts)), -1)
+    index[a, b] = index[b, a] = np.arange(len(a))
+    return index[maps[:, a], maps[:, b]]
 
 
 def _units(rows, max_label: int) -> tuple[int, np.ndarray]:
@@ -118,7 +120,7 @@ def _prefix_tests(p: AbstractPolyhedron, nchoices: int) -> list[np.ndarray]:
     with perm[i] < k.  Each column holds mixed-radix weights (first edge
     most significant), so x @ D is a difference of ids, exact in float64
     below CANDIDATE_BUDGET."""
-    perms = np.array(_edge_perms(p))
+    perms = _edge_perms(p)
     G, E = perms.shape
     weights = float(nchoices) ** np.arange(E - 1, -1, -1)
     # (k - 1, g, i) with i inside g's leading run of the first k edges
@@ -241,40 +243,39 @@ def cube_three_threes(cube: AbstractPolyhedron) -> ThreeThreesReport:
     "non-adjacent with exactly one 3 on each prismatic 4-circuit".
     """
     edges = cube.edges
-    quad_circuits = [c for c in enumerate_circuits(cube, 4) if c.prismatic]
-
-    def adjacent(e1: Edge, e2: Edge) -> bool:
-        return bool(set(e1) & set(e2))
-
     # one screen over all placements: row i puts the 3s on triple i
-    triples = list(combinations(range(len(edges)), 3))
+    triples = np.array(list(combinations(range(len(edges)), 3)))
     labels = np.full((len(triples), len(edges)), 2, dtype=np.int64)
     labels[np.arange(len(triples))[:, None], triples] = 3
     ok = _admissible_mask(cube, labels, 3, _andreev.STRICT_COMPACT)
-    passing = [tuple(edges[i] for i in t) for t, keep in zip(triples, ok) if keep]
-    selected = tuple(t for t in passing
-                     if all(not adjacent(a, b) for a, b in combinations(t, 2)))
-    one_per = tuple(
-        t for t in combinations(edges, 3)
-        if all(not adjacent(a, b) for a, b in combinations(t, 2))
-        and all(sum(1 for e in t if e in c.crossed_edges) == 1 for c in quad_circuits))
+    # whether two edges share a vertex, and which edges each prismatic
+    # 4-circuit (band) crosses
+    ends = np.array(edges)
+    touch = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
+    bands = np.array([[e in c.crossed_edges for e in edges]
+                      for c in enumerate_circuits(cube, 4) if c.prismatic],
+                     dtype=bool).reshape(-1, len(edges))
+    apart = ~touch[triples[:, [0, 0, 1]], triples[:, [1, 2, 2]]].any(axis=1)
+    one_each = (bands[:, triples].sum(axis=2) == 1).all(axis=0)
 
-    group = [apply_automorphism_to_edges(cube, m) for m in automorphisms(cube)]
-    remaining = set(selected)
+    def placements(rows):
+        return tuple(tuple(edges[i] for i in t) for t in rows)
+
+    perms = _edge_perms(cube)
+    remaining = set(map(tuple, triples[ok & apart].tolist()))
     orbits: list[tuple[tuple[Edge, ...], ...]] = []
     while remaining:
-        rep = min(remaining)
-        orbit = {tuple(sorted(g[e] for e in rep)) for g in group}
-        orbits.append(tuple(sorted(orbit)))
+        orbit = set(map(tuple, np.sort(perms[:, list(min(remaining))], axis=1).tolist()))
+        orbits.append(placements(sorted(orbit)))
         remaining -= orbit
-    stab = len(group) // len(orbits[0]) if orbits else 0
+    stab = len(perms) // len(orbits[0]) if orbits else 0
     return ThreeThreesReport(
-        total_candidates=math.comb(len(edges), 3),
-        andreev_passing=tuple(passing),
-        selected=selected,
+        total_candidates=len(triples),
+        andreev_passing=placements(triples[ok].tolist()),
+        selected=placements(triples[ok & apart].tolist()),
         orbits=tuple(orbits),
         stabilizer_order=stab,
-        one_per_circuit=one_per)
+        one_per_circuit=placements(triples[apart & one_each].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,17 @@ class PyramidTableDiff:
     @property
     def all_published_rows_admissible(self) -> bool:
         return all(r.admissible for r in self.published_rows)
+
+
+def _canonical_cycles(rows: np.ndarray) -> np.ndarray:
+    """``canonical_cycle`` of every row of an (N, n) array at once: the
+    lexicographically smallest of its n rotations and n reflections."""
+    n = rows.shape[1]
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    forms = rows[:, np.concatenate([shifts, shifts[:, ::-1]])].reshape(-1, n)
+    # sorted by row, then by the form's entries, first most significant
+    row = np.repeat(np.arange(len(rows)), 2 * n)
+    return forms[np.lexsort([*forms.T[::-1], row])[::2 * n]]
 
 
 @functools.cache
@@ -377,11 +389,13 @@ def pyramid_census(max_label: int,
 
     # a published row is read as listed, or passes if some cyclic order
     # of its labels does; one screen judges those and every sequence
+    listed = np.array(PUBLISHED_PYRAMID_ROWS)
     if convention == AS_LISTED_CYCLIC:
         arrangements = [[row] for row in PUBLISHED_PYRAMID_ROWS]
     else:
-        arrangements = [sorted({canonical_cycle(perm) for perm in permutations(row)})
-                        for row in PUBLISHED_PYRAMID_ROWS]
+        forms = _canonical_cycles(listed[:, list(permutations(range(4)))].reshape(-1, 4))
+        arrangements = [sorted(set(map(tuple, arr)))
+                        for arr in forms.reshape(len(listed), -1, 4).tolist()]
     seqs = [a for arr in arrangements for a in arr]
     _units([row for row, _ in _pyramid()[2]], max_label)  # raises before the grid is built
     grid = np.indices((max_label - 1,) * 4, dtype=np.int8).reshape(4, -1).T + 2
@@ -397,10 +411,10 @@ def pyramid_census(max_label: int,
                                           reasons=tuple(reasons)))
 
     # our full enumeration, canonicalized per the convention
-    canon = canonical_cycle if convention == AS_LISTED_CYCLIC else lambda r: tuple(sorted(r))
-    listed = {canon(row) for row in PUBLISHED_PYRAMID_ROWS}
-    ours = {canon(seq) for seq in map(tuple, grid[ok[len(seqs):]].tolist())}
-    extras = tuple(sorted(o for o in ours if o not in listed))
+    canon = (_canonical_cycles if convention == AS_LISTED_CYCLIC
+             else functools.partial(np.sort, axis=1))
+    ours = set(map(tuple, canon(grid[ok[len(seqs):]]).tolist()))
+    extras = tuple(sorted(ours - set(map(tuple, canon(listed).tolist()))))
     return PyramidTableDiff(convention=convention, regime=regime,
                             published_rows=tuple(published), extra_rows=extras)
 

@@ -7,10 +7,11 @@ every walk over faces reads) and the planar rotation system are all
 derived from the face cycles.  A labeled polyhedron attaches an integer
 n >= 2 to every edge, encoding the dihedral angle pi/n.
 
-Symmetry is read from dart walks (a dart is a directed edge of an
-oriented face cycle): two flags are related by an automorphism exactly
-when breadth-first walks from them write the same code, as in
-Weinberg's planar-map code and plantri.
+Symmetry comes from one walk from dart 0, then array propagation (a
+dart is a directed edge of an oriented face cycle): the breadth-first
+walk is a tree over the darts, and every candidate image of dart 0 goes
+through it at once; a candidate is an automorphism exactly when its walk
+writes dart 0's code, as in Weinberg's planar-map code and plantri.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -22,6 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -420,15 +423,27 @@ def _walk(rev: list[int], step: list[int], d0: int, code0: list[int] | None = No
     return order, code
 
 
+# candidate-dart entries gathered at once when automorphisms pushes its
+# candidate images of dart 0 through the walk's tree in blocks
+_AUTOMORPHISM_BLOCK = 2**16
+
+
 def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
     """All vertex permutations preserving the face structure, sorted.
 
-    Includes reflections.  A rotation sends dart 0 to a dart whose walk
-    with ``nxt`` writes dart 0's code, a reflection to a reversed dart
-    whose walk with ``prv`` does.  Pairing the visit orders then commutes
-    with reversal and the face step and reaches every dart (a closed
-    polyhedron's darts are connected), so it maps vertices bijectively:
-    tail to tail, for a reflection head to tail.
+    Includes reflections.  One walk from dart 0 (``_walk``) is a
+    breadth-first tree over the darts: the dart first written at code
+    position c hangs off ``order0[c // 2]``, by reversal when c is even
+    and by the step when c is odd.  A rotation may send dart 0 to any
+    dart and steps with ``nxt``, a reflection to any reversed dart and
+    steps with ``prv``; every candidate image goes through the tree at
+    once, one (candidates x darts) gather per layer, in blocks of about
+    ``_AUTOMORPHISM_BLOCK`` entries.  A candidate's dart map is kept when
+    it commutes with reversal and the step at every code position, that
+    is when the walk from its image of dart 0 writes dart 0's code; it
+    then reaches every dart (a closed polyhedron's darts are connected),
+    so it maps vertices bijectively: tail to tail, for a reflection head
+    to tail.
     """
     faces = p.oriented_faces
     if faces is None:
@@ -438,16 +453,53 @@ def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
     rev = [ids[b, a] for a, b in darts]
     succ = dict(pair for cyc in faces for pair in _darts(tuple(_darts(cyc))))
     nxt = [ids[succ[d]] for d in darts]
-    prv = sorted(range(len(nxt)), key=nxt.__getitem__)  # the inverse permutation
     order0, code0 = _walk(rev, nxt, 0)
-    found = []
-    for step, starts, end in ((nxt, range(len(darts)), 0), (prv, rev, 1)):
-        for d in starts:
-            order, code = _walk(rev, step, d, code0)
-            if code == code0:
-                found.append({darts[a][end]: darts[b][0] for a, b in zip(order0, order)})
-    found.sort(key=lambda m: tuple(sorted(m.items())))
-    return found
+    n = len(darts)
+    # the code position first writing each order position k >= 1 is its
+    # tree edge; the walk is breadth first, so the tree's layers are runs
+    # of order positions.  The other code positions are checked
+    first, loose = [], []
+    for c, k in enumerate(code0):
+        (first if k == len(first) + 1 else loose).append(c)
+    depth = [0]
+    for c in first:
+        depth.append(depth[c // 2] + 1)
+    cuts = [k for k in range(1, n) if depth[k] != depth[k - 1]] + [n]
+    # a candidate's table is rev + step, so code position c reads entry
+    # (c % 2)·n + the image of order position c // 2
+    first, loose = np.array(first), np.array(loose)
+    layers = [(a, b, first[a - 1:b - 1] // 2, first[a - 1:b - 1] % 2 * n)
+              for a, b in zip(cuts, cuts[1:])]
+    loose_at, loose_move, loose_code = loose // 2, loose % 2 * n, np.array(code0)[loose]
+    # vertices as indices into ``verts``, whose int objects the maps share
+    verts = sorted({a for a, _ in darts})
+    tail = np.searchsorted(verts, [a for a, _ in darts])
+    block = max(1, _AUTOMORPHISM_BLOCK // n)
+    keys, rows, images = [], [], []
+    for step, starts, end in ((nxt, range(n), 0), (sorted(range(n), key=nxt.__getitem__), rev, 1)):
+        table = np.array(rev + step)
+        kept = []
+        for lo in range(0, n, block):
+            img = np.empty((len(starts[lo:lo + block]), n), dtype=np.intp)
+            img[:, 0] = starts[lo:lo + block]
+            for a, b, parent, move in layers:
+                img[:, a:b] = table[img[:, parent] + move]
+            ok = (table[img[:, loose_at] + loose_move] == img[:, loose_code]).all(axis=1)
+            kept.append(img[ok])
+        # each vertex's image, read at the first order position whose
+        # dart has it as tail (rotations) or head (reflections)
+        at: dict[int, int] = {}
+        for k, d in enumerate(order0):
+            at.setdefault(darts[d][end], k)
+        keys.append(list(at))
+        rows.append(tail[np.concatenate(kept)[:, list(at.values())]])
+        images.append(rows[-1][:, np.argsort(keys[-1])])
+    verts = np.array(verts, dtype=object)
+    maps = [dict(zip(ks, r)) for ks, im in zip(keys, rows) for r in verts[im].tolist()]
+    # in the order of their sorted items: the images of the vertices in
+    # ascending order, the first most significant
+    images = np.concatenate(images)
+    return [maps[i] for i in np.lexsort(images.T[::-1]).tolist()]
 
 
 def canonical_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
@@ -460,7 +512,3 @@ def canonical_cycle(cyc: Iterable[int]) -> tuple[int, ...]:
             if best is None or rot < best:
                 best = rot
     return best
-
-
-def apply_automorphism_to_edges(p: AbstractPolyhedron, vmap: dict[int, int]) -> dict[Edge, Edge]:
-    return {e: edge_key(vmap[e[0]], vmap[e[1]]) for e in p.edges}

@@ -27,7 +27,8 @@ x2=0, x1>0 half-plane, and the third face at the first end of their
 shared edge gets x2>0.  A realization's vertices and residual come after
 that.
 
-A cold solve starts from one sphere-lift seed; ``PathRealizer`` anchors
+A cold solve starts from one sphere-lift seed, a spring embedding with
+the outer face, else the first largest face, pinned; ``PathRealizer`` anchors
 a path at its midpoint and reaches other points by one stacked solve
 per request, each row warm-started by one rule from the solutions
 cached before the request: interpolated between cached neighbours,
@@ -305,10 +306,18 @@ def _newton(sys_: _System, X0: np.ndarray,
 # Euclidean-flavored seed
 
 
+def _pinned_face(p: AbstractPolyhedron) -> int:
+    """The face the seed pins as its outer polygon: the named outer face,
+    else the first largest face."""
+    if p.outer_face is not None:
+        return p.outer_face
+    return max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
+
+
 def _tutte_positions(p: AbstractPolyhedron) -> np.ndarray:
-    """Planar spring embedding with the outer face pinned to a polygon;
+    """Planar spring embedding with ``_pinned_face`` pinned to a polygon;
     one row per vertex, in ``p.vertices`` order."""
-    outer = p.outer_face if p.outer_face is not None else 0
+    outer = _pinned_face(p)
     index = {v: i for i, v in enumerate(p.vertices)}
     n = len(index)
     pinned = [index[v] for v in p.faces[outer]]
@@ -346,7 +355,7 @@ def _sphere_normals(p: AbstractPolyhedron) -> np.ndarray:
     flat = nrm < 1e-9
     if flat.any():
         c[flat] = 0.0
-        c[flat, 2] = np.where(np.flatnonzero(flat) == (p.outer_face or 0), 1.0, -1.0)
+        c[flat, 2] = np.where(np.flatnonzero(flat) == _pinned_face(p), 1.0, -1.0)
         nrm[flat] = 1.0
     return c / nrm[:, None]
 

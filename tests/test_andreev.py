@@ -126,12 +126,11 @@ def test_raising_labels_never_helps_rejected_circuits(cube_all2):
 
 
 def test_check_is_automorphism_invariant(lambert_cube):
-    from coxvol.poly_model import apply_automorphism_to_edges, automorphisms
+    from coxvol.census import _edge_perms
 
     p = lambert_cube.base
-    for vmap in automorphisms(p)[:12]:
-        emap = apply_automorphism_to_edges(p, vmap)
-        labels = {emap[e]: n for e, n in lambert_cube.labels.items()}
+    for perm in _edge_perms(p)[:12]:
+        labels = {p.edges[j]: lambert_cube.labels[e] for e, j in zip(p.edges, perm)}
         report = andreev.check(LabeledPolyhedron(base=p, labels=labels))
         assert report.outcome == "realizable-compact"
 

@@ -20,7 +20,7 @@ from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            cube_three_threes, enumerate_labelings,
                            format_pyramid_diff, pyramid_census)
 from coxvol.corpus import load
-from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, edge_key
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, canonical_cycle, edge_key
 
 
 def test_cube_census_small(cube_all2):
@@ -350,6 +350,17 @@ PYRAMID_TEXT_SHA256 = {
 def test_pyramid_table_text_pinned(convention, regime):
     text = format_pyramid_diff(pyramid_census(6, convention=convention, regime=regime))
     assert hashlib.sha256(text.encode()).hexdigest() == PYRAMID_TEXT_SHA256[convention, regime]
+
+
+def test_canonical_cycles_match_canonical_cycle():
+    # row by row: the full max-label 6 pyramid grid, then random rows of
+    # other lengths over three labels, where forms tie often
+    grid = np.indices((5,) * 4, dtype=np.int8).reshape(4, -1).T + 2
+    rng = np.random.default_rng(0)
+    for rows in (grid, *(rng.integers(2, 5, size=(300, n)) for n in (1, 2, 3, 5, 6))):
+        assert (census._canonical_cycles(rows).tolist()
+                == [list(canonical_cycle(row)) for row in rows.tolist()])
+    assert census._canonical_cycles(grid[:0]).shape == (0, 4)
 
 
 def test_pyramid_verdicts_match_check(pyramid):

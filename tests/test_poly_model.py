@@ -2,17 +2,19 @@
 
 import math
 import random
-from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxvol import corpus, poly_model
+from coxvol.census import _edge_perms
 from coxvol.corpus import CORPUS, corpus_text, load
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
-                               PolyhedronError, apply_automorphism_to_edges,
-                               automorphisms, canonical_cycle, edge_key,
-                               parse_polyhedron, serialize_polyhedron, validate)
+                               PolyhedronError, automorphisms, canonical_cycle,
+                               edge_key, parse_polyhedron, serialize_polyhedron,
+                               validate)
 
 
 def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
@@ -22,10 +24,35 @@ def _preserves_faces(p: AbstractPolyhedron, vmap: dict[int, int]) -> bool:
 
 
 def automorphisms_brute(p: AbstractPolyhedron) -> list[dict[int, int]]:
-    """Exhaustive oracle: try every vertex bijection."""
-    verts = p.vertices
-    return [vmap for vmap in (dict(zip(verts, perm)) for perm in permutations(verts))
-            if _preserves_faces(p, vmap)]
+    """Exhaustive oracle: every vertex bijection that sends each face
+    cycle to a face cycle.  Bijections grow one vertex at a time, in
+    breadth-first order, and a partial one is cut as soon as it sends an
+    edge between placed vertices to a non-edge, which no such bijection
+    does: past the first vertex, each has a placed neighbour u, so its
+    image is a neighbour of u's."""
+    order = [p.vertices[0]]
+    for v in order:
+        order += [w for e in p.vertex_edges[v] for w in e if w not in order]
+    nbrs = {v: [w for e in p.vertex_edges[v] for w in e if w != v] for v in p.vertices}
+    edges = set(p.edges)
+    found = []
+
+    def extend(vmap: dict[int, int]) -> None:
+        if len(vmap) == len(order):
+            if _preserves_faces(p, vmap):
+                found.append(dict(vmap))
+            return
+        v = order[len(vmap)]
+        placed = [vmap[u] for u in nbrs[v] if u in vmap]
+        options = set(nbrs[placed[0]]) if placed else set(p.vertices)
+        for w in options - set(vmap.values()):
+            if all(edge_key(x, w) in edges for x in placed):
+                vmap[v] = w
+                extend(vmap)
+                del vmap[v]
+
+    extend({})
+    return found
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -216,13 +243,12 @@ def test_loebell_automorphisms_are_distinct_face_maps(n, order, loebell):
     assert all(_preserves_faces(p, m) for m in maps)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(name=st.sampled_from([*CORPUS, *(f"L{n}" for n in range(3, 9))]),
-       rnd=st.randoms(use_true_random=False))
-def test_relabeled_group_is_the_conjugate_group(name, rnd, loebell):
-    # vertex ids permuted by sigma, faces shuffled, each cycle rotated or
-    # reversed: the group becomes exactly sigma g sigma^-1
-    p = loebell(int(name[1:])) if name.startswith("L") else load(name).base
+def relabeled(name: str, rnd: random.Random) -> tuple[AbstractPolyhedron, AbstractPolyhedron,
+                                                     dict[int, int]]:
+    """A corpus polyhedron or L(n), and a copy with its vertex ids
+    permuted by sigma, its faces shuffled and each cycle rotated or
+    reversed; returns (original, copy, sigma)."""
+    p = corpus.loebell(int(name[1:])) if name.startswith("L") else load(name).base
     sigma = dict(zip(p.vertices, rnd.sample(p.vertices, len(p.vertices))))
     faces = []
     for cyc in p.faces:
@@ -230,10 +256,38 @@ def test_relabeled_group_is_the_conjugate_group(name, rnd, loebell):
         cyc = tuple(sigma[v] for v in cyc[r:] + cyc[:r])
         faces.append(cyc[::-1] if rnd.random() < 0.5 else cyc)
     rnd.shuffle(faces)
-    moved = automorphisms(AbstractPolyhedron(name=p.name, faces=tuple(faces)))
+    return p, AbstractPolyhedron(name=p.name, faces=tuple(faces)), sigma
+
+
+RELABELED_NAMES = st.sampled_from([*CORPUS, *(f"L{n}" for n in range(3, 9))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=RELABELED_NAMES, rnd=st.randoms(use_true_random=False))
+def test_relabeled_group_is_the_conjugate_group(name, rnd):
+    # the group of the relabeled copy is exactly sigma g sigma^-1
+    p, moved, sigma = relabeled(name, rnd)
     conjugates = {tuple(sorted((sigma[v], sigma[w]) for v, w in g.items()))
                   for g in automorphisms(p)}
-    assert sorted(tuple(sorted(m.items())) for m in moved) == sorted(conjugates)
+    assert sorted(tuple(sorted(m.items())) for m in automorphisms(moved)) == sorted(conjugates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=RELABELED_NAMES, rnd=st.randoms(use_true_random=False))
+def test_automorphisms_match_the_oracle_in_order(name, rnd):
+    # on a relabeled copy: the exhaustive oracle's maps, sorted by their
+    # items; each edge permutation row is the edge image of the map at
+    # its position; and candidates pushed through the walk's tree one at
+    # a time give the same list
+    _, p, _ = relabeled(name, rnd)
+    maps = automorphisms(p)
+    assert maps == sorted(automorphisms_brute(p), key=lambda m: sorted(m.items()))
+    perms = _edge_perms(p)
+    assert perms.shape == (len(maps), len(p.edges))
+    for vmap, perm in zip(maps, perms):
+        assert [p.edges[j] for j in perm] == [edge_key(vmap[a], vmap[b]) for a, b in p.edges]
+    with mock.patch.object(poly_model, "_AUTOMORPHISM_BLOCK", 1):
+        assert automorphisms(p) == maps
 
 
 def test_automorphism_group_closure(cube_all2):
@@ -252,10 +306,10 @@ def test_automorphism_group_closure(cube_all2):
 
 def test_automorphisms_permute_edges(lambert_cube):
     p = lambert_cube.base
-    edges = set(p.edges)
-    for vmap in automorphisms(p):
-        emap = apply_automorphism_to_edges(p, vmap)
-        assert set(emap.values()) == edges
+    perms = _edge_perms(p)
+    assert len(perms) == len(automorphisms(p))
+    for perm in perms:
+        assert sorted(perm.tolist()) == list(range(len(p.edges)))
 
 
 def test_edge_key_orders_endpoints():

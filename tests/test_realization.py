@@ -660,7 +660,9 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
 def sphere_normals_by_loops(p):
     """Oracle: the sphere-lift seed directions built one vertex and one
     face at a time."""
-    outer = p.outer_face if p.outer_face is not None else 0
+    outer = p.outer_face
+    if outer is None:
+        outer = max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
     boundary = list(p.faces[outer])
     verts = list(p.vertices)
     index = {v: i for i, v in enumerate(verts)}
@@ -715,6 +717,18 @@ def test_large_loebell_residual_meets_the_newton_stop(n, loebell):
     assert gram_residual(r) <= r.residual
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_loebell_with_a_pentagon_first_realizes(n, loebell):
+    # with no outer face named the seed pins the first largest face, an
+    # n-gon: pinning face 0, a pentagon here, fails the cold solve
+    p = loebell(n)
+    order = [1, *range(2, len(p.faces)), 0]
+    q = AbstractPolyhedron(name=p.name, faces=tuple(p.faces[f] for f in order))
+    assert realization._pinned_face(q) == len(p.faces) - 2
+    r = realize(right_angled(q))
+    assert r.residual <= RESIDUAL_TOL
+
+
 def permuted(lp, seed):
     """``lp`` with its vertex ids permuted and its faces reordered."""
     p = lp.base
@@ -729,13 +743,10 @@ def permuted(lp, seed):
                                              for (a, b), n in lp.labels.items()})
 
 
-realizable_targets = st.one_of(
-    st.builds(permuted, st.one_of(
-        st.sampled_from([load("lambert_cube"), load("triangular_prism"), load("pyramid")]),
-        st.tuples(*[st.integers(3, 8)] * 3).map(lambert_with)), st.integers(0, 2**16)),
-    # vertex ids only: L(n) has no outer face, so the seed pins face 0,
-    # and from L(10) on the cold solve fails when face 0 is not an n-gon
-    st.integers(5, 12).map(lambda n: relabeled_loebell(corpus.loebell, n)))
+realizable_targets = st.builds(permuted, st.one_of(
+    st.sampled_from([load("lambert_cube"), load("triangular_prism"), load("pyramid")]),
+    st.tuples(*[st.integers(3, 8)] * 3).map(lambert_with),
+    st.integers(5, 12).map(lambda n: right_angled(corpus.loebell(n)))), st.integers(0, 2**16))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
