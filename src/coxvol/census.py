@@ -361,16 +361,19 @@ def _pyramid_screen(seqs: np.ndarray, allow_ideal: bool) -> np.ndarray:
 
 
 def _pyramid_reasons(seq: tuple[int, int, int, int]) -> Iterator[str]:
-    """The exact finding of each base row on one base sequence."""
-    p, base, rows = _pyramid()
-    labels = {e: 2 for e in p.edges} | dict(zip(base, seq))
-    for row, (i, j) in rows:
+    """The exact finding of each base row on one base sequence, its sum
+    taken in integer units of pi/U, U = lcm(2, *seq), as ``_screen``
+    sums; every edge off the base is at 2."""
+    U = math.lcm(2, *seq)
+    for row, (i, j) in _pyramid()[2]:
         a, b = seq[i], seq[j]
-        s = row.angle_sum(labels)
+        units = U // a + U // b + (len(row.edges) - 2) * (U // 2)
+        g = math.gcd(units, U)  # the sum as Fraction(units, U) prints it
+        s = f"{units // g}" if g == U else f"{units // g}/{U // g}"
         if row.condition == _andreev.VERTEX:
-            kind = _andreev.vertex_kind(s, row.bound)
+            kind = _andreev.vertex_kind(units, row.bound * U)
             yield f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}"
-        elif s < row.bound:
+        elif units < row.bound * U:
             yield f"quad-face pair ({a},{b}): {s}*pi < {row.bound}*pi ok"
         else:
             yield f"quad-face pair ({a},{b}): {s}*pi not < {row.bound}*pi -> rejected"

@@ -19,22 +19,27 @@ J annihilates the six gauge tangents at the current normals.  Each step
 solves the square system [J; T] x = [-r; 0] with T the tangent rows:
 the step solves J x = -r and is orthogonal to the gauge orbit, which is
 the minimum-norm Gauss-Newton step wherever J has full row rank.  The
-solution is moved to a canonical gauge, fixed by the normals alone, so
-output is deterministic and all-ideal rows have one too: the point x
-minimizing sum_f (<x, e_f> + 1)^2 goes on the time axis, face 0 and its
-first neighbour, projected orthogonal to x, span the x3 axis and the
-x2=0, x1>0 half-plane, and the third face at the first end of their
-shared edge gets x2>0.  A realization's vertices and residual come after
-that.
+Gram target 0 of a right angle leaves the sign of a face whose edges are
+all right angles free, so each normal is first turned away from the
+vertices off its face.  The solution is then moved to a canonical gauge,
+fixed by the normals alone, so output is deterministic and all-ideal
+rows have one too: the point x minimizing sum_f (<x, e_f> + 1)^2 goes on
+the time axis, face 0 and its first neighbour, projected orthogonal to
+x, span the x3 axis and the x2=0, x1>0 half-plane, and the third face at
+the first end of their shared edge gets x2>0.  A realization's vertices
+and residual come after that.
 
-A cold solve starts from one sphere-lift seed, a spring embedding with
-the outer face, else the first largest face, pinned; ``PathRealizer`` anchors
-a path at its midpoint and reaches other points by one stacked solve
-per request, each row warm-started by one rule from the solutions
-cached before the request: interpolated between cached neighbours,
-linearly in u = sqrt(t), or the nearer end outside the cached range; a
-single point is a one-row stack.  Nothing is retried: a failed solve
-raises NonConvergence.
+A cold solve starts from one sphere-lift seed: a spring embedding with
+the outer face, else the first largest face, pinned, lifted to the
+sphere at infinity, where each face plane is a circle around the face's
+own lifted vertices (see ``_seed``).  The seed scales with the faces: a
+cold solve on right-angled L(n) takes 4 to 6 passes up to n = 100.
+``PathRealizer`` anchors a path at its midpoint and reaches other points
+by one stacked solve per request, each row warm-started by one rule
+from the solutions cached before the request: interpolated between
+cached neighbours, linearly in u = sqrt(t), or the nearer end outside
+the cached range; a single point is a one-row stack.  Nothing is
+retried: a failed solve raises NonConvergence.
 
 The residual, Jacobian and edge lengths are gathers over index arrays
 built once per polyhedron and kept on it.  The same minors, one gather
@@ -314,57 +319,74 @@ def _pinned_face(p: AbstractPolyhedron) -> int:
     return max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
 
 
-def _tutte_positions(p: AbstractPolyhedron) -> np.ndarray:
-    """Planar spring embedding with ``_pinned_face`` pinned to a polygon;
-    one row per vertex, in ``p.vertices`` order."""
-    outer = _pinned_face(p)
-    index = {v: i for i, v in enumerate(p.vertices)}
-    n = len(index)
-    pinned = [index[v] for v in p.faces[outer]]
-    # both directions of every edge, as (row, column) vertex indices
-    ends = np.fromiter((index[v] for e in p.edges for v in e), int).reshape(-1, 2)
-    rows, cols = np.concatenate([ends, ends[:, ::-1]]).T
+def _tutte_positions(p: AbstractPolyhedron, a: np.ndarray, b: np.ndarray,
+                     pinned: np.ndarray) -> np.ndarray:
+    """Planar spring embedding with the vertices ``pinned`` on a polygon,
+    in their order; one row per vertex, in ``p.vertices`` order.  Arrays
+    a and b hold the ends of every edge, an edge once for each of its
+    faces, so a vertex's valence is the number of times it is in a."""
+    n = len(p.vertices)
     A = np.zeros((n, n))
-    A[rows, cols] = -1.0
-    A[np.diag_indices(n)] = np.bincount(rows, minlength=n)
+    A[a, b] = A[b, a] = -1.0
+    A.flat[::n + 1] = np.bincount(a, minlength=n)
     # a pinned vertex's row only fixes it in place
     A[pinned] = 0.0
     A[pinned, pinned] = 1.0
-    b = np.zeros((n, 2))
-    for k, i in enumerate(pinned):
-        ang = 2 * math.pi * k / len(pinned)
-        b[i] = (2.0 * math.cos(ang), 2.0 * math.sin(ang))
-    return np.linalg.solve(A, b)
+    rhs = np.zeros((n, 2))
+    k = len(pinned)
+    rhs[pinned] = [(2.0 * math.cos(ang), 2.0 * math.sin(ang))
+                   for ang in (2 * math.pi * j / k for j in range(k))]
+    return np.linalg.solve(A, rhs)
 
 
-def _sphere_normals(p: AbstractPolyhedron) -> np.ndarray:
-    """Rough outward unit normals from an inverse-stereographic lift."""
-    x, y = _tutte_positions(p).T
-    r2 = x * x + y * y
-    sph = np.stack([2 * x, 2 * y, r2 - 1.0], axis=1) / (r2 + 1.0)[:, None]
-    # each face's vertex rows added in cycle order, one place at a time,
-    # as np.sum adds a stack of rows
-    index = {v: i for i, v in enumerate(p.vertices)}
-    size = max(map(len, p.faces))
-    cycles = np.array([[index[v] for v in f] + [0] * (size - len(f)) for f in p.faces])
-    lengths = np.array([len(f) for f in p.faces])[:, None]
-    c = sph[cycles[:, 0]]
-    for j in range(1, size):
-        np.add(c, sph[cycles[:, j]], out=c, where=lengths > j)
+def _seed(p: AbstractPolyhedron) -> np.ndarray:
+    """The cold start, stacked normals (4F,): the spring embedding lifted
+    to the unit sphere by inverse stereographic projection, and each face
+    plane meeting the sphere at infinity in a circle around the face's
+    own lifted vertices.  The circle's centre c is the direction of their
+    sum; with rho the largest angle between c and one of them, the normal
+    is (h, sqrt(1 + h^2) c) with h = 0.8 cot rho, a circle of angular
+    radius arccot h, a little wider than the face.  A face whose vertex
+    sum vanishes points along the pole, up for the pinned face."""
+    n, nf = len(p.vertices), len(p.faces)
+    lengths = np.fromiter(map(len, p.faces), int, nf)
+    # the faces' vertex rows in cycle order, face after face, then one row
+    # per face, padded with row n
+    cyc = np.searchsorted(np.array(p.vertices),
+                          np.fromiter(itertools.chain.from_iterable(p.faces), int))
+    inside = np.arange(max(map(len, p.faces))) < lengths[:, None]
+    cycles = np.full(inside.shape, n)
+    cycles[inside] = cyc
+    # the next row in the same cycle: every edge once for each of its faces
+    ends = np.cumsum(lengths)
+    succ = np.arange(1, len(cyc) + 1)
+    succ[ends - 1] = ends - lengths
+    outer = _pinned_face(p)
+    xy = _tutte_positions(p, cyc, cyc[succ], cycles[outer, :lengths[outer]])
+    r2 = xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1]
+    # the lifted vertices, then the zero row n
+    sph = np.empty((n + 1, 3))
+    sph[:n, :2] = 2 * xy
+    sph[:n, 2] = r2 - 1.0
+    sph[:n] /= (r2 + 1.0)[:, None]
+    sph[n] = 0.0
+    S = sph[cycles]
+    # each face's rows added in cycle order, one place at a time: the last
+    # of the running sums
+    c = np.add.accumulate(S, axis=1)[:, -1]
     nrm = _norms(c)
     flat = nrm < 1e-9
     if flat.any():
         c[flat] = 0.0
-        c[flat, 2] = np.where(np.flatnonzero(flat) == _pinned_face(p), 1.0, -1.0)
+        c[flat, 2] = np.where(np.flatnonzero(flat) == outer, 1.0, -1.0)
         nrm[flat] = 1.0
-    return c / nrm[:, None]
-
-
-def _seed(p: AbstractPolyhedron) -> np.ndarray:
-    h = 0.3  # the time coordinate of every seed normal
-    X = np.empty((len(p.faces), 4))
+    c /= nrm[:, None]
+    cos_rho = np.minimum.reduce(S[..., 0] * c[:, None, 0] + S[..., 1] * c[:, None, 1]
+                                + S[..., 2] * c[:, None, 2], axis=1, where=inside, initial=1.0)
+    h = 0.8 * cos_rho / np.sqrt(1.0 - cos_rho * cos_rho)
+    X = np.empty((nf, 4))
     X[:, 0] = h
-    X[:, 1:] = math.sqrt(1.0 + h * h) * _sphere_normals(p)
+    X[:, 1:] = np.sqrt(1.0 + h * h)[:, None] * c
     return X.ravel()
 
 
@@ -389,6 +411,24 @@ def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray) -> tuple[np.ndarray,
                                f"<v,v>/|v|^2 = {q[k]:.3e}")
     W *= np.where(W[:, :1] < 0, -1.0, 1.0)
     return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None], compact
+
+
+def _orient(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
+    """The normals E (F, 4), each turned away from the vertices off its
+    face.  A Gram target 0 leaves the sign of a face whose edges are all
+    right angles free, so the solve can return it reversed; a face with
+    off-face vertices on both sides of its plane raises RealizationError."""
+    at = [p.vertex_faces[v] for v in p.vertices]
+    W = _null_vectors(E[[fs[:3] for fs in at]] * METRIC)
+    side = (W * np.sign(W[:, :1]) * METRIC) @ E.T  # <w, e_f>, w on the future sheet
+    off = np.ones(side.shape, dtype=bool)
+    off[np.repeat(np.arange(len(at)), list(map(len, at))),
+        np.fromiter(itertools.chain.from_iterable(at), int)] = False
+    above = ((side > 0) & off).any(axis=0)
+    split = np.flatnonzero(above & ((side < 0) & off).any(axis=0))
+    if split.size:
+        raise RealizationError(f"face {split[0]} has vertices off it on both sides of its plane")
+    return np.where(above[:, None], -E, E)
 
 
 def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
@@ -450,10 +490,10 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
                       X: np.ndarray, iters: int) -> Realization:
-    """The gauge-fixed realization of the raw normals X; its residual is
-    the largest residual of the normals it returns, measured after the
-    gauge transform."""
-    E = _gauge_transform(p, X.reshape(len(p.faces), 4))
+    """The gauge-fixed realization of the raw normals X, each turned
+    outward first (``_orient``); its residual is the largest residual of
+    the normals it returns, measured after the gauge transform."""
+    E = _gauge_transform(p, _orient(p, X.reshape(len(p.faces), 4)))
     W, compact = _compute_vertices(p, E)
     vertices = {v: (w, andreev.COMPACT if c else andreev.IDEAL)
                 for v, w, c in zip(p.vertices, W, compact.tolist())}

@@ -5,7 +5,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +330,30 @@ def test_pyramid_reasons_are_exact():
         assert len(r.reasons) >= 4
         for reason in r.reasons:
             assert "pi" in reason
+
+
+def pyramid_reasons_by_fractions(seq):
+    """Oracle: each base row's finding from ``Constraint.angle_sum``, the
+    exact Fraction sum over the row's labels."""
+    p, base, rows = census._pyramid()
+    labels = {e: 2 for e in p.edges} | dict(zip(base, seq))
+    for row, (i, j) in rows:
+        a, b = seq[i], seq[j]
+        s = row.angle_sum(labels)
+        if row.condition == andreev.VERTEX:
+            kind = andreev.vertex_kind(s, row.bound)
+            yield f"base vertex between labels {a},{b}: sum {s}*pi -> {kind}"
+        elif s < row.bound:
+            yield f"quad-face pair ({a},{b}): {s}*pi < {row.bound}*pi ok"
+        else:
+            yield f"quad-face pair ({a},{b}): {s}*pi not < {row.bound}*pi -> rejected"
+
+
+def test_pyramid_reasons_match_fraction_sums():
+    # byte for byte, on every arrangement of every published row's labels
+    seqs = {seq for row in PUBLISHED_PYRAMID_ROWS for seq in permutations(row)}
+    for seq in sorted(seqs):
+        assert list(census._pyramid_reasons(seq)) == list(pyramid_reasons_by_fractions(seq)), seq
 
 
 # sha256 of format_pyramid_diff at max_label 6, recorded when the reason

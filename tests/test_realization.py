@@ -320,12 +320,12 @@ def svd_vertex(E, faces):
     return -w if w[0] < 0 else w
 
 
-def vertices_by_svd(p, E, kinds):
+def vertices_by_svd(p, E, kinds, corners=False):
     """Oracle: each vertex from the SVD null space of all its face
-    planes, one vertex at a time."""
+    planes, or of its first three with ``corners``, one vertex at a time."""
     out = []
     for v in p.vertices:
-        w = svd_vertex(E, p.vertex_faces[v])
+        w = svd_vertex(E, p.vertex_faces[v][:3] if corners else p.vertex_faces[v])
         out.append(w / math.sqrt(-mdot(w, w)) if kinds[v] == COMPACT else w / w[0])
     return np.array(out)
 
@@ -341,6 +341,9 @@ def relabeled_loebell(loebell, n):
 @pytest.mark.parametrize("name", ["lambert_cube", "triangular_prism", "pyramid",
                                   "L5", "L6", "L7"])
 def test_vertices_match_svd_oracle(name, loebell):
+    # each vertex against the SVD null vector of the three faces it is
+    # computed from; the fourth face at a 4-valent ideal apex misses it by
+    # what the Newton stop leaves of the solve's residual
     lp = load(name) if name in CORPUS else relabeled_loebell(loebell, int(name[1:]))
     p = lp.base
     path = default_path(p, lp.angles())
@@ -349,8 +352,11 @@ def test_vertices_match_svd_oracle(name, loebell):
         E = walker.solution_at(t).reshape(len(p.faces), 4)
         W, compact = _compute_vertices(p, E)
         kinds = {v: COMPACT if c else IDEAL for v, c in zip(p.vertices, compact)}
-        ref = vertices_by_svd(p, E, kinds)
+        ref = vertices_by_svd(p, E, kinds, corners=True)
         assert np.all(np.linalg.norm(W - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
+        for w, v in zip(W, p.vertices):
+            for f in p.vertex_faces[v][3:]:
+                assert abs(mdot(w, E[f])) <= RESIDUAL_TOL
     assert kinds == check(lp, default_regime(p)).vertex_types
 
 
@@ -657,9 +663,9 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     assert np.array_equal(single.solution_at(0.25), X[0])
 
 
-def sphere_normals_by_loops(p):
-    """Oracle: the sphere-lift seed directions built one vertex and one
-    face at a time."""
+def seed_by_loops(p):
+    """Oracle: the sphere-lift seed built one vertex and one face at a
+    time."""
     outer = p.outer_face
     if outer is None:
         outer = max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
@@ -684,18 +690,25 @@ def sphere_normals_by_loops(p):
     for v, (x, y) in zip(verts, pos):
         r2 = x * x + y * y
         sph[v] = np.array([2 * x, 2 * y, r2 - 1.0]) / (r2 + 1.0)
-    out = np.zeros((len(p.faces), 3))
+    out = np.zeros((len(p.faces), 4))
     for fid, cyc in enumerate(p.faces):
-        c = np.sum([sph[v] for v in cyc], axis=0)
-        out[fid] = c / np.linalg.norm(c)
-    return out
+        c = sph[cyc[0]]
+        for v in cyc[1:]:
+            c = c + sph[v]
+        c = c / np.linalg.norm(c)
+        # the cosine of the largest angle between c and a vertex of the face
+        cos_rho = min(s[0] * c[0] + s[1] * c[1] + s[2] * c[2] for s in map(sph.get, cyc))
+        h = 0.8 * cos_rho / math.sqrt(1.0 - cos_rho * cos_rho)
+        out[fid, 0] = h
+        out[fid, 1:] = math.sqrt(1.0 + h * h) * c
+    return out.ravel()
 
 
-@pytest.mark.parametrize("name", [*CORPUS, "L5", "L8", "L12"])
+@pytest.mark.parametrize("name", [*CORPUS, "L5", "L8", "L12", "L30"])
 def test_seed_matches_loop_oracle(name, loebell):
     # bit for bit, so the cold solves, and realize, do not move
     p = load(name).base if name in CORPUS else relabeled_loebell(loebell, int(name[1:])).base
-    assert np.array_equal(realization._sphere_normals(p), sphere_normals_by_loops(p))
+    assert np.array_equal(realization._seed(p), seed_by_loops(p))
 
 
 def test_realized_normals_meet_their_targets(sweep):
@@ -715,6 +728,71 @@ def test_large_loebell_residual_meets_the_newton_stop(n, loebell):
     r = realize(right_angled(loebell(n)))
     assert r.residual <= RESIDUAL_TOL
     assert gram_residual(r) <= r.residual
+
+
+GROWING = [*range(5, 31), 36, 38, 44, 46, 60]
+
+
+@pytest.fixture(scope="module")
+def growing(loebell):
+    """Cold realizations of right-angled L(n), n in GROWING."""
+    return [realize(right_angled(loebell(n))) for n in GROWING]
+
+
+def test_growing_loebell_family_realizes_in_few_passes(growing):
+    # every seed circle sits on its own lifted face, so a cold solve takes
+    # a handful of Gauss-Newton passes however large n is
+    iters = {n: r.newton_iters for n, r in zip(GROWING, growing)}
+    assert max(iters.values()) <= 6, iters
+    assert all(r.residual <= RESIDUAL_TOL for r in growing)
+
+
+def non_adjacent_gram(r):
+    """The Gram entries <e_f, e_g> of the face pairs sharing no edge."""
+    p = r.polyhedron
+    E = np.array([r.normals[f] for f in range(len(p.faces))])
+    G = (E * METRIC) @ E.T
+    apart = ~np.eye(len(E), dtype=bool)
+    for f, g in p.face_adjacency:
+        apart[f, g] = False
+    return G[apart]
+
+
+def test_non_adjacent_faces_are_ultraparallel(growing):
+    # two faces of a compact simple polyhedron that share no edge share no
+    # vertex, so their planes are ultraparallel and the Gram entry of their
+    # outward normals is below -1; a normal reversed against the rest,
+    # which a face whose edges are all right angles allows, makes it positive
+    worst = {n: non_adjacent_gram(r).max() for n, r in zip(GROWING, growing)}
+    assert max(worst.values()) <= -1.0, worst
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_reversed_normals_are_turned_back(n, loebell):
+    # one face reversed, or every face: the realization is the one the
+    # outward normals give
+    r = realize(right_angled(loebell(n)))
+    p = r.polyhedron
+    E = np.array([r.normals[f] for f in range(len(p.faces))])
+    ref = build_realization(p, r.angles, E.ravel(), 0)
+    one = E.copy()
+    one[0] = -one[0]
+    out = build_realization(p, r.angles, one.ravel(), 0)
+    assert all(np.array_equal(out.normals[f], ref.normals[f]) for f in ref.normals)
+    out = build_realization(p, r.angles, -E.ravel(), 0)
+    assert all(np.allclose(out.normals[f], ref.normals[f], rtol=0, atol=1e-12)
+               for f in ref.normals)
+    assert non_adjacent_gram(out).max() <= -1.0
+
+
+def test_a_plane_through_the_polyhedron_is_refused(loebell):
+    # the realized frame puts a point inside on the time axis; a plane
+    # through it has vertices off its face on both sides, whatever its sign
+    r = realize(right_angled(loebell(5)))
+    E = np.array([r.normals[f] for f in range(len(r.polyhedron.faces))])
+    E[0] = (0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(RealizationError, match="face 0 has vertices off it on both sides"):
+        build_realization(r.polyhedron, r.angles, E.ravel(), 0)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
