@@ -201,7 +201,8 @@ def _cmd_volume(args) -> int:
     print(f"nodes: {res.nodes}")
     _result("volume", "ok", volume=_fmt(res.volume, 15),
             error=_fmt(res.error_estimate, 6), nodes=res.nodes, solves=res.solves,
-            newton_iters=res.newton_iters, doubled=str(res.doubled).lower())
+            newton_iters=res.newton_iters, passes=res.passes,
+            doubled=str(res.doubled).lower())
     return EXIT_OK
 
 

@@ -41,10 +41,14 @@ cached neighbours, linearly in u = sqrt(t), or the nearer end outside
 the cached range; a single point is a one-row stack.  Nothing is
 retried: a failed solve raises NonConvergence.
 
-The residual, Jacobian and edge lengths are gathers over index arrays
-built once per polyhedron and kept on it.  The same minors, one gather
-and one batched ``det``, give the vertices, the cofactors and the gauge
-frame.
+Index arrays built once per polyhedron, by array operations, and kept on
+it drive every pass.  The residual is gathers and batched matmuls.  Every
+Newton matrix entry outside the apex rows is one entry of the normals
+times +-1 or +-2, so the matrix is one gather, one multiply and one
+scatter into zeros, then the apex cofactor rows.  An edge length reads
+three 3x3 minors of the Gram matrix of its four faces, C_gg, C_hh and
+C_gh, in one batched ``det``.  Signed minors, one gather and one batched
+``det``, also give the vertices, the apex cofactors and the gauge frame.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ METRIC = np.array([-1.0, 1.0, 1.0, 1.0])
 # normals E (one per row) along A is E @ A.T
 _GAUGE_T = np.array([(METRIC[:, None] * (np.outer(a, b) - np.outer(b, a))).T
                      for a, b in itertools.combinations(np.eye(4), 2)])
+# (generator, row, column) of each nonzero: two per generator
+_GAUGE_NONZEROS = np.nonzero(_GAUGE_T)
 
 RESIDUAL_TOL = 1e-11
 MAX_NEWTON_ITERS = 200
@@ -119,19 +125,46 @@ class _System:
     """Gauss-Newton residual and Jacobian, and edge lengths, over stacked normals."""
 
     def __init__(self, p: AbstractPolyhedron):
-        self.nf = len(p.faces)
+        self.nf = nf = len(p.faces)
         self.edges = p.edges
-        self.ne = len(self.edges)
-        # each edge's two faces, then the third face at each endpoint, and
+        self.ne = ne = len(self.edges)
+        # each edge's two faces, then the third face at each endpoint: the
+        # smallest face there not on the edge, as p.vertex_faces is ascending
+        chain = itertools.chain.from_iterable
+        verts = np.array(p.vertices)
+        incidence = np.zeros((len(verts), nf), dtype=bool)
+        incidence[np.searchsorted(verts, np.fromiter(chain(p.faces), int)),
+                  np.repeat(np.arange(nf), np.fromiter(map(len, p.faces), int, nf))] = True
+        ends = np.fromiter(chain(self.edges), int, 2 * ne).reshape(ne, 2)
+        edge_faces = np.fromiter(chain(map(p.edge_faces.__getitem__, self.edges)), int,
+                                 2 * ne).reshape(ne, 2)
+        third = incidence[np.searchsorted(verts, ends)]
+        third[np.arange(ne)[:, None], :, edge_faces] = False
+        self.quads = np.concatenate([edge_faces, third.argmax(axis=2)], axis=1)
+        self.fi, self.fj = edge_faces.T
         # the four faces at each 4-valent apex
-        self.quads = np.array([(*p.edge_faces[e], *(next(
-            f for f in p.vertex_faces[v] if f not in p.edge_faces[e]) for v in e))
-            for e in self.edges])
-        self.fi, self.fj = self.quads[:, :2].T
         apexes = [v for v in sorted(p.ideal_candidates) if p.valence(v) == 4]
         self.apex_faces = np.array([p.vertex_faces[v] for v in apexes], dtype=int).reshape(-1, 4)
         # validate leaves E = 3F - 6 - #apex, so n_eq + 6 = 4F: the square Newton solve relies on it
-        self.n_eq = self.nf + self.ne + len(apexes)
+        self.n_eq = nf + ne + len(apexes)
+        # every Newton matrix entry outside the apex rows is an entry of X
+        # times +-1 or +-2, kept as its flat position, source column and
+        # factor: the unit-norm rows (2 G_f), both sides of each Gram row
+        # (G_j, G_i) and the six gauge rows, one product per nonzero of
+        # their generators
+        n = 4 * nf
+        cols = np.arange(n).reshape(nf, 4)
+        g, m, k = _GAUGE_NONZEROS
+        self._pos = np.concatenate([n * np.arange(nf)[:, None] + cols,
+                                    (n * (nf + np.arange(ne)))[:, None, None] + cols[edge_faces],
+                                    (n * (self.n_eq + g) + k)[:, None] + cols[:, 0]], axis=None)
+        self._src = np.concatenate([cols, cols[edge_faces[:, ::-1]], m[:, None] + cols[:, 0]],
+                                   axis=None)
+        self._factor = np.concatenate([np.tile(2.0 * METRIC, nf), np.tile(METRIC, 2 * ne),
+                                       np.repeat(_GAUGE_T[g, m, k], nf)])
+        # each apex row's cofactor block, (apex, face, coordinate)
+        self._apex_pos = ((n * (nf + ne + np.arange(len(apexes))))[:, None, None]
+                          + cols[self.apex_faces])
 
     def residual(self, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Residuals of a stack of rows: X (..., 4F), targets (..., E)."""
@@ -149,32 +182,23 @@ class _System:
 
     def newton_matrix(self, X: np.ndarray) -> np.ndarray:
         """The Jacobian with the six gauge tangents at X below it, square;
-        one (4F, 4F) matrix per row of X (..., 4F)."""
-        lead = X.shape[:-1]
-        E = X.reshape(lead + (self.nf, 4))
-        G = E * METRIC
-        nf, ne = self.nf, self.ne
-        K = np.zeros(lead + (nf * 4, nf * 4))
-        np.matmul(E[..., None, :, :], _GAUGE_T, out=K[..., self.n_eq:, :].reshape(lead + (6, nf, 4)))
-        # a view: blocks[..., row, f, :] = d row / d E[f]
-        blocks = K[..., :self.n_eq, :].reshape(lead + (self.n_eq, nf, 4))
-        faces = np.arange(nf)
-        blocks[..., faces, faces, :] = 2.0 * G
-        rows = nf + np.arange(ne)
-        blocks[..., rows, self.fi, :] = G[..., self.fj, :]
-        blocks[..., rows, self.fj, :] = G[..., self.fi, :]
+        one (4F, 4F) matrix per row of X (..., 4F): one gather, one
+        multiply and one scatter, then the apex rows."""
+        n = 4 * self.nf
+        K = np.zeros(X.shape[:-1] + (n * n,))
+        K[..., self._pos] = X[..., self._src] * self._factor
         if len(self.apex_faces):
-            rows = nf + ne + np.arange(len(self.apex_faces))
             # d det / d M is the cofactor matrix of M
-            blocks[..., rows[:, None], self.apex_faces, :] = _cofactors(E[..., self.apex_faces, :])
-        return K
+            E = X.reshape(X.shape[:-1] + (self.nf, 4))
+            K[..., self._apex_pos] = _cofactors(E[..., self.apex_faces, :])
+        return K.reshape(X.shape[:-1] + (n, n))
 
     def step(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The Gauss-Newton step of each row of X with residual r: J step
         = -r, and orthogonal to the gauge tangents.  Raises LinAlgError
         when a Newton matrix is singular."""
         rhs = np.zeros(X.shape)
-        rhs[..., :self.n_eq] = -r
+        np.negative(r, out=rhs[..., :self.n_eq])
         return np.linalg.solve(self.newton_matrix(X), rhs[..., None])[..., 0]
 
     def targets(self, angles: dict[Edge, float]) -> np.ndarray:
@@ -182,23 +206,27 @@ class _System:
 
     def lengths(self, X: np.ndarray, cols) -> np.ndarray:
         """The lengths of edges ``cols`` for each row of X (..., 4F), from
-        the cofactors C of the Gram matrix of each edge's faces: cosh len =
-        |C_gh| / sqrt(C_gg C_hh), g and h the third faces at its ends.
-        C_gg, the Gram determinant of the faces at the end away from g,
-        is positive exactly when that end is compact; else len is nan."""
-        C = self._gram_cofactors(X, cols)
-        cgg, chh = C[..., 2, 2], C[..., 3, 3]
+        three cofactors C of the Gram matrix of each edge's faces: cosh
+        len = |C_gh| / sqrt(C_gg C_hh), g and h the third faces at its
+        ends.  C_gg, the Gram determinant of the faces at the end away
+        from g, is positive exactly when that end is compact; else len
+        is nan."""
+        cgg, chh, cgh = np.moveaxis(self._gram_minors(X, cols), -1, 0)
         ok = (cgg > 0) & (chh > 0)
-        cosh = np.abs(C[..., 2, 3]) / np.sqrt(np.where(ok, cgg * chh, 1.0))
+        cosh = np.abs(cgh) / np.sqrt(np.where(ok, cgg * chh, 1.0))
         return np.where(ok, np.arccosh(np.maximum(cosh, 1.0)), np.nan)
 
     def open_end(self, x: np.ndarray, col: int) -> int:
         """The end of edge ``col`` not compact at normals x (4F,), the first if neither is."""
-        return self.edges[col][int(self._gram_cofactors(x, [col])[0, 3, 3] > 0)]
+        return self.edges[col][int(self._gram_minors(x, [col])[0, 1] > 0)]
 
-    def _gram_cofactors(self, X: np.ndarray, cols) -> np.ndarray:
+    def _gram_minors(self, X: np.ndarray, cols) -> np.ndarray:
+        """The minors C_gg, C_hh and +-C_gh of the Gram matrix of each
+        edge's faces (fi, fj, g, h), (..., len(cols), 3): the rows and
+        columns that ``_cofactors`` keeps for them, in its order."""
         E = X.reshape(X.shape[:-1] + (self.nf, 4))[..., self.quads[cols], :]
-        return _cofactors((E * METRIC) @ np.swapaxes(E, -1, -2))
+        gram = (E * METRIC) @ np.swapaxes(E, -1, -2)
+        return np.linalg.det(gram[..., _GRAM_ROWS[:, :, None], _GRAM_COLS[:, None, :]])
 
 
 def _system(p: AbstractPolyhedron) -> _System:
@@ -209,6 +237,8 @@ def _system(p: AbstractPolyhedron) -> _System:
 # the indices kept when index i of four is dropped
 _KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
 _SIGNS = (-1.0) ** np.arange(4)
+# the minors of C_gg, C_hh and C_gh: without row and column 2, 3 and (2, 3)
+_GRAM_ROWS, _GRAM_COLS = _KEEP[[2, 3, 2]], _KEEP[[2, 3, 3]]
 
 
 def _null_vectors(M: np.ndarray) -> np.ndarray:
@@ -254,9 +284,11 @@ def _newton(sys_: _System, X0: np.ndarray,
     failed: dict[int, tuple[str, float]] = {}
     live = np.arange(n)
     rows = slice(None)  # the live rows: a view, not a gather, while every row is live
+    # np.count_nonzero tests a small mask in a fraction of the time of
+    # any() and all(), which go through the ufunc reduction machinery
     for it in range(MAX_NEWTON_ITERS + 1):
         done = rmax[rows] <= RESIDUAL_TOL
-        if done.any():
+        if np.count_nonzero(done):
             steps[live[done]] = it
             live = rows = live[~done]
         if not live.size:
@@ -288,7 +320,7 @@ def _newton(sys_: _System, X0: np.ndarray,
             rn = sys_.residual(Xn, targets[search])
             nn = _norms(rn)
             ok = nn < norm[search]
-            if ok.all():
+            if np.count_nonzero(ok) == len(ok):
                 X[search], r[search], norm[search] = Xn, rn, nn
                 break
             search = np.arange(n)[search]
@@ -536,7 +568,9 @@ class PathRealizer:
     ``solution_at(t)`` is the one-row case.  Solutions are cached only
     when they converge, and requests issued in a fixed order produce
     bit-identical results.  ``solves`` and ``newton_iters`` count the
-    rows solved and their Gauss-Newton iterations.
+    rows solved and their Gauss-Newton iterations; ``passes`` counts the
+    stacked passes, each stack's largest per-row iteration count summed
+    over the stacks, which is what the iterations cost.
     """
 
     ANCHOR_T = 0.5
@@ -546,7 +580,7 @@ class PathRealizer:
         X, _, iters = solve_at(path.polyhedron, path.angles_at(self.ANCHOR_T))
         self.cache: dict[float, np.ndarray] = {self.ANCHOR_T: X}  # t -> stacked normals
         self.solves = 1
-        self.newton_iters = iters
+        self.newton_iters = self.passes = iters
 
     def solution_at(self, t: float) -> np.ndarray:
         """The solution at ``t``: a one-row ``solutions_at``."""
@@ -570,6 +604,7 @@ class PathRealizer:
             self.cache.update(zip(todo, X))
             self.solves += len(todo)
             self.newton_iters += int(iters.sum())
+            self.passes += int(iters.max())
         return np.array([self.cache[t] for t in ts])
 
     def _start(self, known: list[float], t: float) -> np.ndarray:

@@ -210,6 +210,7 @@ class VolumeResult:
     doubled: bool = False
     solves: int = 0  # rows solved, anchor and (for a labeling) collapse check included
     newton_iters: int = 0  # Gauss-Newton iterations, summed over the rows
+    passes: int = 0  # stacked Gauss-Newton passes: each stack's largest row count, summed
 
 
 def orb_convention(v: VolumeResult) -> VolumeResult:
@@ -315,7 +316,7 @@ def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
     travel = sum(np.abs(path.table[1] - path.table[0]).tolist())
     return VolumeResult(volume=-0.5 * q, error_estimate=0.5 * (d + RESIDUAL_TOL * travel),
                         nodes=f.calls, solves=f.walker.solves,
-                        newton_iters=f.walker.newton_iters)
+                        newton_iters=f.walker.newton_iters, passes=f.walker.passes)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ def test_volume_lambert_doubled(capsys, data_dir):
     assert code == 0
     line = result_line(out)
     assert "doubled=true" in line
+    # the stacked-pass count follows the per-row iteration count
+    assert " newton_iters=" in line and line.index("newton_iters=") < line.index(" passes=")
     vol = float(line.split("volume=")[1].split()[0])
     assert abs(vol - 0.648847) < 2e-3
 

@@ -376,16 +376,26 @@ def test_gram_lengths_match_the_vertex_oracle(sweep):
     assert worst <= 1e-10
 
 
-def test_gram_lengths_are_nan_exactly_at_non_timelike_ends(lambert_cube):
-    # vertex 0's angle sum falls from 1.5*pi at the start of the segment to
-    # 0.9*pi at its end, so the nodes near the end realize a vertex 0 that
-    # is not compact; the nodes keep clear of the t where the sum crosses pi
+def vertex0_path(lambert_cube):
+    """The segment from the right-angled cube to the Lambert cube with
+    vertex 0's edges at 0.3*pi: vertex 0's angle sum falls from 1.5*pi at
+    its start to 0.9*pi at its end."""
     p = lambert_cube.base
     mid = dict(lambert_cube.angles())
     for e in p.vertex_edges[0]:
         mid[e] = 0.3 * math.pi
-    path = DeformationPath.from_configs(p, [dict.fromkeys(p.edges, math.pi / 2), mid])
-    ts = np.linspace(0.05, 0.95, 19)
+    return DeformationPath.from_configs(p, [dict.fromkeys(p.edges, math.pi / 2), mid])
+
+
+NAN_PATH_TS = np.linspace(0.05, 0.95, 19)
+
+
+def test_gram_lengths_are_nan_exactly_at_non_timelike_ends(lambert_cube):
+    # the nodes near the end realize a vertex 0 that is not compact; the
+    # nodes keep clear of the t where its angle sum crosses pi
+    p = lambert_cube.base
+    path = vertex0_path(lambert_cube)
+    ts = NAN_PATH_TS
     sums = path.angle_rows(ts)[0][:, [p.edges.index(e) for e in p.vertex_edges[0]]].sum(axis=1)
     assert np.min(np.abs(sums - math.pi)) > 0.01
     assert (sums <= math.pi).any() and (sums > math.pi).any()
@@ -404,15 +414,54 @@ def test_gram_lengths_are_nan_exactly_at_non_timelike_ends(lambert_cube):
     assert not np.isnan(lens[sums > math.pi]).any()
 
 
+def lengths_by_cofactors(sys_, X, cols):
+    """Oracle: edge lengths read from the full 4x4 cofactor matrices C of
+    the Gram matrices, |C[2,3]| / sqrt(C[2,2] C[3,3]), nan at an end whose
+    minor is not positive."""
+    E = X.reshape(X.shape[:-1] + (sys_.nf, 4))[..., sys_.quads[cols], :]
+    C = _cofactors((E * METRIC) @ np.swapaxes(E, -1, -2))
+    cgg, chh = C[..., 2, 2], C[..., 3, 3]
+    ok = (cgg > 0) & (chh > 0)
+    cosh = np.abs(C[..., 2, 3]) / np.sqrt(np.where(ok, cgg * chh, 1.0))
+    return np.where(ok, np.arccosh(np.maximum(cosh, 1.0)), np.nan)
+
+
+def test_lengths_match_the_full_cofactors(lambert_cube, monkeypatch):
+    # bit for bit, nan where the oracle is nan: the stacks the Lambert
+    # cube's volume reads its lengths from (the collapse check, then the
+    # 24 nodes of the 8- and 16-node rules), and every edge along a path
+    # on which vertex 0 stops being compact
+    calls = []
+    lengths = _System.lengths
+
+    def recorded(self, X, cols):
+        calls.append((self, X, cols))
+        return lengths(self, X, cols)
+
+    monkeypatch.setattr(_System, "lengths", recorded)
+    schlafli_volume(lambert_cube)
+    assert [len(X) for _, X, _ in calls] == [1, 24]
+    p = lambert_cube.base
+    path = vertex0_path(lambert_cube)
+    calls.append((_System(p), PathRealizer(path).solutions_at(NAN_PATH_TS),
+                  list(range(len(p.edges)))))
+    for sys_, X, cols in calls:
+        assert np.array_equal(lengths(sys_, X, cols), lengths_by_cofactors(sys_, X, cols),
+                              equal_nan=True)
+    # on the last stack some lengths are nan, each at an edge whose end
+    # that open_end names, from C_hh alone, is vertex 0
+    sys_, X, cols = calls[-1]
+    nan = np.isnan(lengths(sys_, X, cols))
+    assert nan.any() and not nan.all()
+    for row, col in np.argwhere(nan):
+        assert sys_.open_end(X[row], col) == 0
+
+
 def test_spacelike_vertex_is_degenerate(lambert_cube):
     # at t = 0.95 vertex 0's angle sum is 0.93*pi, so its three planes
     # meet outside the hyperboloid: neither compact nor ideal
     p = lambert_cube.base
-    mid = dict(lambert_cube.angles())
-    for e in p.vertex_edges[0]:
-        mid[e] = 0.3 * math.pi
-    path = DeformationPath.from_configs(p, [dict.fromkeys(p.edges, math.pi / 2), mid])
-    E = PathRealizer(path).solution_at(0.95).reshape(-1, 4)
+    E = PathRealizer(vertex0_path(lambert_cube)).solution_at(0.95).reshape(-1, 4)
     with pytest.raises(DegenerateVertex, match="vertex 0 is spacelike"):
         _compute_vertices(p, E)
 
@@ -442,12 +491,49 @@ def system_by_loops(p, X, targets):
     return r, J
 
 
-@pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
+def gauge_rows_by_loops(p, X):
+    """Oracle: the six gauge rows, the tangent A e_f of every normal along
+    each generator A = diag(METRIC) (e_i e_j^T - e_j e_i^T), i < j, filled
+    one face at a time."""
+    E = X.reshape(len(p.faces), 4)
+    T = np.zeros((6, X.size))
+    for g, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        A = np.zeros((4, 4))
+        A[i, j], A[j, i] = METRIC[i], -METRIC[j]
+        for f in range(len(p.faces)):
+            T[g, 4 * f:4 * f + 4] = A @ E[f]
+    return T
+
+
+def quads_by_loops(p):
+    """Oracle: each edge's two faces, then the first face of each
+    endpoint, in p.vertex_faces order, that is not on the edge."""
+    return np.array([(*p.edge_faces[e], *(next(f for f in p.vertex_faces[v]
+                                               if f not in p.edge_faces[e]) for v in e))
+                     for e in p.edges])
+
+
+def sparse_ids(p):
+    """``p`` with its vertex ids permuted and spread apart, 3v + 5."""
+    perm = np.random.default_rng(len(p.faces)).permutation(len(p.vertices))
+    return AbstractPolyhedron(name=p.name, faces=tuple(
+        tuple(3 * int(perm[v]) + 5 for v in f) for f in p.faces))
+
+
+@pytest.mark.parametrize("name", ["lambert_cube", "pyramid", "L7", "L7-sparse"])
 def test_system_matches_loop_oracle(name):
     # bit for bit: the batched matmuls add the four products of each
-    # unit-norm and edge row in np.dot's order
-    lp = load(name)
+    # unit-norm and edge row in np.dot's order, and every other entry
+    # outside the apex rows is one product of an entry of X; a stack of
+    # rows gives each row's own system, and the index arrays follow the
+    # vertex ids whatever they are
+    if name in CORPUS:
+        lp = load(name)
+    else:
+        p = corpus.loebell(7)
+        lp = right_angled(sparse_ids(p) if name.endswith("sparse") else p)
     sys_ = _System(lp.base)
+    assert np.array_equal(sys_.quads, quads_by_loops(lp.base))
     targets = sys_.targets(lp.angles())
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -455,6 +541,14 @@ def test_system_matches_loop_oracle(name):
         r, J = system_by_loops(lp.base, X, targets)
         assert np.array_equal(sys_.residual(X, targets), r)
         assert np.array_equal(sys_.newton_matrix(X)[:sys_.n_eq], J)
+        assert np.array_equal(sys_.newton_matrix(X)[sys_.n_eq:], gauge_rows_by_loops(lp.base, X))
+    stack = rng.standard_normal((3, 4 * sys_.nf))
+    K = sys_.newton_matrix(stack)
+    r = sys_.residual(stack, np.tile(targets, (3, 1)))
+    for x, k, res in zip(stack, K, r):
+        oracle_r, J = system_by_loops(lp.base, x, targets)
+        assert np.array_equal(res, oracle_r)
+        assert np.array_equal(k, np.vstack([J, gauge_rows_by_loops(lp.base, x)]))
 
 
 @pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
@@ -641,20 +735,22 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     # call starts from the interpolation oracle over that cache, bracketed
     # or not, and is bit-equal to a one-row solve from there; the walker's
     # iteration count grows by the rows' own counts, and a realization
-    # reports it
+    # reports it; its pass count grows by the slowest row's count
     walker = PathRealizer(path)
     walker.solutions_at([0.125, 0.375, 0.9])
     before = dict(walker.cache)
-    k0 = walker.newton_iters
+    k0, p0 = walker.newton_iters, walker.passes
     ts = (0.25, 0.3, 0.45, 0.7, 1e-6, 1.0)
     X = walker.solutions_at(ts)
-    total = 0
+    counts = []
     for t, x in zip(ts, X):
         ref, _, iters = solve_at(lambert_cube.base, path.angles_at(t),
                                  warm_start=interpolated_start(before, t))
         assert np.array_equal(x, ref)
-        total += iters
+        counts.append(iters)
+    total = sum(counts)
     assert walker.newton_iters == k0 + total
+    assert walker.passes == p0 + max(counts)
     assert walker.realization_at(1.0).newton_iters == k0 + total
     assert walker.solves == 4 + len(ts)
     # solution_at is the one-row case

@@ -289,6 +289,27 @@ def test_lambert_volume_makes_three_stacked_solves(lambert_cube, newton_calls):
     assert res.solves == 26
 
 
+def test_lambert_volume_counts_its_passes(lambert_cube, monkeypatch):
+    # a stacked solve costs its slowest row's Gauss-Newton passes, and
+    # the passes of the anchor, the collapse check and the 24-row stack add
+    # up; newton_iters adds every row's own count instead
+    from coxvol import realization
+
+    slowest = []
+    newton = realization._newton
+
+    def recorded(*args):
+        X, rmax, steps = newton(*args)
+        slowest.append(int(steps.max()))
+        return X, rmax, steps
+
+    monkeypatch.setattr(realization, "_newton", recorded)
+    res = schlafli_volume(lambert_cube)
+    assert res.passes == sum(slowest) == 21
+    assert res.newton_iters == 106
+    assert orb_convention(res).passes == res.passes
+
+
 def quadrature_by_rules(f, a, b, tol):
     """Oracle: segment_quadrature with one call of f per rule."""
     prev, n = None, QUAD_START_NODES
