@@ -6,7 +6,9 @@ three 3-labels, and the ideal-apex pyramid table with its comparison
 against the published row list.  All three decide admissibility in
 one place, ``_screen``, which sums the rows of ``andreev.constraints``
 over integer angle units (a common denominator of all 1/n), so every
-comparison stays exact; none calls ``andreev.check``.
+comparison stays exact; none calls ``andreev.check``.  A screen gathers
+the angle units of its rows' edges once and takes each row's sum over
+that gather.
 The orbit census grows labelings edge by edge, in ``p.edges`` order:
 each decisive row is tested on the whole frontier of partial labelings
 as soon as its last edge is placed, so a prefix that already fails a
@@ -17,8 +19,10 @@ any extension is its orbit's smallest member.  Labelings are compared
 by their mixed-radix ids, the first edge most significant, and the test
 is one float64 matrix product per step over differences of ids.  What
 is left once every edge is placed is the smallest member of each orbit,
-once, in ascending order.  A vertex of an orbit row is ideal when its
-row fails the strict screen.  The group enters as one (|G|, E) array of
+once, in ascending order.  One pass over all the orbit rows then
+counts each row's ideal vertices: every vertex row of an admissible
+labeling sums to at least its bound, and the ideal ones sum to it
+exactly.  The group enters as one (|G|, E) array of
 edge permutations, ``_edge_perms``, read by the orbit test and the cube
 placement search alike.  The pyramid table screens the base rows of the
 bundled pyramid once, over every base sequence, apex edges at 2, and
@@ -31,7 +35,7 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 import numpy as np
 
@@ -86,17 +90,46 @@ def _units(rows, max_label: int) -> tuple[int, np.ndarray]:
     return U, np.array([U // n for n in range(2, max_label + 1)], dtype=np.int64)
 
 
-def _screen(rows, digits: np.ndarray, col: dict[Edge, int], max_label: int,
+# array entries that a pass over many labelings forms at once, block by
+# block, so its memory does not grow with their number: a screen's gather
+# of angle units, the orbit test's x @ D
+_BLOCK = 2**16
+
+
+def _row_sums(rows, digits: np.ndarray, col: dict[Edge, int],
+              unit: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The angle sums of ``rows`` over an (N, ·) array of digits, in
+    units of pi/U, in blocks of labelings: pairs (at, sums), sums the
+    (len(rows), ·) sums of the labelings digits[at].  Each block gathers
+    the angle units of every row's edge columns (``col[e]``) once, one
+    line per edge, and each run of consecutive rows with as many edges
+    sums its lines at once."""
+    cols = [col[e] for row in rows for e in row.edges]
+    if not cols:
+        return
+    runs = [(width, len(list(run))) for width, run in groupby(len(row.edges) for row in rows)]
+    block = max(1, _BLOCK // len(cols))
+    for first in range(0, len(digits), block):
+        angles = unit[digits[first:first + block].T[cols]]
+        n, sums, start = angles.shape[1], [], 0
+        for width, k in runs:
+            sums.append(angles[start:start + k * width].reshape(k, width, n).sum(axis=1))
+            start += k * width
+        yield slice(first, first + n), np.concatenate(sums)
+
+
+def _screen(rows, digits: np.ndarray, col: dict[Edge, int], units: tuple[int, np.ndarray],
             allow_ideal: bool) -> np.ndarray:
     """A mask over the labelings of an (N, ·) array of digits (label - 2):
-    whether each satisfies every decisive constraint in ``rows``, summing
-    the row's edge columns (``col[e]``) of angles exactly, in units of
-    pi/U with U = lcm(2..max_label)."""
-    U, unit = _units(rows, max_label)
+    whether each satisfies every decisive constraint in ``rows``, judged
+    on the angle sums of ``_row_sums``, exact in units of pi/U, with
+    ``units`` = (U, unit) as ``_units`` gives them once per census."""
+    rows = [row for row in rows if not row.informational]
     ok = np.ones(len(digits), dtype=bool)
-    for row in rows:
-        if not row.informational:
-            ok &= row.holds(sum(unit[digits[:, col[e]]] for e in row.edges), allow_ideal, U)
+    for at, sums in _row_sums(rows, digits, col, units[1]):
+        part = ok[at]
+        for row, s in zip(rows, sums):
+            part &= row.holds(s, allow_ideal, units[0])
     return ok
 
 
@@ -106,9 +139,10 @@ def _admissible_mask(p: AbstractPolyhedron, labels: np.ndarray, max_label: int,
     ``p.edges`` column order: every decisive row of the constraint table
     must hold, and below MIN_FACES faces every labeling is rejected, as
     ``check`` does."""
+    allow_ideal = _andreev.allows_ideal(regime)
     col = {e: i for i, e in enumerate(p.edges)}
-    ok = _screen(_andreev.constraints(p), labels - 2, col, max_label,
-                 _andreev.allows_ideal(regime))
+    rows = _andreev.constraints(p)
+    ok = _screen(rows, labels - 2, col, _units(rows, max_label), allow_ideal)
     return ok & (len(p.faces) >= _andreev.MIN_FACES)
 
 
@@ -131,14 +165,11 @@ def _prefix_tests(p: AbstractPolyhedron, nchoices: int) -> list[np.ndarray]:
     return [Dn[:n, Dn.any(axis=0)] for n, Dn in enumerate(D, 1)]
 
 
-# float64 entries of x @ D formed at once when the orbit test runs in blocks
-_PRODUCT_BLOCK = 2**16
-
-
-def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarray:
+def _grow(p: AbstractPolyhedron, units: tuple[int, np.ndarray], allow_ideal: bool) -> np.ndarray:
     """The smallest member of every automorphism orbit of admissible
     labelings, as an (N, E) int8 array of digits (label - 2) in
-    ``p.edges`` order, ascending, grown one edge at a time.
+    ``p.edges`` order, ascending, grown one edge at a time over the
+    digits of ``units`` (``_units`` of the table at the label bound).
 
     After each placement the frontier keeps only the prefixes that pass
     the rows whose last edge was just placed, and then only those that no
@@ -155,8 +186,8 @@ def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarra
     due: list[list[_andreev.Constraint]] = [[] for _ in p.edges]
     for row in _andreev.constraints(p):
         due[max(col[e] for e in row.edges)].append(row)
-    tests = _prefix_tests(p, max_label - 1)
-    choices = np.arange(max_label - 1, dtype=np.int8)
+    choices = np.arange(len(units[1]), dtype=np.int8)
+    tests = _prefix_tests(p, len(choices))
     # one empty prefix to grow from, none below MIN_FACES faces
     digits = np.zeros((int(len(p.faces) >= _andreev.MIN_FACES), 0), dtype=np.int8)
     for step, (rows, D) in enumerate(zip(due, tests)):
@@ -164,13 +195,28 @@ def _grow(p: AbstractPolyhedron, max_label: int, allow_ideal: bool) -> np.ndarra
         grown[:, :, :step] = digits[:, None]
         grown[:, :, step] = choices
         grown = grown.reshape(-1, step + 1)
-        digits = grown[_screen(rows, grown, col, max_label, allow_ideal)]
+        digits = grown[_screen(rows, grown, col, units, allow_ideal)]
         minimal = np.ones(len(digits), dtype=bool)
-        block = max(1, _PRODUCT_BLOCK // max(1, D.shape[1]))
+        block = max(1, _BLOCK // max(1, D.shape[1]))
         for start in range(0, len(digits), block):
             minimal[start:start + block] = (digits[start:start + block] @ D >= 0).all(axis=1)
         digits = digits[minimal]
     return digits
+
+
+def _ideal_counts(p: AbstractPolyhedron, digits: np.ndarray,
+                  units: tuple[int, np.ndarray]) -> np.ndarray:
+    """The number of ideal vertices of each labeling in an (N, E) array of
+    admissible digits in ``p.edges`` order.  Every vertex row of an
+    admissible labeling sums to at least its bound, so the count is the
+    number of vertex rows whose sum (``_row_sums``) equals it."""
+    U, unit = units
+    rows = [row for row in _andreev.constraints(p) if row.condition == _andreev.VERTEX]
+    bounds = np.array([[row.bound * U] for row in rows])
+    ideal = np.zeros(len(digits), dtype=np.int64)
+    for at, sums in _row_sums(rows, digits, {e: i for i, e in enumerate(p.edges)}, unit):
+        ideal[at] = (sums == bounds).sum(axis=0)
+    return ideal
 
 
 def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
@@ -179,6 +225,11 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     """One census row per automorphism orbit of admissible labelings,
     each the lexicographically smallest member of its orbit, in
     ascending order, as ``_grow`` leaves them.
+
+    The rows' ideal vertex counts come from one pass over all of them
+    (``_ideal_counts``); the outcome and vertex summary of each distinct
+    count are formed once, and every row gets its own copy of the
+    summary.
 
     With volumes, a row whose volume raises a VolumeError or
     RealizationError keeps ``volume=None`` and records the error's type
@@ -193,16 +244,17 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     if total > CANDIDATE_BUDGET:
         raise CensusBudgetExceeded(
             f"{total} candidate labelings exceed the budget of {CANDIDATE_BUDGET}")
-    digits = _grow(p, max_label, allow_ideal)
+    units = _units(_andreev.constraints(p), max_label)
+    digits = _grow(p, units, allow_ideal)
 
-    # every row passed the regime's screen, so a vertex whose row fails
-    # the strict one sits exactly at its bound: it is ideal
-    col = {e: i for i, e in enumerate(p.edges)}
-    ideal = sum(~_screen([row], digits, col, max_label, False)
-                for row in _andreev.constraints(p) if row.condition == _andreev.VERTEX)
-    haken = classify(p)
+    ideal = _ideal_counts(p, digits, units).tolist()
+    kinds = {}
+    for n in set(ideal):
+        counts = ((_andreev.COMPACT, len(p.vertices) - n), (_andreev.IDEAL, n))
+        kinds[n] = _andreev.admissible_outcome(n > 0), {k: c for k, c in counts if c}
+    haken = classify(p).verdict
     rows: list[CensusRow] = []
-    for labs, n_ideal in zip(map(tuple, (digits + 2).tolist()), ideal.tolist()):
+    for labs, n in zip(zip(*(digits + 2).T.tolist()), ideal):
         vol = err = None
         if with_volumes:
             lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
@@ -210,10 +262,8 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
                 vol = _volume.schlafli_volume(lp).volume
             except (_volume.VolumeError, RealizationError) as exc:
                 err = (type(exc).__name__, str(exc))
-        kinds = ((_andreev.COMPACT, len(p.vertices) - n_ideal), (_andreev.IDEAL, n_ideal))
-        rows.append(CensusRow(labels=labs, outcome=_andreev.admissible_outcome(n_ideal > 0),
-                              vertex_summary={k: n for k, n in kinds if n},
-                              haken=haken.verdict, volume=vol, volume_error=err))
+        outcome, summary = kinds[n]
+        rows.append(CensusRow(labs, outcome, summary.copy(), haken, vol, err))
     return rows
 
 
@@ -350,14 +400,16 @@ def _pyramid() -> tuple[AbstractPolyhedron, tuple[Edge, ...], tuple]:
     return p, base, tuple(rows)
 
 
-def _pyramid_screen(seqs: np.ndarray, allow_ideal: bool) -> np.ndarray:
+def _pyramid_screen(seqs: np.ndarray, units: tuple[int, np.ndarray],
+                    allow_ideal: bool) -> np.ndarray:
     """Whether each base sequence of an (N, 4) label array passes every
-    base row of the bundled pyramid, its apex edges at 2."""
+    base row of the bundled pyramid, its apex edges at 2; ``units`` are
+    ``_units`` of the base rows at a bound no smaller than any label."""
     p, base, rows = _pyramid()
     col = {e: i for i, e in enumerate(p.edges)}
     digits = np.zeros((len(seqs), len(p.edges)), dtype=np.int8)
     digits[:, [col[e] for e in base]] = seqs - 2
-    return _screen([row for row, _ in rows], digits, col, int(seqs.max()), allow_ideal)
+    return _screen([row for row, _ in rows], digits, col, units, allow_ideal)
 
 
 def _pyramid_reasons(seq: tuple[int, int, int, int]) -> Iterator[str]:
@@ -400,9 +452,12 @@ def pyramid_census(max_label: int,
         arrangements = [sorted(set(map(tuple, arr)))
                         for arr in forms.reshape(len(listed), -1, 4).tolist()]
     seqs = [a for arr in arrangements for a in arr]
-    _units([row for row, _ in _pyramid()[2]], max_label)  # raises before the grid is built
+    # one U for the published labels and the grid; raises before the
+    # grid is built
+    units = _units([row for row, _ in _pyramid()[2]], max(max_label, int(listed.max())))
     grid = np.indices((max_label - 1,) * 4, dtype=np.int8).reshape(4, -1).T + 2
-    ok = _pyramid_screen(np.concatenate([np.array(seqs, dtype=np.int8), grid]), allow_ideal)
+    ok = _pyramid_screen(np.concatenate([np.array(seqs, dtype=np.int8), grid]), units,
+                         allow_ideal)
     verdict = dict(zip(seqs, ok.tolist()))
 
     published = []

@@ -35,6 +35,32 @@ def test_cube_census_small(cube_all2):
         assert r.vertex_summary == {"compact": 8}
 
 
+def test_census_volumes_leave_the_rows_as_they_are(cube_all2):
+    # volumes only fill volume and volume_error; every other field is
+    # the plain census's
+    def fields(rows):
+        return [(r.labels, r.outcome, r.vertex_summary, r.haken) for r in rows]
+
+    plain = enumerate_labelings(cube_all2.base, 3)
+    rows = enumerate_labelings(cube_all2.base, 3, with_volumes=True)
+    assert fields(rows) == fields(plain)
+    assert all(r.volume is None and r.volume_error is None for r in plain)
+    assert all((r.volume is None) != (r.volume_error is None) for r in rows)
+
+
+def test_census_rows_own_their_vertex_summaries(cube_all2):
+    # rows with the same ideal count share no summary dict: writing to
+    # one row's summary leaves every other row's as the census gave it
+    rows = enumerate_labelings(cube_all2.base, 3, andreev.ALLOW_IDEAL)
+    before = [dict(r.vertex_summary) for r in rows]
+    assert len({tuple(sorted(s.items())) for s in before}) > 1
+    for i in range(len(rows)):
+        rows[i].vertex_summary[andreev.IDEAL] = -1
+        assert [r.vertex_summary for r in rows[:i] + rows[i + 1:]] == before[:i] + before[i + 1:]
+        rows[i].vertex_summary.clear()
+        rows[i].vertex_summary.update(before[i])
+
+
 def test_census_rows_are_canonical_and_admissible(cube_all2):
     rows = enumerate_labelings(cube_all2.base, 3)
     perms = _edge_perms(cube_all2.base)
@@ -189,7 +215,8 @@ def test_growth_keeps_only_orbit_minima(monkeypatch, cube_all2):
 
     monkeypatch.setattr(census, "_screen", counting)
     p = cube_all2.base
-    labelings = list(map(tuple, census._grow(p, 4, False).tolist()))
+    units = census._units(andreev.constraints(p), 4)
+    labelings = list(map(tuple, census._grow(p, units, False).tolist()))
     assert sum(screened) == 4896
     assert len(labelings) == 436
     assert labelings == sorted(set(labelings))
@@ -393,8 +420,9 @@ def test_pyramid_verdicts_match_check(pyramid):
     p = pyramid.base
     base = [(0, 1), (1, 2), (2, 3), (0, 3)]
     seqs = np.array(list(product(range(2, 7), repeat=4)))
-    strict = _pyramid_screen(seqs, allow_ideal=False)
-    relaxed = _pyramid_screen(seqs, allow_ideal=True)
+    units = census._units([row for row, _ in census._pyramid()[2]], 6)
+    strict = _pyramid_screen(seqs, units, allow_ideal=False)
+    relaxed = _pyramid_screen(seqs, units, allow_ideal=True)
     assert len(seqs) == 625
     for seq, s, r in zip(map(tuple, seqs.tolist()), strict, relaxed):
         labels = {e: 2 for e in p.edges}

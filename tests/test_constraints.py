@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvol import andreev
-from coxvol.census import _admissible_mask
+from coxvol.census import _admissible_mask, _ideal_counts, _units
 from coxvol.corpus import load, loebell
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.volume import collapse_fraction
@@ -44,11 +44,16 @@ def test_ideal_apex_row_needs_all_twos(pyramid):
 
 # Labelings are drawn around a realizable one: with uniform labels
 # nearly every draw fails at some vertex and never reaches the circuit
-# and face boundaries.  The cube starts from the Lambert labeling.  The
+# and face boundaries.  The cube starts from the Lambert labeling, and
+# once more from a labeling with every vertex ideal: 2 on a perfect
+# matching and 4 elsewhere, so each vertex sums to exactly pi.  The
 # tetrahedron has too few faces, so both evaluators reject all its draws.
 # Right-angled L(5), the dodecahedron, has vertex rows only (no prismatic
 # 3- or 4-circuits, no quadrilaterals) over 30 edges.
-_SEEDS = [LabeledPolyhedron(base=load("cube_all2").base, labels=load("lambert_cube").labels),
+_CUBE = load("cube_all2").base
+_MATCHING = {(0, 1), (2, 3), (4, 7), (5, 6)}
+_SEEDS = [LabeledPolyhedron(base=_CUBE, labels=load("lambert_cube").labels),
+          LabeledPolyhedron(base=_CUBE, labels={e: 2 if e in _MATCHING else 4 for e in _CUBE.edges}),
           load("triangular_prism"), load("pyramid"), load("tetrahedron"),
           LabeledPolyhedron(base=loebell(5), labels=dict.fromkeys(loebell(5).edges, 2))]
 
@@ -69,5 +74,10 @@ def test_exact_and_vectorized_evaluators_agree(lp, regime):
     report = andreev.check(lp, regime)
     row = np.array([[lp.labels[e] for e in p.edges]], dtype=np.int64)
     assert bool(_admissible_mask(p, row, MAX_LABEL, regime)[0]) == report.realizable
+    if report.realizable:
+        # the census's vertex-kind pass on the one admissible row
+        n_ideal = int(_ideal_counts(p, row - 2, _units(andreev.constraints(p), MAX_LABEL))[0])
+        assert n_ideal == list(report.vertex_types.values()).count(andreev.IDEAL)
+        assert andreev.admissible_outcome(n_ideal > 0) == report.outcome
     if report.outcome == "realizable-compact":
         assert 0.0 <= collapse_fraction(p, lp.angles()) < 1.0
