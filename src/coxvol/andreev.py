@@ -6,9 +6,13 @@ edges, and which edges and bounds depend only on the combinatorics.
 each row holds its edges, a bound in units of pi, its condition and a
 witness.  Its readers:
 
-- ``check`` sums each row in exact rationals (alpha/pi = 1/n), so
-  compact/ideal boundaries are decided without any floating point;
-  it is the independent oracle for the CLI and the tests;
+- ``check`` sums each row exactly in integer units of pi/U, U the lcm
+  of the labels on the table's rows (alpha = pi/n is U/n units), so
+  compact/ideal boundaries are decided by integer comparisons against
+  bound*U without any floating point; only the sums of the witnesses
+  it reports become Fractions (in units of pi).  It shares no code
+  with the census's screens and is the independent oracle for the CLI
+  and the tests;
 - the census decides admissibility, vertex kinds included, from integer
   angles in units of pi/U, U a common denominator of all 1/n, and
   never calls ``check``;
@@ -137,8 +141,9 @@ def admissible_outcome(any_ideal: bool) -> str:
     return "realizable-with-ideal-vertices" if any_ideal else "realizable-compact"
 
 
-def vertex_kind(s: Fraction, bound: int) -> str:
-    """Compact above the bound, ideal at exact equality, inadmissible below."""
+def vertex_kind(s: Fraction | int, bound: int) -> str:
+    """Compact above the bound, ideal at exact equality, inadmissible
+    below; ``s`` and ``bound`` in one unit, pi or pi/U."""
     if s > bound:
         return COMPACT
     if s == bound:
@@ -178,10 +183,16 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
     """
     allow_ideal = allows_ideal(regime)
     p = lp.base
-    sums = [(row, row.angle_sum(lp.labels)) for row in constraints(p)]
-    vertices = [(row.witness, s) for row, s in sums if row.condition == VERTEX]
-    vtypes = {row.witness: vertex_kind(s, row.bound)
-              for row, s in sums if row.condition == VERTEX}
+    rows = constraints(p)
+    # each row's angle sum in units of pi/U, U the lcm of the labels on
+    # the table's rows (the vertex rows hold every edge)
+    ns = list(map(lp.labels.__getitem__, p.edges))
+    U = math.lcm(*set(ns))
+    units = dict(zip(p.edges, map(U.__floordiv__, ns)))
+    sums = [sum(map(units.__getitem__, row.edges)) for row in rows]
+    vertices = [(row.witness, s) for row, s in zip(rows, sums) if row.condition == VERTEX]
+    vtypes = {row.witness: vertex_kind(s, row.bound * U)
+              for row, s in zip(rows, sums) if row.condition == VERTEX}
     if len(p.faces) < MIN_FACES:
         return AndreevReport(
             outcome="rejected", regime=regime, conditions=(),
@@ -190,18 +201,20 @@ def check(lp: LabeledPolyhedron, regime: str = STRICT_COMPACT) -> AndreevReport:
     # 1: all angles positive -- automatic for integer labels >= 2.
     conditions = [ConditionResult(1, True, False, (),
                                   note="automatic: labels >= 2 give 0 < angle <= pi/2")]
-    # 2: inadmissible vertices, then (strict regime) ideal ones.
+    # 2: inadmissible vertices, then (strict regime) ideal ones; the
+    # witnesses' sums become Fractions in units of pi.
     fails = [w for w in vertices if vtypes[w[0]] == INADMISSIBLE]
     if not allow_ideal:
         fails += [w for w in vertices if vtypes[w[0]] == IDEAL]
-    conditions.append(ConditionResult(2, not fails, False, tuple(fails)))
+    conditions.append(ConditionResult(2, not fails, False,
+                                      tuple((v, Fraction(s, U)) for v, s in fails)))
     # 3, 4: prismatic circuits; 5: quadrilateral faces, witnessed by
     # (face id, branch, sum).
     for cond in (3, 4, 5):
-        rows = [(row, s) for row, s in sums if row.condition == cond]
-        fails = [(*row.witness, s) if cond == 5 else (row.witness, s)
-                 for row, s in rows if not s < row.bound]
-        note = f"vacuous: no prismatic {cond}-circuits" if cond < 5 and not rows else ""
+        cond_rows = [(row, s) for row, s in zip(rows, sums) if row.condition == cond]
+        fails = [(*row.witness, Fraction(s, U)) if cond == 5 else (row.witness, Fraction(s, U))
+                 for row, s in cond_rows if not s < row.bound * U]
+        note = f"vacuous: no prismatic {cond}-circuits" if cond < 5 and not cond_rows else ""
         conditions.append(ConditionResult(cond, not fails, cond == 5 and len(p.faces) > 5,
                                           tuple(fails), note=note))
 

@@ -19,9 +19,10 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 import numpy as np
@@ -77,28 +78,29 @@ class AbstractPolyhedron:
     @cached_property
     def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
         """Edge -> ids of incident faces (2 when well-formed); a dart v -> v is no edge."""
-        inc: dict[Edge, list[int]] = {}
+        inc: dict[Edge, tuple[int, ...]] = {}
         for fid, cyc in enumerate(self.faces):
-            for a, b in _darts(cyc):
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if a != b:
-                    inc.setdefault(edge_key(a, b), []).append(fid)
-        return {e: tuple(fs) for e, fs in inc.items()}
+                    e = (a, b) if a < b else (b, a)
+                    inc[e] = inc.get(e, ()) + (fid,)
+        return inc
 
     @cached_property
     def vertex_edges(self) -> dict[int, tuple[Edge, ...]]:
-        inc: dict[int, set[Edge]] = {v: set() for v in self.vertices}
-        for e in self.edge_faces:
-            inc[e[0]].add(e)
-            inc[e[1]].add(e)
-        return {v: tuple(sorted(es)) for v, es in inc.items()}
+        inc: dict[int, tuple[Edge, ...]] = dict.fromkeys(self.vertices, ())
+        for e in self.edges:  # ascending, so each vertex's edges come out sorted
+            inc[e[0]] += (e,)
+            inc[e[1]] += (e,)
+        return inc
 
     @cached_property
     def vertex_faces(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, set[int]] = {v: set() for v in self.vertices}
+        inc: dict[int, tuple[int, ...]] = dict.fromkeys(self.vertices, ())
         for fid, cyc in enumerate(self.faces):
-            for v in cyc:
-                inc[v].add(fid)
-        return {v: tuple(sorted(fs)) for v, fs in inc.items()}
+            for v in set(cyc):
+                inc[v] += (fid,)
+        return inc
 
     @cached_property
     def face_adjacency(self) -> dict[tuple[int, int], Edge]:
@@ -215,6 +217,14 @@ def validate(p: AbstractPolyhedron) -> ValidationReport:
     Rules: face-count, edge-two-faces, trivalence (with the 4-valent
     exemption for declared ideal candidates), Euler relation, pairwise
     face intersection in at most one edge or one vertex, closedness.
+
+    The face-intersection rule counts the shared vertices and shared
+    edges of every face pair from the incidences, each vertex's faces
+    and each edge's faces, in O(V + E).  A pair breaks the rule when it
+    shares more than one edge, one edge and more than its two
+    endpoints, or no edge and more than one vertex.  Only the pairs
+    that break it, in ascending (fa, fb) order, intersect their faces'
+    vertex and edge sets for the witness.
     """
     out: list[Violation] = []
     if len(p.faces) <= 3:
@@ -227,10 +237,16 @@ def validate(p: AbstractPolyhedron) -> ValidationReport:
         if len(set(cyc)) != len(cyc):
             out.append(Violation("repeated-vertex", (fid,),
                                  f"face {fid} repeats a vertex"))
+    # the face pairs sharing each edge; the faces of an edge ascend, and
+    # (f, f), a face running an edge twice, is no pair and never looked up
+    edge_pairs: list[tuple[int, ...]] = []
     for e, fs in p.edge_faces.items():
-        if len(fs) != 2:
+        if len(fs) == 2:
+            edge_pairs.append(fs)
+        else:
             out.append(Violation("edge-two-faces", (e, fs),
                                  f"edge {e} lies in {len(fs)} faces"))
+            edge_pairs += combinations(dict.fromkeys(fs), 2)
     for v in p.vertices:
         d = p.valence(v)
         if d == 4 and v in p.ideal_candidates:
@@ -244,27 +260,29 @@ def validate(p: AbstractPolyhedron) -> ValidationReport:
     if V - E + F != 2:
         out.append(Violation("euler", (V, E, F),
                              f"V-E+F = {V - E + F}, expected 2"))
-    # each face's vertex and edge sets, built once; shared edges are
-    # listed in edge_faces order
-    order = {e: i for i, e in enumerate(p.edge_faces)}
-    face_verts = [set(cyc) for cyc in p.faces]
-    face_edges: list[set[Edge]] = [set() for _ in p.faces]
-    for e, fs in p.edge_faces.items():
-        for f in fs:
-            face_edges[f].add(e)
-    for fa, fb in combinations(range(len(p.faces)), 2):
-        shared_v = face_verts[fa] & face_verts[fb]
-        shared_e = sorted(face_edges[fa] & face_edges[fb], key=order.__getitem__)
-        if len(shared_e) > 1:
-            out.append(Violation("face-intersection", (fa, fb, tuple(shared_e)),
-                                 f"faces {fa},{fb} share {len(shared_e)} edges"))
-        elif len(shared_e) == 1:
-            extra = shared_v - set(shared_e[0])
-            if extra:
+    # (fa, fb) -> the number of vertices, and of edges, the two faces share;
+    # a pair sharing vertices is sound with one shared edge and its two ends
+    n_v = Counter(chain.from_iterable(map(combinations, p.vertex_faces.values(), repeat(2))))
+    n_e = Counter(edge_pairs)
+    bad = sorted(ab for ab, n in n_v.items() if n > 1 and (n > 2 or n_e[ab] != 1))
+    if bad:
+        # shared edges are listed in edge_faces order
+        order = {e: i for i, e in enumerate(p.edge_faces)}
+        face_edges: list[set[Edge]] = [set() for _ in p.faces]
+        for e, fs in p.edge_faces.items():
+            for f in fs:
+                face_edges[f].add(e)
+        for fa, fb in bad:
+            shared_v = set(p.faces[fa]) & set(p.faces[fb])
+            shared_e = sorted(face_edges[fa] & face_edges[fb], key=order.__getitem__)
+            if len(shared_e) > 1:
+                out.append(Violation("face-intersection", (fa, fb, tuple(shared_e)),
+                                     f"faces {fa},{fb} share {len(shared_e)} edges"))
+            elif shared_e:
+                extra = shared_v - set(shared_e[0])
                 out.append(Violation("face-intersection", (fa, fb, shared_e[0], tuple(sorted(extra))),
                                      f"faces {fa},{fb} share an edge and extra vertices"))
-        else:
-            if len(shared_v) > 1:
+            else:
                 out.append(Violation("face-intersection", (fa, fb, tuple(sorted(shared_v))),
                                      f"faces {fa},{fb} share {len(shared_v)} vertices but no edge"))
     if not out and p.oriented_faces is None:
@@ -289,10 +307,9 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
     outer: int | None = None
     raw_labels: dict[Edge, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
         if kw == "polyhedron":
             if len(parts) != 2:
@@ -326,7 +343,7 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
             if len(rest) < 3:
                 raise ParseError(f"face {fid} needs at least 3 vertices", lineno)
             try:
-                cyc = tuple(int(t) for t in rest)
+                cyc = tuple(map(int, rest))
             except ValueError:
                 raise ParseError("face vertices must be integers", lineno)
             if fid in faces:
@@ -340,7 +357,7 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
             if len(parts) != 4:
                 raise ParseError("expected: label <va> <vb> <n>", lineno)
             try:
-                a, b, n = (int(t) for t in parts[1:])
+                a, b, n = map(int, parts[1:])
             except ValueError:
                 raise ParseError("label arguments must be integers", lineno)
             if n < 2:
@@ -368,20 +385,13 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
     for e, fs in p.edge_faces.items():
         if len(fs) != 2:
             raise ParseError(f"edge {e} occurs in {len(fs)} face cycles, expected 2")
-    warnings = []
-    labels: dict[Edge, int] = {}
-    for e in p.edges:
-        if e in raw_labels:
-            labels[e] = raw_labels[e]
-        else:
-            labels[e] = 2
-    unlabeled = [e for e in p.edges if e not in raw_labels]
-    if unlabeled:
-        warnings.append(f"{len(unlabeled)} unlabeled edge(s) defaulted to 2")
     for e in raw_labels:
         if e not in p.edge_faces:
             raise ParseError(f"label on unknown edge {e}")
-    return LabeledPolyhedron(base=p, labels=labels, warnings=tuple(warnings))
+    labels = {e: raw_labels.get(e, 2) for e in p.edges}
+    unlabeled = len(labels) - len(raw_labels)
+    warnings = (f"{unlabeled} unlabeled edge(s) defaulted to 2",) if unlabeled else ()
+    return LabeledPolyhedron(base=p, labels=labels, warnings=warnings)
 
 
 def serialize_polyhedron(lp: LabeledPolyhedron) -> str:

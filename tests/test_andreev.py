@@ -1,11 +1,15 @@
 """Exact admissibility conditions."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxvol import andreev
-from coxvol.poly_model import LabeledPolyhedron
+from coxvol.corpus import CORPUS, load, loebell
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron
 
 
 @pytest.mark.parametrize("triple,expected", [
@@ -138,3 +142,119 @@ def test_check_is_automorphism_invariant(lambert_cube):
 def test_unknown_regime_raises(lambert_cube):
     with pytest.raises(ValueError):
         andreev.check(lambert_cube, "compact-ish")
+
+
+# ---------------------------------------------------------------------------
+# check against a per-row Fraction oracle
+
+
+def check_oracle(lp: LabeledPolyhedron, regime: str) -> andreev.AndreevReport:
+    """``check`` evaluated row by row in Fractions: each row's
+    ``angle_sum`` in units of pi, vertex kinds by ``vertex_kind`` against
+    the row's bound."""
+    allow_ideal = andreev.allows_ideal(regime)
+    p = lp.base
+    sums = [(row, row.angle_sum(lp.labels)) for row in andreev.constraints(p)]
+    vertices = [(row.witness, s) for row, s in sums if row.condition == andreev.VERTEX]
+    vtypes = {row.witness: andreev.vertex_kind(s, row.bound)
+              for row, s in sums if row.condition == andreev.VERTEX}
+    if len(p.faces) < andreev.MIN_FACES:
+        return andreev.AndreevReport(outcome="rejected", regime=regime, conditions=(),
+                                     vertex_types=vtypes, reason=andreev.FACE_COUNT_TOO_SMALL)
+    conditions = [andreev.ConditionResult(1, True, False, (),
+                                          note="automatic: labels >= 2 give 0 < angle <= pi/2")]
+    fails = [w for w in vertices if vtypes[w[0]] == andreev.INADMISSIBLE]
+    if not allow_ideal:
+        fails += [w for w in vertices if vtypes[w[0]] == andreev.IDEAL]
+    conditions.append(andreev.ConditionResult(2, not fails, False, tuple(fails)))
+    for cond in (3, 4, 5):
+        rows = [(row, s) for row, s in sums if row.condition == cond]
+        fails = [(*row.witness, s) if cond == 5 else (row.witness, s)
+                 for row, s in rows if not s < row.bound]
+        note = f"vacuous: no prismatic {cond}-circuits" if cond < 5 and not rows else ""
+        conditions.append(andreev.ConditionResult(cond, not fails, cond == 5 and len(p.faces) > 5,
+                                                  tuple(fails), note=note))
+    failed = [c.condition for c in conditions if not c.passed and not c.informational]
+    outcome = "rejected" if failed else andreev.admissible_outcome(
+        andreev.IDEAL in vtypes.values())
+    return andreev.AndreevReport(outcome=outcome, regime=regime, conditions=tuple(conditions),
+                                 vertex_types=vtypes,
+                                 reason=f"condition {failed[0]}" if failed else "")
+
+
+def _relabeled_loebell(n: int) -> AbstractPolyhedron:
+    """L(n) with its vertex ids scattered, its faces shuffled and each
+    cycle rotated or reversed, all-right-angled."""
+    p, rnd = loebell(n), random.Random(n)
+    sigma = dict(zip(p.vertices, rnd.sample(range(10 * len(p.vertices)), len(p.vertices))))
+    faces = []
+    for cyc in p.faces:
+        r = rnd.randrange(len(cyc))
+        cyc = tuple(sigma[v] for v in cyc[r:] + cyc[:r])
+        faces.append(cyc[::-1] if rnd.random() < 0.5 else cyc)
+    rnd.shuffle(faces)
+    return AbstractPolyhedron(name=p.name, faces=tuple(faces))
+
+
+# Labels come from 2..12 and the prime 97, so U, the lcm of the labels
+# on the table, reaches the millions.  The corpus keeps its own labels
+# as seeds (the tetrahedron is rejected on its face count; the prism and
+# the pyramid have five faces, so condition 5 decides), and so do the
+# prism with both quadrilateral branches at 3*pi and the cube with every
+# vertex ideal (2 on a perfect matching, 4 elsewhere); L(5..9) start
+# right-angled.
+_LABELS = (*range(2, 13), 97)
+_PRISM = load("triangular_prism").base
+_CUBE = load("cube_all2").base
+_SEEDS = [load(name) for name in CORPUS] + [
+    LabeledPolyhedron(base=_PRISM, labels={e: 4 if e in {(0, 3), (1, 4), (2, 5)} else 2
+                                           for e in _PRISM.edges}),
+    LabeledPolyhedron(base=_CUBE, labels={e: 2 if e in {(0, 1), (2, 3), (4, 7), (5, 6)} else 4
+                                          for e in _CUBE.edges}),
+] + [LabeledPolyhedron(base=b, labels=dict.fromkeys(b.edges, 2))
+     for b in map(_relabeled_loebell, range(5, 10))]
+
+
+@st.composite
+def labelings(draw):
+    """A seed with up to four labels redrawn, or one time in four with
+    every label drawn."""
+    lp = draw(st.sampled_from(_SEEDS))
+    edges = lp.base.edges
+    if draw(st.integers(0, 3)) == 0:
+        rnd = draw(st.randoms(use_true_random=False))
+        labels = {e: rnd.choice(_LABELS) for e in edges}
+    else:
+        labels = {**lp.labels, **draw(st.dictionaries(st.sampled_from(edges),
+                                                      st.sampled_from(_LABELS), max_size=4))}
+    return LabeledPolyhedron(base=lp.base, labels=labels)
+
+
+def _assert_matches_oracle(lp, regime):
+    report, expected = andreev.check(lp, regime), check_oracle(lp, regime)
+    assert report == expected
+    assert repr(report) == repr(expected)  # Fraction sums, not ints equal to them
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(lp=labelings(), regime=st.sampled_from(andreev.REGIMES))
+def test_check_matches_the_fraction_oracle(lp, regime):
+    _assert_matches_oracle(lp, regime)
+
+
+@pytest.mark.parametrize("name, changes, regime, reason", [
+    ("tetrahedron", {}, andreev.STRICT_COMPACT, andreev.FACE_COUNT_TOO_SMALL),
+    ("tetrahedron", {(0, 3): 97}, andreev.ALLOW_IDEAL, andreev.FACE_COUNT_TOO_SMALL),
+    ("triangular_prism", {(0, 1): 2, (1, 2): 2, (0, 2): 2, (3, 4): 2, (4, 5): 2, (3, 5): 2,
+                          (0, 3): 4, (1, 4): 4, (2, 5): 4},
+     andreev.STRICT_COMPACT, "condition 5"),
+    ("pyramid", {(2, 3): 2, (0, 3): 2}, andreev.ALLOW_IDEAL, "condition 5"),
+    ("pyramid", {(2, 3): 2, (0, 3): 2, (1, 2): 97}, andreev.ALLOW_IDEAL, "condition 5"),
+])
+def test_check_matches_the_oracle_where_it_decides(name, changes, regime, reason):
+    # the face-count return, and condition 5 deciding on five faces, with
+    # a sum at its bound and one with a 97 in its lcm
+    lp = load(name)
+    lp = LabeledPolyhedron(base=lp.base, labels={**lp.labels, **changes})
+    _assert_matches_oracle(lp, regime)
+    assert andreev.check(lp, regime).reason == reason

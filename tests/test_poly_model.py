@@ -1,5 +1,6 @@
 """Combinatorial model: parsing, validation, automorphisms."""
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -205,6 +206,135 @@ def test_validate_rule_witnesses(faces, rule, witness):
     assert (rule, witness) in [(v.rule, v.witness) for v in violations]
     if rule == "not-closed":
         assert len(violations) == 1
+
+
+def validate_oracle(p: AbstractPolyhedron) -> poly_model.ValidationReport:
+    """``validate`` with the face-intersection rule tested on every pair
+    of faces, from each face's vertex and edge sets."""
+    Violation = poly_model.Violation
+    out = []
+    if len(p.faces) <= 3:
+        out.append(Violation("face-count", (len(p.faces),),
+                             f"only {len(p.faces)} faces, need more than 3"))
+    for fid, cyc in enumerate(p.faces):
+        if len(cyc) < 3:
+            out.append(Violation("short-face", (fid,), f"face {fid} has fewer than 3 vertices"))
+        if len(set(cyc)) != len(cyc):
+            out.append(Violation("repeated-vertex", (fid,), f"face {fid} repeats a vertex"))
+    for e, fs in p.edge_faces.items():
+        if len(fs) != 2:
+            out.append(Violation("edge-two-faces", (e, fs), f"edge {e} lies in {len(fs)} faces"))
+    for v in p.vertices:
+        d = p.valence(v)
+        if d != 3 and not (d == 4 and v in p.ideal_candidates):
+            out.append(Violation("trivalence", (v, d), f"vertex {v} has valence {d}"))
+    V, E, F = len(p.vertices), len(p.edge_faces), len(p.faces)
+    if V - E + F != 2:
+        out.append(Violation("euler", (V, E, F), f"V-E+F = {V - E + F}, expected 2"))
+    order = {e: i for i, e in enumerate(p.edge_faces)}
+    face_verts = [set(cyc) for cyc in p.faces]
+    face_edges = [set() for _ in p.faces]
+    for e, fs in p.edge_faces.items():
+        for f in fs:
+            face_edges[f].add(e)
+    for fa, fb in itertools.combinations(range(F), 2):
+        shared_v = face_verts[fa] & face_verts[fb]
+        shared_e = sorted(face_edges[fa] & face_edges[fb], key=order.__getitem__)
+        if len(shared_e) > 1:
+            out.append(Violation("face-intersection", (fa, fb, tuple(shared_e)),
+                                 f"faces {fa},{fb} share {len(shared_e)} edges"))
+        elif len(shared_e) == 1:
+            extra = shared_v - set(shared_e[0])
+            if extra:
+                out.append(Violation("face-intersection",
+                                     (fa, fb, shared_e[0], tuple(sorted(extra))),
+                                     f"faces {fa},{fb} share an edge and extra vertices"))
+        elif len(shared_v) > 1:
+            out.append(Violation("face-intersection", (fa, fb, tuple(sorted(shared_v))),
+                                 f"faces {fa},{fb} share {len(shared_v)} vertices but no edge"))
+    if not out and p.oriented_faces is None:
+        out.append(Violation("not-closed", (), "face cycles admit no consistent orientation"))
+    return poly_model.ValidationReport(tuple(out))
+
+
+@st.composite
+def face_lists(draw):
+    """Face lists that break the rules in many ways at once: small random
+    cycles over a few vertex ids, where short faces, repeated vertices,
+    v -> v darts and faces sharing two edges come up by themselves, or a
+    relabeled closed polyhedron with a few faces edited; either may get
+    a shifted copy of some of its faces as a disconnected piece."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        faces = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6).map(tuple), max_size=9))
+    else:
+        _, moved, _ = relabeled(draw(RELABELED_NAMES), draw(st.randoms(use_true_random=False)))
+        faces = list(moved.faces)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(faces) - 1))
+            cyc = list(faces[i])
+            if not cyc:
+                continue
+            j = draw(st.integers(0, len(cyc) - 1))
+            edit = draw(st.sampled_from(["repeat", "dart", "cut", "copy", "swap"]))
+            if edit == "repeat":
+                cyc[j] = cyc[(j + 2) % len(cyc)]
+            elif edit == "dart":
+                cyc.insert(j, cyc[j])
+            elif edit == "cut":
+                cyc = cyc[:j]
+            elif edit == "copy":  # the copy shares every edge with the face
+                faces.append(faces[i])
+            else:
+                k = draw(st.integers(0, len(faces) - 1))
+                cyc, faces[k] = list(faces[k]), faces[i]
+            faces[i] = tuple(cyc)
+    shift = 1 + max((v for cyc in faces for v in cyc), default=0)
+    k = draw(st.integers(0, len(faces)))
+    faces += [tuple(v + shift for v in cyc) for cyc in faces[:k]]
+    return tuple(faces)
+
+
+def _assert_validate_matches_oracle(p: AbstractPolyhedron) -> None:
+    report, expected = validate(p), validate_oracle(p)
+    assert report == expected
+    assert repr(report) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(faces=face_lists())
+def test_validate_matches_the_all_pairs_oracle(faces):
+    _assert_validate_matches_oracle(AbstractPolyhedron(name="drawn", faces=faces))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(faces=face_lists())
+def test_incidences_match_their_definitions(faces):
+    # edges in the order of their first dart, each with its faces in dart
+    # order; each vertex's distinct faces and its edges, ascending
+    p = AbstractPolyhedron(name="drawn", faces=faces)
+    darts = [(fid, a, b) for fid, cyc in enumerate(faces)
+             for a, b in zip(cyc, cyc[1:] + cyc[:1]) if a != b]
+    edge_faces = {edge_key(a, b): () for _, a, b in darts}
+    for fid, a, b in darts:
+        edge_faces[edge_key(a, b)] += (fid,)
+    assert list(p.edge_faces.items()) == list(edge_faces.items())
+    assert p.vertex_faces == {v: tuple(sorted({f for f, cyc in enumerate(faces) if v in cyc}))
+                              for v in p.vertices}
+    assert p.vertex_edges == {v: tuple(sorted(e for e in edge_faces if v in e))
+                              for v in p.vertices}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from([*CORPUS, *(f"L{n}" for n in range(5, 13))]),
+       rnd=st.randoms(use_true_random=False))
+def test_validate_matches_the_oracle_on_relabeled_polyhedra(name, rnd):
+    # the copy drops the pyramid's ideal candidate, so its apex then
+    # breaks trivalence
+    p, moved, _ = relabeled(name, rnd)
+    assert validate(p).passed
+    _assert_validate_matches_oracle(p)
+    _assert_validate_matches_oracle(moved)
 
 
 def test_face_repeating_a_vertex_parses_and_fails_validate():
