@@ -53,8 +53,8 @@ class AbstractPolyhedron:
     """Planar graph with explicit face cycles.
 
     ``faces`` maps positionally: face id is the index into the tuple.
-    ``outer_face`` marks the unbounded region of the planar projection
-    (ordinary data, kept for serialization fidelity).
+    ``outer_face`` marks the unbounded region of the planar projection;
+    the realization seed reads only its size.
     ``ideal_candidates`` lists vertices that are allowed to be 4-valent;
     those model apexes that may be pushed to infinity.
     """

@@ -29,11 +29,11 @@ x, span the x3 axis and the x2=0, x1>0 half-plane, and the third face at
 the first end of their shared edge gets x2>0.  A realization's vertices
 and residual come after that.
 
-A cold solve starts from one sphere-lift seed: a spring embedding with
-the outer face, else the first largest face, pinned, lifted to the
+A cold solve starts from one sphere-lift seed: a spring embedding
+pinned on the face ``_pinned_face`` picks from the angles, lifted to the
 sphere at infinity, where each face plane is a circle around the face's
-own lifted vertices (see ``_seed``).  The seed scales with the faces: a
-cold solve on right-angled L(n) takes 4 to 6 passes up to n = 100.
+own lifted vertices (see ``_seed``).  ``realize`` is one cold solve at
+the target; on right-angled L(n) it takes 4 to 6 passes up to n = 100.
 ``PathRealizer`` anchors a path at its midpoint and reaches other points
 by one stacked solve per request, each row warm-started by one rule
 from the solutions cached before the request: interpolated between
@@ -138,6 +138,9 @@ class _System:
         ends = np.fromiter(chain(self.edges), int, 2 * ne).reshape(ne, 2)
         edge_faces = np.fromiter(chain(map(p.edge_faces.__getitem__, self.edges)), int,
                                  2 * ne).reshape(ne, 2)
+        self.incidence = incidence
+        # each vertex's first three faces, which fix it
+        self.corners = np.argsort(~incidence, axis=1, kind="stable")[:, :3]
         third = incidence[np.searchsorted(verts, ends)]
         third[np.arange(ne)[:, None], :, edge_faces] = False
         self.quads = np.concatenate([edge_faces, third.argmax(axis=2)], axis=1)
@@ -343,12 +346,18 @@ def _newton(sys_: _System, X0: np.ndarray,
 # Euclidean-flavored seed
 
 
-def _pinned_face(p: AbstractPolyhedron) -> int:
-    """The face the seed pins as its outer polygon: the named outer face,
-    else the first largest face."""
-    if p.outer_face is not None:
-        return p.outer_face
-    return max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
+def _pinned_face(p: AbstractPolyhedron, targets: np.ndarray) -> int:
+    """The face the seed pins as its outer polygon, for Gram targets
+    cos(angle) (E,): among the faces the size of the outer face (the
+    largest if none is named), the first whose edge angles, added in
+    edge order and rounded to 12 decimals, sum highest.  A small sum
+    there can stall the cold solve (cube row 2,2,2,2,3,4,2,2,3,3,2,4)."""
+    sys_ = _system(p)
+    sizes = np.fromiter(map(len, p.faces), int, sys_.nf)
+    size = sizes.max() if p.outer_face is None else sizes[p.outer_face]
+    sums = np.bincount(np.concatenate([sys_.fi, sys_.fj]), np.tile(np.arccos(targets), 2),
+                       sys_.nf).round(12)
+    return int(np.argmax(np.where(sizes == size, sums, -1.0)))
 
 
 def _tutte_positions(p: AbstractPolyhedron, a: np.ndarray, b: np.ndarray,
@@ -371,8 +380,9 @@ def _tutte_positions(p: AbstractPolyhedron, a: np.ndarray, b: np.ndarray,
     return np.linalg.solve(A, rhs)
 
 
-def _seed(p: AbstractPolyhedron) -> np.ndarray:
-    """The cold start, stacked normals (4F,): the spring embedding lifted
+def _seed(p: AbstractPolyhedron, targets: np.ndarray) -> np.ndarray:
+    """The cold start for Gram targets (E,), stacked normals (4F,): the
+    spring embedding, ``_pinned_face`` on the outer polygon, lifted
     to the unit sphere by inverse stereographic projection, and each face
     plane meeting the sphere at infinity in a circle around the face's
     own lifted vertices.  The circle's centre c is the direction of their
@@ -393,7 +403,7 @@ def _seed(p: AbstractPolyhedron) -> np.ndarray:
     ends = np.cumsum(lengths)
     succ = np.arange(1, len(cyc) + 1)
     succ[ends - 1] = ends - lengths
-    outer = _pinned_face(p)
+    outer = _pinned_face(p, targets)
     xy = _tutte_positions(p, cyc, cyc[succ], cycles[outer, :lengths[outer]])
     r2 = xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1]
     # the lifted vertices, then the zero row n
@@ -426,13 +436,12 @@ def _seed(p: AbstractPolyhedron) -> np.ndarray:
 # vertices and gauge
 
 
-def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One row per vertex, in ``p.vertices`` order, for normals E (F, 4):
-    the common point of its first three face planes, on the future
-    sheet, scaled to <w,w> = -1 when compact and to w0 = 1 when ideal;
-    and the compact mask, q = <w,w>/|w|^2 < -_TYPE_TOL.  An ideal vertex
-    has |q| <= _TYPE_TOL; a spacelike one raises DegenerateVertex."""
-    W = _null_vectors(E[[p.vertex_faces[v][:3] for v in p.vertices]] * METRIC)
+def _compute_vertices(p: AbstractPolyhedron, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices from null vectors W (V, 4) of their first three face
+    planes: on the future sheet, scaled to <w,w> = -1 when compact and to
+    w0 = 1 when ideal; and the compact mask, q = <w,w>/|w|^2 < -_TYPE_TOL.
+    An ideal vertex has |q| <= _TYPE_TOL; a spacelike one raises
+    DegenerateVertex."""
     mw = -W[:, 0] ** 2 + W[:, 1] ** 2 + W[:, 2] ** 2 + W[:, 3] ** 2  # <w,w>, left to right
     q = mw / np.einsum("ij,ij->i", W, W)
     compact = q < -_TYPE_TOL
@@ -441,21 +450,17 @@ def _compute_vertices(p: AbstractPolyhedron, E: np.ndarray) -> tuple[np.ndarray,
         k = bad[0]
         raise DegenerateVertex(f"vertex {p.vertices[k]} is spacelike: "
                                f"<v,v>/|v|^2 = {q[k]:.3e}")
-    W *= np.where(W[:, :1] < 0, -1.0, 1.0)
+    W = W * np.where(W[:, :1] < 0, -1.0, 1.0)
     return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None], compact
 
 
-def _orient(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
-    """The normals E (F, 4), each turned away from the vertices off its
-    face.  A Gram target 0 leaves the sign of a face whose edges are all
-    right angles free, so the solve can return it reversed; a face with
-    off-face vertices on both sides of its plane raises RealizationError."""
-    at = [p.vertex_faces[v] for v in p.vertices]
-    W = _null_vectors(E[[fs[:3] for fs in at]] * METRIC)
+def _orient(p: AbstractPolyhedron, E: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The normals E (F, 4), each turned away from the vertices W (V, 4)
+    off its face.  A Gram target 0 leaves the sign of a face whose edges
+    are all right angles free, so the solve can return it reversed; a
+    face with vertices off it on both sides raises RealizationError."""
     side = (W * np.sign(W[:, :1]) * METRIC) @ E.T  # <w, e_f>, w on the future sheet
-    off = np.ones(side.shape, dtype=bool)
-    off[np.repeat(np.arange(len(at)), list(map(len, at))),
-        np.fromiter(itertools.chain.from_iterable(at), int)] = False
+    off = ~_system(p).incidence
     above = ((side > 0) & off).any(axis=0)
     split = np.flatnonzero(above & ((side < 0) & off).any(axis=0))
     if split.size:
@@ -464,9 +469,9 @@ def _orient(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
 
 
 def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
-    """The normals E (F, 4) moved by the Lorentz change of basis that
-    fixes the canonical gauge, which the normals alone determine (see
-    the module docstring)."""
+    """The Lorentz change of basis T (4, 4) to the canonical gauge, which
+    the normals E (F, 4) alone determine (see the module docstring): a
+    vector x moves to T x, so the normals to E @ T.T."""
     A = E * METRIC
     x = np.linalg.solve(A.T @ A, -A.sum(axis=0))
     xx = mdot(x, x)
@@ -487,8 +492,7 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
     if mdot(E[fc], b2) < 0:
         b2 = -b2
     # coordinates: x -> (-<x,b0>, <x,b1>, <x,b2>, <x,b3>)
-    T = np.vstack([-b0 * METRIC, b1 * METRIC, b2 * METRIC, b3 * METRIC])
-    return E @ T.T
+    return np.vstack([-b0 * METRIC, b1 * METRIC, b2 * METRIC, b3 * METRIC])
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +519,27 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
     sphere-lift seed; its NonConvergence goes to the caller.
     """
     sys_ = _system(p)
-    X0 = _seed(p) if warm_start is None else warm_start
-    X, rmax, iters = _newton(sys_, X0[None], sys_.targets(angles)[None])
+    targets = sys_.targets(angles)
+    X0 = _seed(p, targets) if warm_start is None else warm_start
+    X, rmax, iters = _newton(sys_, X0[None], targets[None])
     return X[0], float(rmax[0]), int(iters[0])
 
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
                       X: np.ndarray, iters: int) -> Realization:
     """The gauge-fixed realization of the raw normals X, each turned
-    outward first (``_orient``); its residual is the largest residual of
-    the normals it returns, measured after the gauge transform."""
-    E = _gauge_transform(p, _orient(p, X.reshape(len(p.faces), 4)))
-    W, compact = _compute_vertices(p, E)
+    outward first (``_orient``); its vertices are the ones ``_orient``
+    reads, moved by the gauge's Lorentz matrix T, and its residual is the
+    largest residual of the normals it returns."""
+    sys_ = _system(p)
+    E = X.reshape(sys_.nf, 4)
+    W = _null_vectors(E[sys_.corners] * METRIC)
+    E = _orient(p, E, W)
+    T = _gauge_transform(p, E)
+    W, compact = _compute_vertices(p, W @ T.T)
+    E = E @ T.T
     vertices = {v: (w, andreev.COMPACT if c else andreev.IDEAL)
                 for v, w, c in zip(p.vertices, W, compact.tolist())}
-    sys_ = _system(p)
     residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
     return Realization(polyhedron=p, angles=dict(angles), normals=dict(enumerate(E)),
                        vertices=vertices, residual=residual,
@@ -537,22 +547,17 @@ def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
 
 
 def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
-    """Realize a labeled polyhedron, walking in from a collapse configuration.
-
-    The angle path is the default deformation path (see the volume
-    module): one cold solve at its midpoint, then one solve at t = 1
-    warm-started from there.  The admissibility precondition is the
-    caller's job for raw angle input; for labeled input it is enforced
-    here, in ``regime`` or else ``andreev.default_regime``, and a
-    labeling that fails it raises LabelingRejected.
-    """
-    from .volume import default_path  # volume imports this module
-
+    """Realize a labeled polyhedron by one cold ``solve_at`` at its
+    angles, reporting that solve's iterations.  The labeling is checked
+    first, in ``regime`` or else ``andreev.default_regime``; one that
+    fails raises LabelingRejected."""
     report = andreev.check(lp, regime or andreev.default_regime(lp.base))
     if not report.realizable:
         raise LabelingRejected(
             f"labeling rejected ({report.reason or report.outcome}); cannot realize")
-    return PathRealizer(default_path(lp.base, lp.angles())).realization_at(1.0)
+    angles = lp.angles()
+    X, _, iters = solve_at(lp.base, angles)
+    return build_realization(lp.base, angles, X, iters)
 
 
 class PathRealizer:
@@ -621,12 +626,6 @@ class PathRealizer:
             return xa
         w = (math.sqrt(t) - ua) / (ub - ua)
         return xa + w * (xb - xa)
-
-    def realization_at(self, t: float) -> Realization:
-        """The realization at ``t``, reporting the walker's ``newton_iters``."""
-        X = self.solution_at(t)
-        return build_realization(self.path.polyhedron, self.path.angles_at(t), X,
-                                 self.newton_iters)
 
 
 def edge_lengths(r: Realization) -> dict[Edge, float]:

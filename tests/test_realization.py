@@ -1,5 +1,6 @@
 """Face-plane solver in the hyperboloid model."""
 
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxvol import corpus, realization
-from coxvol.andreev import ALLOW_IDEAL, COMPACT, IDEAL, INADMISSIBLE, check, default_regime
+from coxvol.andreev import (ALLOW_IDEAL, COMPACT, IDEAL, INADMISSIBLE, STRICT_COMPACT, check,
+                            default_regime)
 from coxvol.census import enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, edge_key
@@ -48,15 +50,42 @@ def test_lambert_cube_realization(lambert_cube):
         assert vec[0] > 0  # future sheet
 
 
-def test_realize_reports_newton_iterations(lambert_cube):
-    # the anchor solve and the continuation step to t=1 both iterate, and
-    # realize reports their sum
-    p = lambert_cube.base
-    path = default_path(p, lambert_cube.angles())
-    X, _, k0 = solve_at(p, path.angles_at(PathRealizer.ANCHOR_T))
-    _, _, k1 = solve_at(p, path.angles_at(1.0), warm_start=X)
-    assert k0 > 0 and k1 > 0
-    assert realize(lambert_cube).newton_iters == k0 + k1
+def test_realize_reports_newton_iterations(lambert_cube, monkeypatch):
+    # realize checks the labeling once, then makes one cold solve at the
+    # labeling's own angles, and reports that solve's iterations
+    checks, solves = [], []
+    check_, solve = realization.andreev.check, realization.solve_at
+
+    def counted_check(lp, regime):
+        checks.append(lp)
+        return check_(lp, regime)
+
+    def counted_solve(p, angles, warm_start=None):
+        out = solve(p, angles, warm_start)
+        solves.append((angles, warm_start, out[2]))
+        return out
+
+    monkeypatch.setattr(realization.andreev, "check", counted_check)
+    monkeypatch.setattr(realization, "solve_at", counted_solve)
+    r = realize(lambert_cube)
+    assert checks == [lambert_cube]
+    [(angles, warm_start, iters)] = solves
+    assert angles == lambert_cube.angles() and warm_start is None
+    assert r.newton_iters == iters > 0
+
+
+def test_realization_imports_nothing_from_volume():
+    # volume imports realization; an import the other way, even one inside
+    # a function, would bring the cycle back
+    imported = set()
+    for node in ast.walk(ast.parse(Path(realization.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["coxvol" if node.level else "", node.module]))
+            imported.update([module, *(f"{module}.{a.name}" for a in node.names)])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert "coxvol.andreev" in imported
+    assert not [m for m in imported if m == "coxvol.volume" or m.startswith("coxvol.volume.")]
 
 
 def test_path_realizer_is_deterministic(lambert_cube):
@@ -101,7 +130,8 @@ def test_warm_start_interpolates_between_cached_neighbours(lambert_cube, monkeyp
     monkeypatch.setattr(realization, "_newton", recorded)
     path = default_path(lambert_cube.base, lambert_cube.angles())
     walker = PathRealizer(path)
-    assert np.array_equal(starts[0], realization._seed(lambert_cube.base)[None])
+    anchor = realization._system(lambert_cube.base).targets(path.angles_at(PathRealizer.ANCHOR_T))
+    assert np.array_equal(starts[0], realization._seed(lambert_cube.base, anchor)[None])
     walker.solutions_at([0.375, 0.125])
     assert np.array_equal(starts[1], [walker.cache[0.5]] * 2)
     before = dict(walker.cache)
@@ -124,9 +154,9 @@ def test_census_rows_realize_from_one_seed(name, max_label, monkeypatch):
     seeds = []
     seed = realization._seed
 
-    def counted(p):
+    def counted(p, targets):
         seeds.append(p)
-        return seed(p)
+        return seed(p, targets)
 
     monkeypatch.setattr(realization, "_seed", counted)
     p = load(name).base
@@ -267,7 +297,7 @@ def test_edge_lengths_shrink_toward_collapse(lambert_cube):
     varying = path.varying_edges
     prev = None
     for t in (1.0, 0.5, 0.25, 0.1, 0.02, 1e-4):
-        r = walker.realization_at(t)
+        r = build_realization(p, path.angles_at(t), walker.solution_at(t), walker.newton_iters)
         worst = max(edge_lengths(r)[e] for e in varying)
         if prev is not None:
             assert worst < prev
@@ -314,6 +344,12 @@ def test_null_vectors_annihilate_their_rows():
     assert np.all(Mw <= bound)
 
 
+def corner_vectors(p, E):
+    """The null vector of each vertex's first three face planes, as
+    ``build_realization`` computes it."""
+    return _null_vectors(E[realization._system(p).corners] * METRIC)
+
+
 def svd_vertex(E, faces):
     """Oracle: the future-pointing null vector of the planes ``faces`` by SVD."""
     w = np.linalg.svd(E[list(faces)] * METRIC)[2][-1]
@@ -350,7 +386,7 @@ def test_vertices_match_svd_oracle(name, loebell):
     walker = PathRealizer(path)
     for t in (0.3, 0.7, 1.0):
         E = walker.solution_at(t).reshape(len(p.faces), 4)
-        W, compact = _compute_vertices(p, E)
+        W, compact = _compute_vertices(p, corner_vectors(p, E))
         kinds = {v: COMPACT if c else IDEAL for v, c in zip(p.vertices, compact)}
         ref = vertices_by_svd(p, E, kinds, corners=True)
         assert np.all(np.linalg.norm(W - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1))
@@ -463,7 +499,7 @@ def test_spacelike_vertex_is_degenerate(lambert_cube):
     p = lambert_cube.base
     E = PathRealizer(vertex0_path(lambert_cube)).solution_at(0.95).reshape(-1, 4)
     with pytest.raises(DegenerateVertex, match="vertex 0 is spacelike"):
-        _compute_vertices(p, E)
+        _compute_vertices(p, corner_vectors(p, E))
 
 
 def system_by_loops(p, X, targets):
@@ -751,7 +787,9 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     total = sum(counts)
     assert walker.newton_iters == k0 + total
     assert walker.passes == p0 + max(counts)
-    assert walker.realization_at(1.0).newton_iters == k0 + total
+    r = build_realization(lambert_cube.base, path.angles_at(1.0), walker.solution_at(1.0),
+                          walker.newton_iters)
+    assert r.newton_iters == k0 + total
     assert walker.solves == 4 + len(ts)
     # solution_at is the one-row case
     single = PathRealizer(path)
@@ -759,12 +797,23 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     assert np.array_equal(single.solution_at(0.25), X[0])
 
 
-def seed_by_loops(p):
+def pinned_by_loops(p, angles):
+    """Oracle: among the faces the size of the outer face, or the largest
+    if none is named, the first whose edge angles, summed one edge at a
+    time, are largest to 12 decimals."""
+    size = max(map(len, p.faces)) if p.outer_face is None else len(p.faces[p.outer_face])
+
+    def angle_sum(f):
+        cyc = p.faces[f]
+        return round(sum(angles[edge_key(a, b)] for a, b in zip(cyc, cyc[1:] + cyc[:1])), 12)
+
+    return max((f for f in range(len(p.faces)) if len(p.faces[f]) == size), key=angle_sum)
+
+
+def seed_by_loops(p, angles):
     """Oracle: the sphere-lift seed built one vertex and one face at a
     time."""
-    outer = p.outer_face
-    if outer is None:
-        outer = max(range(len(p.faces)), key=lambda f: len(p.faces[f]))
+    outer = pinned_by_loops(p, angles)
     boundary = list(p.faces[outer])
     verts = list(p.vertices)
     index = {v: i for i, v in enumerate(verts)}
@@ -800,11 +849,70 @@ def seed_by_loops(p):
     return out.ravel()
 
 
-@pytest.mark.parametrize("name", [*CORPUS, "L5", "L8", "L12", "L30"])
+CUBE_ROW = LabeledPolyhedron(base=CUBE, labels=dict(zip(CUBE.edges, (2, 2, 2, 2, 3, 4, 2, 2, 3, 3, 2, 4))))
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "cube-row", "L5", "L8", "L12", "L30"])
 def test_seed_matches_loop_oracle(name, loebell):
-    # bit for bit, so the cold solves, and realize, do not move
-    p = load(name).base if name in CORPUS else relabeled_loebell(loebell, int(name[1:])).base
-    assert np.array_equal(realization._seed(p), seed_by_loops(p))
+    # bit for bit, so the cold solves, and realize, do not move; on the
+    # cube row the pinned face is not the named outer face
+    if name in CORPUS:
+        lp = load(name)
+    else:
+        lp = CUBE_ROW if name == "cube-row" else relabeled_loebell(loebell, int(name[1:]))
+    p, angles = lp.base, lp.angles()
+    targets = realization._system(p).targets(angles)
+    assert realization._pinned_face(p, targets) == pinned_by_loops(p, angles)
+    assert np.array_equal(realization._seed(p, targets), seed_by_loops(p, angles))
+    if name == "cube-row":
+        assert pinned_by_loops(p, angles) != p.outer_face
+
+
+def test_cube_row_realizes_by_one_cold_solve():
+    # pinning the outer face, face 1, whose edge angles sum to 1.417*pi,
+    # stalls this row's cold solve at residual 0.197; the pinned face is
+    # one whose angles sum highest
+    X, residual, _ = solve_at(CUBE, CUBE_ROW.angles())
+    assert residual <= RESIDUAL_TOL
+    r = build_realization(CUBE, CUBE_ROW.angles(), X, 0)
+    assert gram_residual(r) <= r.residual
+
+
+def gram(r):
+    E = np.array([r.normals[f] for f in range(len(r.polyhedron.faces))])
+    return (E * METRIC) @ E.T
+
+
+@pytest.mark.parametrize("lp", [load("lambert_cube"), load("triangular_prism"), load("pyramid"),
+                                lambert_with((3, 5, 8)), lambert_with((8, 8, 8)),
+                                right_angled(corpus.loebell(5)), right_angled(corpus.loebell(9))],
+                         ids=["lambert_cube", "triangular_prism", "pyramid", "lambert-358",
+                              "lambert-888", "L5", "L9"])
+def test_cold_solve_matches_the_path_realization(lp):
+    # one cold solve lands where the walk from the collapse end does: the
+    # Gram matrices agree to what two solves stopped at RESIDUAL_TOL allow
+    p = lp.base
+    path = default_path(p, lp.angles())
+    walked = build_realization(p, lp.angles(), PathRealizer(path).solution_at(1.0), 0)
+    assert np.max(np.abs(gram(realize(lp)) - gram(walked))) <= 2e-10
+
+
+def census_lp(name, max_label, regime):
+    p = load(name).base
+    return [LabeledPolyhedron(base=p, labels=dict(zip(p.edges, row.labels)))
+            for row in enumerate_labelings(p, max_label, regime)]
+
+
+def test_relabeled_census_rows_realize():
+    # with vertex ids permuted and faces reordered, every row realizes
+    # from one cold solve: the pinned face follows the angles, not the
+    # file's face order
+    rows = (census_lp("cube_all2", 4, STRICT_COMPACT) + census_lp("triangular_prism", 5, STRICT_COMPACT)
+            + census_lp("pyramid", 6, ALLOW_IDEAL))
+    assert len(rows) == 562
+    for k, lp in enumerate(rows):
+        r = realize(permuted(lp, k), ALLOW_IDEAL)
+        assert r.residual <= RESIDUAL_TOL, lp.labels
 
 
 def test_realized_normals_meet_their_targets(sweep):
@@ -898,7 +1006,7 @@ def test_loebell_with_a_pentagon_first_realizes(n, loebell):
     p = loebell(n)
     order = [1, *range(2, len(p.faces)), 0]
     q = AbstractPolyhedron(name=p.name, faces=tuple(p.faces[f] for f in order))
-    assert realization._pinned_face(q) == len(p.faces) - 2
+    assert realization._pinned_face(q, np.zeros(len(q.edges))) == len(p.faces) - 2
     r = realize(right_angled(q))
     assert r.residual <= RESIDUAL_TOL
 

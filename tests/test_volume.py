@@ -233,7 +233,9 @@ def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
 
     calls = []
     newton = realization._newton
-    seed = realization._seed(lambert_cube.base)[None]
+    path = default_path(lambert_cube.base, lambert_cube.angles())
+    anchor = realization._system(path.polyhedron).targets(path.angles_at(0.5))
+    seed = realization._seed(path.polyhedron, anchor)[None]
 
     def warm_fails(sys_, X0, targets):
         calls.append(not np.array_equal(X0, seed))
