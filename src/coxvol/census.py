@@ -73,7 +73,7 @@ def _edge_perms(p: AbstractPolyhedron) -> np.ndarray:
     """The automorphism group as a (|G|, E) array over ``p.edges``: row g
     sends edge i to edge perms[g, i], in ``automorphisms`` order."""
     verts = p.vertices
-    maps = np.searchsorted(verts, [list(map(m.__getitem__, verts)) for m in automorphisms(p)])
+    maps = np.searchsorted(verts, automorphisms(p))
     a, b = np.searchsorted(verts, p.edges).T
     index = np.full((len(verts), len(verts)), -1)
     index[a, b] = index[b, a] = np.arange(len(a))

@@ -134,11 +134,11 @@ class AbstractPolyhedron:
         Face 0 keeps its cycle; a depth-first walk over face_neighbors
         reverses each newly reached face that runs a shared edge the same
         way as the face it was reached from.  Returns None if no
-        consistent orientation exists (the face data does not describe a
-        connected closed surface).
+        consistent orientation exists or there are no faces (the face data
+        does not describe a connected closed surface).
         """
         if not self.faces:
-            return ()
+            return None
         out: list[tuple[int, ...] | None] = [None] * len(self.faces)
         out[0] = self.faces[0]
         stack = [0]
@@ -413,23 +413,20 @@ def serialize_polyhedron(lp: LabeledPolyhedron) -> str:
 # Automorphisms
 
 
-def _walk(rev: list[int], step: list[int], d0: int, code0: list[int] | None = None):
+def _walk(rev: list[int], step: list[int], d0: int):
     """Breadth-first walk over dart ids from d0, taking each dart's reverse
     and then its step: the visit order, and the code, the visit position of
-    every dart looked at.  With code0 it stops at the first entry differing."""
+    every dart looked at."""
     pos = [-1] * len(rev)
     pos[d0] = 0
     order = [d0]
     code: list[int] = []
     for d in order:
         for nd in (rev[d], step[d]):
-            k = pos[nd]
-            if k < 0:
-                k = pos[nd] = len(order)
+            if pos[nd] < 0:
+                pos[nd] = len(order)
                 order.append(nd)
-            if code0 is not None and k != code0[len(code)]:
-                return order, code + [k]
-            code.append(k)
+            code.append(pos[nd])
     return order, code
 
 
@@ -438,8 +435,16 @@ def _walk(rev: list[int], step: list[int], d0: int, code0: list[int] | None = No
 _AUTOMORPHISM_BLOCK = 2**16
 
 
-def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
-    """All vertex permutations preserving the face structure, sorted.
+def automorphisms(p: AbstractPolyhedron) -> np.ndarray:
+    """All vertex permutations preserving the face structure, as an integer
+    array of shape (|G|, V): row g, column j is the image of
+    ``p.vertices[j]``.  Rows ascend, compared as sequences; the identity
+    comes first.
+
+    The rows are distinct only on a polyhedron that passes ``validate``:
+    the dihedron ``((0, 1, 2), (0, 2, 1))`` fails it and gives 12 rows,
+    6 of them distinct.  PolyhedronError when the faces admit no closed
+    orientable surface.
 
     Includes reflections.  One walk from dart 0 (``_walk``) is a
     breadth-first tree over the darts: the dart first written at code
@@ -481,35 +486,25 @@ def automorphisms(p: AbstractPolyhedron) -> list[dict[int, int]]:
     layers = [(a, b, first[a - 1:b - 1] // 2, first[a - 1:b - 1] % 2 * n)
               for a, b in zip(cuts, cuts[1:])]
     loose_at, loose_move, loose_code = loose // 2, loose % 2 * n, np.array(code0)[loose]
-    # vertices as indices into ``verts``, whose int objects the maps share
-    verts = sorted({a for a, _ in darts})
-    tail = np.searchsorted(verts, [a for a, _ in darts])
+    ends = np.array(darts)
+    tail = ends[:, 0]
     block = max(1, _AUTOMORPHISM_BLOCK // n)
-    keys, rows, images = [], [], []
+    images = []
     for step, starts, end in ((nxt, range(n), 0), (sorted(range(n), key=nxt.__getitem__), rev, 1)):
         table = np.array(rev + step)
-        kept = []
+        # each vertex's image, in ascending vertex order, read at the first
+        # order position whose dart has it as tail (rotations) or head
+        # (reflections)
+        at = np.unique(ends[order0, end], return_index=True)[1]
         for lo in range(0, n, block):
             img = np.empty((len(starts[lo:lo + block]), n), dtype=np.intp)
             img[:, 0] = starts[lo:lo + block]
             for a, b, parent, move in layers:
                 img[:, a:b] = table[img[:, parent] + move]
             ok = (table[img[:, loose_at] + loose_move] == img[:, loose_code]).all(axis=1)
-            kept.append(img[ok])
-        # each vertex's image, read at the first order position whose
-        # dart has it as tail (rotations) or head (reflections)
-        at: dict[int, int] = {}
-        for k, d in enumerate(order0):
-            at.setdefault(darts[d][end], k)
-        keys.append(list(at))
-        rows.append(tail[np.concatenate(kept)[:, list(at.values())]])
-        images.append(rows[-1][:, np.argsort(keys[-1])])
-    verts = np.array(verts, dtype=object)
-    maps = [dict(zip(ks, r)) for ks, im in zip(keys, rows) for r in verts[im].tolist()]
-    # in the order of their sorted items: the images of the vertices in
-    # ascending order, the first most significant
+            images.append(tail[img[ok][:, at]])
     images = np.concatenate(images)
-    return [maps[i] for i in np.lexsort(images.T[::-1]).tolist()]
+    return images[np.lexsort(images.T[::-1])]
 
 
 def canonical_cycle(cyc: Iterable[int]) -> tuple[int, ...]:

@@ -20,7 +20,8 @@ from coxvol.census import (AS_LISTED_CYCLIC, ANY_ARRANGEMENT,
                            cube_three_threes, enumerate_labelings,
                            format_pyramid_diff, pyramid_census)
 from coxvol.corpus import load
-from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, canonical_cycle, edge_key
+from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, automorphisms,
+                               canonical_cycle, edge_key)
 
 
 def test_cube_census_small(cube_all2):
@@ -121,6 +122,22 @@ def test_census_never_calls_the_exact_checker(monkeypatch, cube_all2):
     for convention in (AS_LISTED_CYCLIC, ANY_ARRANGEMENT):
         assert pyramid_census(6, convention).all_published_rows_admissible
     assert ".check(" not in Path(census.__file__).read_text()
+
+
+def test_census_calls_automorphisms_once_through_its_own_binding(monkeypatch, cube_all2):
+    # the benchmark's tracer counts automorphisms by wrapping
+    # census.automorphisms: one call per cube census, one per three-threes
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return automorphisms(p)
+
+    monkeypatch.setattr(census, "automorphisms", counting)
+    assert len(enumerate_labelings(cube_all2.base, 3)) == 34
+    assert calls == [cube_all2.base]
+    assert len(cube_three_threes(cube_all2.base).selected) == 8
+    assert calls == [cube_all2.base] * 2
 
 
 @pytest.mark.parametrize("call", [

@@ -56,6 +56,11 @@ def automorphisms_brute(p: AbstractPolyhedron) -> list[dict[int, int]]:
     return found
 
 
+def automorphism_maps(p: AbstractPolyhedron) -> list[dict[int, int]]:
+    """``automorphisms(p)`` as one vertex map per row, in row order."""
+    return [dict(zip(p.vertices, r)) for r in automorphisms(p).tolist()]
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_validates(name):
     lp = load(name)
@@ -138,6 +143,7 @@ def test_oriented_faces_of_scrambled_cycles(name, loebell):
     ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)),  # hemi-cube: non-orientable
     ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),  # two disjoint tetrahedra
      (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)),
+    (),  # no faces, no surface
 ])
 def test_oriented_faces_none_without_one_closed_orientable_surface(faces):
     p = AbstractPolyhedron(name="bad", faces=faces)
@@ -350,14 +356,21 @@ def test_face_repeating_a_vertex_parses_and_fails_validate():
     ("pyramid", 8),
 ])
 def test_automorphism_group_orders(name, order):
+    # an integer (|G|, V) array of vertex images, identity first, rows
+    # strictly ascending
     p = load(name).base
-    assert len(automorphisms(p)) == order
+    images = automorphisms(p)
+    assert images.dtype.kind == "i"
+    assert images.shape == (order, len(p.vertices))
+    rows = images.tolist()
+    assert rows[0] == list(p.vertices)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "pyramid", "triangular_prism"])
 def test_automorphisms_match_brute_force(name):
     p = load(name).base
-    fast = {tuple(sorted(m.items())) for m in automorphisms(p)}
+    fast = {tuple(sorted(m.items())) for m in automorphism_maps(p)}
     brute = {tuple(sorted(m.items())) for m in automorphisms_brute(p)}
     assert fast == brute
 
@@ -367,7 +380,7 @@ def test_loebell_automorphisms_are_distinct_face_maps(n, order, loebell):
     # L(5) is the dodecahedron; from n = 6 on the group is the dihedral
     # symmetry of the n-gons times the swap of the two n-gons
     p = loebell(n)
-    maps = automorphisms(p)
+    maps = automorphism_maps(p)
     assert len(maps) == order
     assert len({tuple(sorted(m.items())) for m in maps}) == len(maps)
     assert all(_preserves_faces(p, m) for m in maps)
@@ -398,8 +411,8 @@ def test_relabeled_group_is_the_conjugate_group(name, rnd):
     # the group of the relabeled copy is exactly sigma g sigma^-1
     p, moved, sigma = relabeled(name, rnd)
     conjugates = {tuple(sorted((sigma[v], sigma[w]) for v, w in g.items()))
-                  for g in automorphisms(p)}
-    assert sorted(tuple(sorted(m.items())) for m in automorphisms(moved)) == sorted(conjugates)
+                  for g in automorphism_maps(p)}
+    assert sorted(tuple(sorted(m.items())) for m in automorphism_maps(moved)) == sorted(conjugates)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -410,19 +423,19 @@ def test_automorphisms_match_the_oracle_in_order(name, rnd):
     # its position; and candidates pushed through the walk's tree one at
     # a time give the same list
     _, p, _ = relabeled(name, rnd)
-    maps = automorphisms(p)
+    maps = automorphism_maps(p)
     assert maps == sorted(automorphisms_brute(p), key=lambda m: sorted(m.items()))
     perms = _edge_perms(p)
     assert perms.shape == (len(maps), len(p.edges))
     for vmap, perm in zip(maps, perms):
         assert [p.edges[j] for j in perm] == [edge_key(vmap[a], vmap[b]) for a, b in p.edges]
     with mock.patch.object(poly_model, "_AUTOMORPHISM_BLOCK", 1):
-        assert automorphisms(p) == maps
+        assert automorphism_maps(p) == maps
 
 
 def test_automorphism_group_closure(cube_all2):
     p = cube_all2.base
-    group = {tuple(sorted(m.items())) for m in automorphisms(p)}
+    group = {tuple(sorted(m.items())) for m in automorphism_maps(p)}
     maps = [dict(g) for g in group]
     ident = tuple(sorted({v: v for v in p.vertices}.items()))
     assert ident in group

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from coxvol.andreev import check, default_regime
 from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.corpus import CORPUS, load
+from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import RealizationError
 from coxvol.volume import (COLLAPSE_CHECK_T, QUAD_MAX_NODES, QUAD_START_NODES,
@@ -509,6 +510,16 @@ def test_pyramid_rows_match_the_one_dimensional_oracle(pyramid):
                           ((3, 4, 3, 4), (2, 2, 3, 4), 4)):
         a, b = vols[big], vols[small]
         assert abs(a.volume - k * b.volume) <= a.error_estimate + k * b.error_estimate, big
+    # closed forms in the Lobachevsky function: the oracle meets every
+    # one, and the volume each compact-base one within its estimate
+    quarter, third = lob(math.pi / 4), lob(math.pi / 3)
+    for row, closed in (((2, 2, 3, 3), quarter / 3), ((2, 3, 3, 3), 2 * quarter / 3),
+                        ((3, 3, 3, 3), 4 * quarter / 3), ((2, 2, 4, 4), quarter),
+                        ((2, 2, 3, 6), 5 * third / 4)):
+        assert abs(pyramid_oracle(row) - closed) <= 1e-13, row
+        if row in vols:
+            assert abs(vols[row].volume - closed) <= vols[row].error_estimate, row
+    assert {(2, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3)} <= vols.keys()
 
 
 def test_segment_out_of_an_ideal_base_row(pyramid, newton_calls):
