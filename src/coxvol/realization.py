@@ -128,13 +128,25 @@ class _System:
         self.nf = nf = len(p.faces)
         self.edges = p.edges
         self.ne = ne = len(self.edges)
-        # each edge's two faces, then the third face at each endpoint: the
-        # smallest face there not on the edge, as p.vertex_faces is ascending
         chain = itertools.chain.from_iterable
         verts = np.array(p.vertices)
+        # the faces' vertex rows in cycle order, face after face (the ring),
+        # and one row per face, padded with row V (cycles, inside)
+        self.sizes = sizes = np.fromiter(map(len, p.faces), int, nf)
+        ring = np.searchsorted(verts, np.fromiter(chain(p.faces), int))
+        self.inside = np.arange(sizes.max()) < sizes[:, None]
+        self.cycles = np.full(self.inside.shape, len(verts))
+        self.cycles[self.inside] = ring
+        # each ring row and the next row in its cycle: every edge once for
+        # each of its faces
+        last = np.cumsum(sizes)
+        succ = np.arange(1, len(ring) + 1)
+        succ[last - 1] = last - sizes
+        self.ring_a, self.ring_b = ring, ring[succ]
         incidence = np.zeros((len(verts), nf), dtype=bool)
-        incidence[np.searchsorted(verts, np.fromiter(chain(p.faces), int)),
-                  np.repeat(np.arange(nf), np.fromiter(map(len, p.faces), int, nf))] = True
+        incidence[ring, np.repeat(np.arange(nf), sizes)] = True
+        # each edge's two faces, then the third face at each endpoint: the
+        # smallest face there not on the edge, as p.vertex_faces is ascending
         ends = np.fromiter(chain(self.edges), int, 2 * ne).reshape(ne, 2)
         edge_faces = np.fromiter(chain(map(p.edge_faces.__getitem__, self.edges)), int,
                                  2 * ne).reshape(ne, 2)
@@ -353,7 +365,7 @@ def _pinned_face(p: AbstractPolyhedron, targets: np.ndarray) -> int:
     edge order and rounded to 12 decimals, sum highest.  A small sum
     there can stall the cold solve (cube row 2,2,2,2,3,4,2,2,3,3,2,4)."""
     sys_ = _system(p)
-    sizes = np.fromiter(map(len, p.faces), int, sys_.nf)
+    sizes = sys_.sizes
     size = sizes.max() if p.outer_face is None else sizes[p.outer_face]
     sums = np.bincount(np.concatenate([sys_.fi, sys_.fj]), np.tile(np.arccos(targets), 2),
                        sys_.nf).round(12)
@@ -390,21 +402,11 @@ def _seed(p: AbstractPolyhedron, targets: np.ndarray) -> np.ndarray:
     is (h, sqrt(1 + h^2) c) with h = 0.8 cot rho, a circle of angular
     radius arccot h, a little wider than the face.  A face whose vertex
     sum vanishes points along the pole, up for the pinned face."""
-    n, nf = len(p.vertices), len(p.faces)
-    lengths = np.fromiter(map(len, p.faces), int, nf)
-    # the faces' vertex rows in cycle order, face after face, then one row
-    # per face, padded with row n
-    cyc = np.searchsorted(np.array(p.vertices),
-                          np.fromiter(itertools.chain.from_iterable(p.faces), int))
-    inside = np.arange(max(map(len, p.faces))) < lengths[:, None]
-    cycles = np.full(inside.shape, n)
-    cycles[inside] = cyc
-    # the next row in the same cycle: every edge once for each of its faces
-    ends = np.cumsum(lengths)
-    succ = np.arange(1, len(cyc) + 1)
-    succ[ends - 1] = ends - lengths
+    sys_ = _system(p)
+    n, nf = len(p.vertices), sys_.nf
+    cycles, inside = sys_.cycles, sys_.inside
     outer = _pinned_face(p, targets)
-    xy = _tutte_positions(p, cyc, cyc[succ], cycles[outer, :lengths[outer]])
+    xy = _tutte_positions(p, sys_.ring_a, sys_.ring_b, cycles[outer, :sys_.sizes[outer]])
     r2 = xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1]
     # the lifted vertices, then the zero row n
     sph = np.empty((n + 1, 3))

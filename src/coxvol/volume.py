@@ -44,7 +44,7 @@ import numpy as np
 from .andreev import VERTEX, constraints
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, PolyhedronError
 from .realization import (NonConvergence, PathRealizer, RealizationError, RESIDUAL_TOL,
-                          _system, edge_lengths, realize)
+                          _system)
 
 DEFAULT_TOL = 1e-8
 COLLAPSE_LENGTH_THRESHOLD = 0.05
@@ -294,7 +294,10 @@ def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
     a realization floor: every length comes from a Newton solve stopped
     at a residual of RESIDUAL_TOL, so both rules carry errors of that
     order, weighted by the total angle travel sum_e |dtheta_e| of the path.
+    A tol that is not positive, NaN included, raises ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     path = target
     if isinstance(target, LabeledPolyhedron):
         path = default_path(target.base, target.angles())
@@ -317,37 +320,3 @@ def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
     return VolumeResult(volume=-0.5 * q, error_estimate=0.5 * (d + RESIDUAL_TOL * travel),
                         nodes=f.calls, solves=f.walker.solves,
                         newton_iters=f.walker.newton_iters, passes=f.walker.passes)
-
-
-# ---------------------------------------------------------------------------
-# differential self-tests
-
-
-def monotonicity_probe(lp: LabeledPolyhedron, edge: Edge, delta_angle: float,
-                       tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Compare a finite volume difference against the Schlaefli prediction.
-
-    Returns (numeric dV, predicted dV = -len_e/2 * dtheta): the numeric
-    dV integrates the one segment from ``lp.angles()`` to the perturbed
-    angles, and len_e is read from ``realize(lp)``.  Both vanish for a
-    zero perturbation and both are negative when the angle grows.
-    """
-    if delta_angle == 0.0:
-        return 0.0, 0.0
-    perturbed = lp.angles()
-    perturbed[edge] += delta_angle
-    dv = schlafli_volume(DeformationPath.from_configs(lp.base, [lp.angles(), perturbed]), tol=tol)
-    pred = -0.5 * edge_lengths(realize(lp))[edge] * delta_angle
-    return dv.volume, pred
-
-
-def hyperbolic_triangle_area(alpha: float, beta: float, gamma: float) -> float:
-    """Area of a hyperbolic triangle: the angle defect pi - (a+b+c).
-
-    This is the 2-dimensional face of the Schlaefli relation: along any
-    family of triangles, -dA = sum dtheta exactly.
-    """
-    defect = math.pi - (alpha + beta + gamma)
-    if defect < 0:
-        raise ValueError("angle sum exceeds pi; not a hyperbolic triangle")
-    return defect

@@ -42,3 +42,13 @@ def test_no_unused_imports():
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert unused <= UNUSED_IMPORTS_ALLOWED, sorted(unused - UNUSED_IMPORTS_ALLOWED)
+
+
+def test_exports_resolve():
+    # __all__ lists exactly the public names the package imports, once each
+    tree = ast.parse(Path(coxvol.__file__).read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert all(hasattr(coxvol, name) for name in coxvol.__all__)
+    assert len(set(coxvol.__all__)) == len(coxvol.__all__)
+    assert set(coxvol.__all__) == {name for name in imported if not name.startswith("_")}

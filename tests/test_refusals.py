@@ -11,7 +11,7 @@ from coxvol.cli import main
 from coxvol.lobachevsky import ideal_tetrahedron_volume, lob
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, PolyhedronError,
                                edge_key, parse_polyhedron)
-from coxvol.volume import hyperbolic_triangle_area
+from coxvol.volume import schlafli_volume
 
 DIHEDRON = "polyhedron dihedron\nface 0: 0 1 2\nface 1: 0 2 1\n"
 
@@ -51,13 +51,14 @@ def pentagonal_pyramid():
     (lambda: edge_key(3, 3), ValueError, "degenerate edge"),
     (lambda: relabeled(None), PolyhedronError, "has no label"),
     (lambda: relabeled(1), PolyhedronError, "label 1 < 2"),
-    (lambda: hyperbolic_triangle_area(1, 1, 1.5), ValueError, "angle sum exceeds pi"),
     (lambda: andreev.constraints(AbstractPolyhedron("pyramid", corpus.load("pyramid").base.faces)),
      ValueError, "4-valent but not an ideal candidate"),
     (lambda: andreev.constraints(pentagonal_pyramid()), ValueError, "valence 5"),
+    (lambda: schlafli_volume(corpus.load("lambert_cube"), tol=-1e-8),
+     ValueError, "tol must be positive"),
 ], ids=["census-max-label", "census-invalid", "pyramid-max-label", "pyramid-convention",
         "corpus-name", "loebell-n", "lob-inf", "lob-nan", "idealtet-negative", "edge-key",
-        "missing-label", "label-one", "triangle-area", "unflagged-apex", "five-valent"])
+        "missing-label", "label-one", "unflagged-apex", "five-valent", "volume-tol"])
 def test_library_refuses(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -65,7 +66,8 @@ def test_library_refuses(call, error, message):
 
 @pytest.mark.parametrize("argv", [
     ("lob", "pi*2"), ("lob", "inf"),
-    ("census", "cube_all2", "--max-label", "1"), ("pyramid-table", "--max-label", "2")])
+    ("census", "cube_all2", "--max-label", "1"), ("pyramid-table", "--max-label", "2"),
+    ("volume", "lambert_cube", "--tol", "0"), ("volume", "lambert_cube", "--tol", "nan")])
 def test_cli_refuses(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out.strip().splitlines()[-1] == f"RESULT {argv[0]} input-error"

@@ -15,24 +15,12 @@ from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.corpus import CORPUS, load
 from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
-from coxvol.realization import RealizationError
+from coxvol.realization import RealizationError, edge_lengths, realize
 from coxvol.volume import (COLLAPSE_CHECK_T, QUAD_MAX_NODES, QUAD_START_NODES,
                            DeformationPath, IdealEdge, NonCollapsingStart,
                            PathRealizationFailure, _Integrand, _squared_rule, collapse_fraction,
-                           default_path,
-                           hyperbolic_triangle_area, monotonicity_probe,
-                           orb_convention, schlafli_volume, segment_quadrature,
+                           default_path, orb_convention, schlafli_volume, segment_quadrature,
                            VolumeError)
-
-
-def test_triangle_area_identity():
-    # the 2-dimensional analogue has a closed form
-    cases = [(math.pi / 2, math.pi / 3, math.pi / 7),
-             (0.3, 0.4, 0.5),
-             (1.0, 1.0, 1.0)]
-    for a, b, c in cases:
-        assert hyperbolic_triangle_area(a, b, c) == pytest.approx(
-            math.pi - a - b - c, abs=1e-15)
 
 
 def test_collapse_fraction_lambert(lambert_cube):
@@ -102,12 +90,18 @@ def test_volume_decreases_with_larger_angles(lambert_cube):
     assert v4 > v3  # pi/4 < pi/3: angle shrank, volume grew
 
 
-def test_monotonicity_probe_signs(lambert_cube):
+def test_small_segment_matches_the_schlafli_differential(lambert_cube):
+    # raising one 3-edge's angle by delta changes the volume by
+    # -1/2 len delta to first order, len read off the realization
     three = next(e for e, n in lambert_cube.labels.items() if n == 3)
-    num, pred = monotonicity_probe(lambert_cube, three, 1e-3, tol=1e-7)
-    assert num < 0 and pred < 0
-    assert num == pytest.approx(pred, rel=0.05)
-    assert monotonicity_probe(lambert_cube, three, 0.0) == (0.0, 0.0)
+    delta = 1e-3
+    perturbed = lambert_cube.angles()
+    perturbed[three] += delta
+    path = DeformationPath.from_configs(lambert_cube.base, [lambert_cube.angles(), perturbed])
+    dv = schlafli_volume(path, tol=1e-7).volume
+    pred = -0.5 * edge_lengths(realize(lambert_cube))[three] * delta
+    assert dv < 0 and pred < 0
+    assert dv == pytest.approx(pred, rel=0.05)
 
 
 def test_pyramid_volume_with_ideal_apex(pyramid):
@@ -519,6 +513,8 @@ def test_pyramid_rows_match_the_one_dimensional_oracle(pyramid):
         assert abs(pyramid_oracle(row) - closed) <= 1e-13, row
         if row in vols:
             assert abs(vols[row].volume - closed) <= vols[row].error_estimate, row
+    # both rows have an ideal base vertex, so only the oracle meets this one
+    assert abs(pyramid_oracle((3, 3, 3, 6)) - 2 * pyramid_oracle((2, 3, 3, 6))) <= 1e-13
     assert {(2, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3)} <= vols.keys()
 
 
