@@ -4,7 +4,10 @@ Conditions 2-5 are linear inequalities on the angles pi/n of sets of
 edges, and which edges and bounds depend only on the combinatorics.
 ``constraints(p)`` compiles them once per polyhedron into one table;
 each row holds its edges, a bound in units of pi, its condition and a
-witness.  Its readers:
+witness.  The circuit rows come from ``circuits.prismatic_circuits``,
+which reads the stored 3- and 4-cycle records (found by intersecting
+neighbour sets) and makes Circuit objects of the prismatic ones alone:
+none on right-angled L(n), three on the cube.  Its readers:
 
 - ``check`` sums each row exactly in integer units of pi/U, U the lcm
   of the labels on the table's rows (alpha = pi/n is U/n units), so
@@ -30,7 +33,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import enumerate_circuits
+from .circuits import prismatic_circuits
+# unused here, but the benchmark tracer binds coxvol.andreev.enumerate_circuits by name
+from .circuits import enumerate_circuits  # noqa: F401
 from .poly_model import AbstractPolyhedron, Edge, LabeledPolyhedron, edge_key
 
 STRICT_COMPACT = "strict-compact"
@@ -106,8 +111,7 @@ def _compile(p: AbstractPolyhedron) -> tuple[Constraint, ...]:
             raise ValueError(f"vertex {v} is 4-valent but not an ideal candidate")
         rows.append(Constraint(VERTEX, p.vertex_edges[v], d - 2, v))
     for k in (3, 4):
-        rows += [Constraint(k, c.crossed_edges, k - 2, c)
-                 for c in enumerate_circuits(p, k) if c.prismatic]
+        rows += [Constraint(k, c.crossed_edges, k - 2, c) for c in prismatic_circuits(p, k)]
     # each branch is a pair of opposite face edges (alpha1+alpha3, then
     # alpha2+alpha4) plus the four edges entering the face's vertices
     informational = len(p.faces) > 5

@@ -271,12 +271,31 @@ def _cmd_idealtet(args) -> int:
 # argument wiring
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a usage error prints argparse's usage and
+    message on stderr, as always, and ``RESULT <subcommand> input-error``
+    on stdout, and exits 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # an argument the subcommand does not know is its usage error too
+        ns, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return ns, extra
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _result(self.prog.rsplit(" ", 1)[-1], "input-error")
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="coxvol",
         description="Admissibility, classification, realization and volume "
                     "of right-angled-or-sharper labeled polyhedra.")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    sub = ap.add_subparsers(dest="subcommand", required=True,
+                            parser_class=_SubcommandParser)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)

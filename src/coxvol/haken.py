@@ -6,13 +6,17 @@ disk crossing at most one edge, splitting the curve into two arcs that
 each cross at least two edges.  A curve with no compression and none of
 the trivially-bounding shapes (vertex link, edge link, fewer than three
 crossings) is incompressible.
+
+``classify`` scans the (faces, prismatic) records of
+``circuits.iter_cycles`` and makes a Circuit object only of a circuit it
+tests, or of its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, iter_circuits,
+from .circuits import (Circuit, DEFAULT_CIRCUIT_CAP, iter_cycles,
                        separating_triangles, vertex_sides)
 # unused here, but the benchmark tracer binds coxvol.haken.circuits_up_to by name
 from .circuits import circuits_up_to  # noqa: F401
@@ -105,35 +109,38 @@ class HakenVerdict:
 
 def classify(p: AbstractPolyhedron, cap: int = DEFAULT_CIRCUIT_CAP) -> HakenVerdict:
     """Large iff no separating triangles and some orbifold up to the cap
-    is incompressible.
+    is incompressible; ValueError if cap < 3.
 
     The witness is the first circuit with an incompressible side in the
     order prismatic first, then the rest, each by length and then by
     faces, so that it is the most meaningful curve available.  A first
-    pass iterates the circuits one length at a time, counts every one it
-    visits, and tests only the prismatic ones, stopping at the first
-    witness, inside its length: the rest of that length is never
-    enumerated.  Only if it finds none does a second pass iterate them
-    again, from the circuits the first pass left stored on ``p``, for the
-    first non-prismatic witness, counting nothing more.  A Small verdict
-    still tests both disk sides of every circuit up to the cap.
+    pass iterates the cycle records one length at a time, counts every
+    one it visits, and builds and tests only the prismatic ones, stopping
+    at the first witness, inside its length: the rest of that length is
+    never enumerated.  Only if it finds none does a second pass iterate
+    them again, from the records the first pass left stored on ``p``,
+    for the first non-prismatic witness, counting nothing more.  A Small
+    verdict still tests both disk sides of every circuit up to the cap.
     """
+    if cap < 3:
+        raise ValueError(f"circuit cap must be >= 3, got {cap}")
     tris = separating_triangles(p)
     if tris:
         return HakenVerdict(SMALL, tris[0], "separating-triangle", cap, 0)
 
-    def incompressible(c: Circuit) -> bool:
-        return not all(is_compressible(p, orb) for orb in orbifolds_of(p, c))
+    def witness(faces: tuple[int, ...], prismatic: bool) -> Circuit | None:
+        c = Circuit.from_faces(p, faces, prismatic)
+        return None if all(is_compressible(p, orb) for orb in orbifolds_of(p, c)) else c
 
     lengths = range(3, min(cap, len(p.faces)) + 1)
     visited = 0
     for k in lengths:
-        for c in iter_circuits(p, k):
+        for faces, prismatic in iter_cycles(p, k):
             visited += 1
-            if c.prismatic and incompressible(c):
+            if prismatic and (c := witness(faces, True)):
                 return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
     for k in lengths:
-        for c in iter_circuits(p, k):
-            if not c.prismatic and incompressible(c):
+        for faces, prismatic in iter_cycles(p, k):
+            if not prismatic and (c := witness(faces, False)):
                 return HakenVerdict(LARGE, c, "incompressible-orbifold", cap, visited)
     return HakenVerdict(SMALL, None, "none-up-to-cap", cap, visited)

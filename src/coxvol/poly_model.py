@@ -132,31 +132,35 @@ class AbstractPolyhedron:
         """Face cycles re-oriented so every directed edge occurs exactly once.
 
         Face 0 keeps its cycle; a depth-first walk over face_neighbors
-        reverses each newly reached face that runs a shared edge the same
-        way as the face it was reached from.  Returns None if no
-        consistent orientation exists or there are no faces (the face data
-        does not describe a connected closed surface).
+        reverses each newly reached face exactly when it runs the shared
+        edge as the face it was reached from is oriented to run it.  One
+        set of the given cycles' darts tells the two apart: two faces run
+        their shared edge the same way unless the set holds both of its
+        darts.  Returns None if no consistent orientation exists or there
+        are no faces (the face data does not describe a connected closed
+        surface).
         """
         if not self.faces:
             return None
-        out: list[tuple[int, ...] | None] = [None] * len(self.faces)
-        out[0] = self.faces[0]
+        given = set(chain.from_iterable(map(_darts, self.faces)))
+        flip: list[bool | None] = [None] * len(self.faces)
+        flip[0] = False
         stack = [0]
         while stack:
             f = stack.pop()
-            darts = set(_darts(out[f]))
             for g in self.face_neighbors[f]:
-                if out[g] is None:
-                    cyc = self.faces[g]
-                    out[g] = cyc[::-1] if not darts.isdisjoint(_darts(cyc)) else cyc
+                if flip[g] is None:
+                    a, b = self.face_adjacency[f, g]
+                    flip[g] = flip[f] ^ ((a, b) not in given or (b, a) not in given)
                     stack.append(g)
-        if None in out:
+        if None in flip:
             return None
+        out = tuple(cyc[::-1] if fl else cyc for cyc, fl in zip(self.faces, flip))
         darts = [d for cyc in out for d in _darts(cyc)]
         seen = set(darts)
         if len(seen) != len(darts) or any((b, a) not in seen for a, b in darts):
             return None
-        return tuple(out)
+        return out
 
 
 def _darts(cyc: tuple[int, ...]):

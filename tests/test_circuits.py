@@ -1,15 +1,29 @@
 """Dual-cycle circuit enumeration."""
 
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxvol import circuits
-from coxvol.circuits import (circuits_up_to, enumerate_circuits, iter_circuits,
+from coxvol import andreev, circuits
+from coxvol.circuits import (Circuit, circuits_up_to, enumerate_circuits, iter_circuits,
                              separating_triangles, vertex_sides)
 from coxvol.census import _edge_perms
 from coxvol.corpus import CORPUS, load, loebell
-from coxvol.poly_model import canonical_cycle
+from coxvol.haken import classify
+from coxvol.poly_model import AbstractPolyhedron, canonical_cycle
+
+
+def relabeled(p, seed):
+    """p with its vertex ids permuted and its faces reordered."""
+    rng = random.Random(seed)
+    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
+    faces = [tuple(image[v] for v in f) for f in p.faces]
+    rng.shuffle(faces)
+    return AbstractPolyhedron(name=p.name, faces=tuple(faces),
+                              ideal_candidates=frozenset(image[v] for v in p.ideal_candidates))
 
 
 def test_cube_three_circuits(cube_all2):
@@ -125,21 +139,37 @@ def test_iterator_and_list_agree(name):
         assert list(iter_circuits(q, k)) == enumerate_circuits(p, k)
 
 
-def test_later_calls_replay_the_first_search(monkeypatch):
-    searched = []
-    search = circuits._search
+def counting(monkeypatch, record):
+    """Patch the two enumerators so every call appends to ``record``: k
+    for a depth-first search, (3, 4) for the intersection pass."""
+    search, short = circuits._search, circuits._short_cycles
 
-    def counted(p, k, found):
-        searched.append(k)
+    def counted_search(p, k, found):
+        record.append(k)
         return search(p, k, found)
 
-    monkeypatch.setattr(circuits, "_search", counted)
+    def counted_short(p, found):
+        record.append((3, 4))
+        return short(p, found)
+
+    monkeypatch.setattr(circuits, "_search", counted_search)
+    monkeypatch.setattr(circuits, "_short_cycles", counted_short)
+
+
+def test_later_calls_replay_the_first_search(monkeypatch):
+    searched = []
+    counting(monkeypatch, searched)
     p = loebell(7)
     first = enumerate_circuits(p, 5)
+    assert len(first) == 98
     assert enumerate_circuits(p, 5) == list(iter_circuits(p, 5)) == first
     separating_triangles(p)
     circuits_up_to(p, 5)
-    assert searched == [5, 3, 4]
+    andreev.constraints(p)
+    classify(p)
+    assert searched == [5, (3, 4)]
+    # and the endpoint masks both enumerators read are built once
+    assert circuits._edge_masks(p) is vars(p)["_edge_masks"]
 
 
 def test_mutating_a_returned_list_leaves_the_next_call_unchanged(cube_all2):
@@ -153,12 +183,68 @@ def test_mutating_a_returned_list_leaves_the_next_call_unchanged(cube_all2):
 
 
 @pytest.mark.parametrize("taken", [0, 1, 8, 97])
-def test_an_abandoned_iterator_stores_nothing(taken):
+def test_an_abandoned_iterator_stores_nothing(taken, monkeypatch):
+    searched = []
+    counting(monkeypatch, searched)
     p = loebell(7)
     it = iter_circuits(p, 5)
     head = [next(it) for _ in range(taken)]
     it.close()
-    assert 5 not in vars(p).get("_circuits", {})
-    full = enumerate_circuits(p, 5)
+    full = enumerate_circuits(p, 5)  # the abandoned search kept nothing, so this one searches again
+    assert searched == [5, 5]
     assert full[:taken] == head
     assert full == enumerate_circuits(loebell(7), 5) and len(full) == 98
+    assert searched == [5, 5, 5]
+
+
+def short_cycles_match_the_search(p):
+    """The intersection pass against the depth-first search, called
+    directly, and each prismatic flag against the crossed edges."""
+    found = {}
+    circuits._short_cycles(p, found)
+    for k in (3, 4):
+        assert found[k] == tuple(circuits._search(p, k, {}))
+        for faces, prismatic in found[k]:
+            ends = [v for i in range(k) for v in p.face_adjacency[faces[i - 1], faces[i]]]
+            assert prismatic == (len(set(ends)) == 2 * k)
+
+
+@pytest.mark.parametrize("name", [*sorted(CORPUS), *(f"L{n}" for n in range(3, 31))])
+def test_short_cycles_match_the_search(name):
+    short_cycles_match_the_search(loebell(int(name[1:])) if name.startswith("L")
+                                  else load(name).base)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CORPUS)), seed=st.integers(1, 10**6))
+def test_short_cycles_match_the_search_on_relabelings(name, seed):
+    short_cycles_match_the_search(relabeled(load(name).base, seed))
+
+
+def test_a_face_running_an_edge_twice_is_not_its_own_neighbour():
+    # a malformed cube: face 5 runs the edge (3, 4) both ways
+    p = AbstractPolyhedron("x", ((0, 1, 2, 3), (7, 6, 5, 4), (0, 4, 5, 1), (1, 5, 6, 2),
+                                 (2, 6, 7, 3), (7, 4, 3, 4, 0)))
+    assert 5 in p.face_neighbors[5]
+    short_cycles_match_the_search(p)
+
+
+def test_tables_and_classify_build_only_the_circuits_they_keep(monkeypatch):
+    built = []
+    init = Circuit.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "__init__", counted)
+    andreev.constraints(loebell(7))  # 28 vertex links and 42 edge links, none prismatic
+    assert built == []
+    andreev.constraints(load("cube_all2").base)  # its three equatorial bands
+    assert len(built) == 3
+    # classify builds the prismatic circuits it tests, the witness last
+    built.clear()
+    p = loebell(7)
+    v = classify(p)
+    scanned = [prismatic for k in (3, 4, 5) for _, prismatic in circuits.iter_cycles(p, k)]
+    assert len(built) == sum(scanned[:v.circuits]) > 0

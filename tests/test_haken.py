@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxvol import corpus, haken
-from coxvol.circuits import circuits_up_to, enumerate_circuits, iter_circuits
+from coxvol import circuits, corpus, haken
+from coxvol.circuits import Circuit, circuits_up_to, enumerate_circuits, iter_cycles
 from coxvol.corpus import CORPUS, load
 from coxvol.haken import (HakenVerdict, base_form, classify, find_compressions,
                           is_compressible, orbifolds_of)
@@ -126,19 +126,31 @@ def test_classify_witness_is_first_in_scan_order(n, loebell):
 
 
 def test_lazy_scan_stops_at_the_witness_length(loebell, monkeypatch):
+    # lengths 3 and 4 come from one intersection pass, 5 from the search
     asked = []
+    search, short = circuits._search, circuits._short_cycles
 
-    def recording(p, k):
-        asked.append(k)
-        return iter_circuits(p, k)
+    def recording(p, k, found):
+        asked.append([k, 0])
+        for cycle in search(p, k, found):
+            asked[-1][1] += 1
+            yield cycle
 
-    monkeypatch.setattr(haken, "iter_circuits", recording)
+    def short_recording(p, found):
+        asked.append([(3, 4), None])
+        short(p, found)
+
+    monkeypatch.setattr(circuits, "_search", recording)
+    monkeypatch.setattr(circuits, "_short_cycles", short_recording)
     p = loebell(8)
     v = classify(p)
     assert v.witness.k == 5
-    assert asked == [3, 4, 5]
-    # and inside k = 5: that search never ran to the end, so nothing is stored
-    assert sorted(vars(p)["_circuits"]) == [3, 4]
+    shorter = len(enumerate_circuits(p, 3)) + len(enumerate_circuits(p, 4))
+    assert asked == [[(3, 4), None], [5, v.circuits - shorter]]
+    # and inside k = 5: that search never ran to the end, so nothing is
+    # stored and the next call searches again, to the end
+    assert len(enumerate_circuits(p, 5)) > v.circuits - shorter
+    assert [k for k, _ in asked] == [(3, 4), 5, 5]
 
 
 @pytest.mark.parametrize("prismatic_from_k", [None, 6])
@@ -149,13 +161,13 @@ def test_non_prismatic_witness_is_only_a_fallback(prismatic_from_k, loebell, mon
     # 6-circuit must still win over it
     def flagged(p, k):
         keep = prismatic_from_k is not None and k >= prismatic_from_k
-        return [dataclasses.replace(c, prismatic=c.prismatic and keep)
-                for c in enumerate_circuits(p, k)]
+        return [(faces, prismatic and keep) for faces, prismatic in iter_cycles(p, k)]
 
     p = loebell(5)
-    monkeypatch.setattr(haken, "iter_circuits", flagged)
+    monkeypatch.setattr(haken, "iter_cycles", flagged)
     v = classify(p, cap=7)
-    first = first_witness(p, [c for k in range(3, 8) for c in flagged(p, k)])
+    first = first_witness(p, [Circuit.from_faces(p, *cycle)
+                              for k in range(3, 8) for cycle in flagged(p, k)])
     assert v.witness == first
     assert v.witness_kind == "incompressible-orbifold"
     assert (first.k, first.prismatic) == ((5, False) if prismatic_from_k is None else (6, True))
@@ -203,6 +215,28 @@ RECORDED = {
                   **{cap: ("Large", "incompressible-orbifold", (0, 2, 1, 4))
                      for cap in range(4, 13)}},
 }
+
+
+# the default-cap verdict, witness faces and circuits visited, recorded
+# when the 3- and 4-circuits still came from the depth-first search
+DEFAULT_CAP = {
+    "cube_all2": ("Large", "incompressible-orbifold", (0, 2, 1, 4), 10),
+    "lambert_cube": ("Large", "incompressible-orbifold", (0, 2, 1, 4), 10),
+    "pyramid": ("Small", "none-up-to-cap", None, 13),
+    "tetrahedron": ("Small", "none-up-to-cap", None, 7),
+    "triangular_prism": ("Small", "separating-triangle", (2, 3, 4), 0),
+    "L5": ("Large", "incompressible-orbifold", (0, 1, 6, 7, 3), 57),
+    "L6": ("Large", "incompressible-orbifold", (0, 1, 7, 8, 3), 67),
+    "L7": ("Large", "incompressible-orbifold", (0, 1, 8, 9, 3), 77),
+    "L8": ("Large", "incompressible-orbifold", (0, 1, 9, 10, 3), 87),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CAP))
+def test_default_cap_verdicts_recorded(name, loebell):
+    p = loebell(int(name[1:])) if name.startswith("L") else load(name).base
+    v = classify(p)
+    assert (v.verdict, v.witness_kind, v.witness and v.witness.faces, v.circuits) == DEFAULT_CAP[name]
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))

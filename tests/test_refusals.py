@@ -7,7 +7,9 @@ import pytest
 
 from coxvol import andreev, corpus
 from coxvol.census import enumerate_labelings, pyramid_census
+from coxvol.circuits import circuits_up_to
 from coxvol.cli import main
+from coxvol.haken import classify
 from coxvol.lobachevsky import ideal_tetrahedron_volume, lob
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, PolyhedronError,
                                edge_key, parse_polyhedron)
@@ -56,9 +58,13 @@ def pentagonal_pyramid():
     (lambda: andreev.constraints(pentagonal_pyramid()), ValueError, "valence 5"),
     (lambda: schlafli_volume(corpus.load("lambert_cube"), tol=-1e-8),
      ValueError, "tol must be positive"),
+    (lambda: classify(corpus.load("lambert_cube").base, cap=2), ValueError, "cap must be >= 3"),
+    (lambda: circuits_up_to(corpus.load("lambert_cube").base, cap=2),
+     ValueError, "cap must be >= 3"),
 ], ids=["census-max-label", "census-invalid", "pyramid-max-label", "pyramid-convention",
         "corpus-name", "loebell-n", "lob-inf", "lob-nan", "idealtet-negative", "edge-key",
-        "missing-label", "label-one", "unflagged-apex", "five-valent", "volume-tol"])
+        "missing-label", "label-one", "unflagged-apex", "five-valent", "volume-tol",
+        "classify-cap", "circuits-cap"])
 def test_library_refuses(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -67,7 +73,11 @@ def test_library_refuses(call, error, message):
 @pytest.mark.parametrize("argv", [
     ("lob", "pi*2"), ("lob", "inf"),
     ("census", "cube_all2", "--max-label", "1"), ("pyramid-table", "--max-label", "2"),
-    ("volume", "lambert_cube", "--tol", "0"), ("volume", "lambert_cube", "--tol", "nan")])
+    ("volume", "lambert_cube", "--tol", "0"), ("volume", "lambert_cube", "--tol", "nan"),
+    ("classify", "lambert_cube", "--cap", "2"), ("circuits", "lambert_cube", "--cap", "2"),
+    # usage errors argparse reports for a subcommand it recognised
+    ("volume", "lambert_cube", "--tol", "abc"), ("volume", "lambert_cube", "--tol", "-1e-8"),
+    ("check", "lambert_cube", "--regime", "bogus"), ("check", "lambert_cube", "--bogus")])
 def test_cli_refuses(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().out.strip().splitlines()[-1] == f"RESULT {argv[0]} input-error"
@@ -76,3 +86,9 @@ def test_cli_refuses(capsys, argv):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage: coxvol" in capsys.readouterr().out
+
+
+def test_cli_unknown_subcommand_has_no_result_line(capsys):
+    # no subcommand to name, so only argparse's usage, on stderr
+    assert main(["bogus", "lambert_cube"]) == 2
+    assert capsys.readouterr().out == ""
