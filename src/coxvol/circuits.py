@@ -20,11 +20,10 @@ lazy, and only a search that runs to the end is kept, so a caller that
 stops early, as ``haken.classify`` does at its witness, leaves nothing
 behind.
 
-A ``Circuit`` object is built only where one is kept: the public
-``iter_circuits`` (and ``enumerate_circuits``, the same circuits as a
-fresh list), built from the stored records, so a replay searches
-nothing; ``prismatic_circuits``, the rows of the admissibility table;
-and the circuits ``haken.classify`` tests.
+A ``Circuit`` object is built only where one is kept:
+``enumerate_circuits``, a fresh list built from the stored records, so
+a replay searches nothing; ``prismatic_circuits``, the rows of the
+admissibility table; and the circuits ``haken.classify`` tests.
 """
 
 from __future__ import annotations
@@ -186,15 +185,10 @@ def _distances(adj: dict[int, tuple[int, ...]], start: int, depth: int) -> list[
     return dist
 
 
-def iter_circuits(p: AbstractPolyhedron, k: int) -> Iterator[Circuit]:
-    """The circuits of ``iter_cycles(p, k)``, in its order, as an iterator;
-    ValueError if k < 3."""
-    return (Circuit.from_faces(p, faces, prismatic) for faces, prismatic in iter_cycles(p, k))
-
-
 def enumerate_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:
-    """``iter_circuits(p, k)`` as a fresh list."""
-    return list(iter_circuits(p, k))
+    """The circuits of ``iter_cycles(p, k)``, in its order, as a fresh
+    list; ValueError if k < 3."""
+    return [Circuit.from_faces(p, faces, prismatic) for faces, prismatic in iter_cycles(p, k)]
 
 
 def prismatic_circuits(p: AbstractPolyhedron, k: int) -> list[Circuit]:

@@ -18,7 +18,7 @@ from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
 from .realization import LabelingRejected, RealizationError, realize
-from .volume import DEFAULT_TOL, VolumeError, orb_convention, schlafli_volume
+from .volume import DEFAULT_TOL, VolumeError, schlafli_volume
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -57,16 +57,13 @@ def _fmt(x: float, digits: int) -> str:
 
 
 def _parse_angle(text: str) -> float:
-    """Angles as plain floats or simple pi expressions like pi/6 or 2*pi/7."""
+    """Angles as plain floats or pi expressions like pi/6, 2*pi/7 or -pi/3."""
     s = text.strip().replace(" ", "")
     if "pi" in s:
-        num = 1.0
-        den = 1.0
         head, _, tail = s.partition("pi")
-        if head.endswith("*"):
-            head = head[:-1]
-        if head:
-            num = float(head)
+        if head in ("+", "-"):  # a bare sign stands for +-1
+            head += "1"
+        num, den = float(head.removesuffix("*") or 1.0), 1.0
         if tail:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse angle {text!r}")
@@ -194,15 +191,15 @@ def _cmd_volume(args) -> int:
         _result("volume", "rejected", reason=rep.reason or rep.outcome)
         return EXIT_REJECTED
     res = schlafli_volume(lp, tol=args.tol)
-    if args.doubled:
-        res = orb_convention(res)
-    print(f"volume: {_fmt(res.volume, 17)}")
-    print(f"error estimate: {_fmt(res.error_estimate, 6)}")
+    scale = 2.0 if args.doubled else 1.0  # the doubling convention: twice the true volume
+    volume, error = scale * res.volume, scale * res.error_estimate
+    print(f"volume: {_fmt(volume, 17)}")
+    print(f"error estimate: {_fmt(error, 6)}")
     print(f"nodes: {res.nodes}")
-    _result("volume", "ok", volume=_fmt(res.volume, 15),
-            error=_fmt(res.error_estimate, 6), nodes=res.nodes, solves=res.solves,
+    _result("volume", "ok", volume=_fmt(volume, 15),
+            error=_fmt(error, 6), nodes=res.nodes, solves=res.solves,
             newton_iters=res.newton_iters, passes=res.passes,
-            doubled=str(res.doubled).lower())
+            doubled=str(args.doubled).lower())
     return EXIT_OK
 
 

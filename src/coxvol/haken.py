@@ -60,7 +60,7 @@ def find_compressions(p: AbstractPolyhedron, orb: TwoOrbifold) -> list[Compressi
             arc2 = k - arc1
             if arc1 < 2 or arc2 < 2:
                 continue
-            g = p.shared_edge(c.faces[i], c.faces[j])
+            g = p.face_adjacency.get((c.faces[i], c.faces[j]))
             if g is None or g in crossed:
                 continue
             if g[0] in orb.disk_vertices and g[1] in orb.disk_vertices:

@@ -121,9 +121,6 @@ class AbstractPolyhedron:
             nbrs[a].append(b)
         return {f: tuple(sorted(gs)) for f, gs in nbrs.items()}
 
-    def shared_edge(self, fa: int, fb: int) -> Edge | None:
-        return self.face_adjacency.get((fa, fb))
-
     def valence(self, v: int) -> int:
         return len(self.vertex_edges[v])
 
@@ -136,9 +133,9 @@ class AbstractPolyhedron:
         edge as the face it was reached from is oriented to run it.  One
         set of the given cycles' darts tells the two apart: two faces run
         their shared edge the same way unless the set holds both of its
-        darts.  Returns None if no consistent orientation exists or there
-        are no faces (the face data does not describe a connected closed
-        surface).
+        darts.  The same test then checks the flips edge by edge.  Returns
+        None if no consistent orientation exists or there are no faces (the
+        face data does not describe a connected closed surface).
         """
         if not self.faces:
             return None
@@ -155,12 +152,18 @@ class AbstractPolyhedron:
                     stack.append(g)
         if None in flip:
             return None
-        out = tuple(cyc[::-1] if fl else cyc for cyc, fl in zip(self.faces, flip))
-        darts = [d for cyc in out for d in _darts(cyc)]
-        seen = set(darts)
-        if len(seen) != len(darts) or any((b, a) not in seen for a, b in darts):
+        # each edge's two faces must run it opposite ways once flipped
+        opposite = 0
+        for (a, b), fs in self.edge_faces.items():
+            both = (a, b) in given and (b, a) in given
+            if len(fs) != 2 or flip[fs[0]] ^ flip[fs[1]] == both:
+                return None
+            opposite += both
+        # the given set holds an edge's darts once, or twice if opposite:
+        # it is short of the cycles' darts only by a repeated dart v -> v
+        if sum(map(len, self.faces)) != len(given) + len(self.edge_faces) - opposite:
             return None
-        return out
+        return tuple(cyc[::-1] if fl else cyc for cyc, fl in zip(self.faces, flip))
 
 
 def _darts(cyc: tuple[int, ...]):
@@ -331,6 +334,8 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
                 if parts[2] != "ideal-candidate":
                     raise ParseError(f"unknown vertex flag {parts[2]!r}", lineno)
                 flag = True
+            if vid in declared:
+                raise ParseError(f"duplicate vertex {vid}", lineno)
             declared[vid] = flag
         elif kw == "face":
             if len(parts) < 2 or not parts[1].endswith(":"):
@@ -368,7 +373,10 @@ def parse_polyhedron(text: str) -> LabeledPolyhedron:
                 raise ParseError(f"label {n} < 2 on edge ({a},{b})", lineno)
             if a == b:
                 raise ParseError(f"label on degenerate edge ({a},{b})", lineno)
-            raw_labels[edge_key(a, b)] = n
+            e = edge_key(a, b)
+            if e in raw_labels:
+                raise ParseError(f"duplicate label on edge ({e[0]},{e[1]})", lineno)
+            raw_labels[e] = n
         else:
             raise ParseError(f"unknown directive {kw!r}", lineno)
     if name is None:

@@ -29,17 +29,17 @@ x, span the x3 axis and the x2=0, x1>0 half-plane, and the third face at
 the first end of their shared edge gets x2>0.  A realization's vertices
 and residual come after that.
 
-A cold solve starts from one sphere-lift seed: a spring embedding
-pinned on the face ``_pinned_face`` picks from the angles, lifted to the
-sphere at infinity, where each face plane is a circle around the face's
-own lifted vertices (see ``_seed``).  ``realize`` is one cold solve at
-the target; on right-angled L(n) it takes 4 to 6 passes up to n = 100.
-``PathRealizer`` anchors a path at its midpoint and reaches other points
-by one stacked solve per request, each row warm-started by one rule
-from the solutions cached before the request: interpolated between
-cached neighbours, linearly in u = sqrt(t), or the nearer end outside
-the cached range; a single point is a one-row stack.  Nothing is
-retried: a failed solve raises NonConvergence.
+The cold solve, ``solve_at``, starts from one sphere-lift seed: a spring
+embedding pinned on the face ``_pinned_face`` picks from the angles,
+lifted to the sphere at infinity, where each face plane is a circle
+around the face's own lifted vertices (see ``_seed``).  ``realize`` is
+one at the target; on right-angled L(n) it takes 4 to 6 passes up to
+n = 100.  ``PathRealizer`` anchors a path by one at its midpoint and
+reaches other points by one stacked solve per request, each row
+warm-started by one rule from the solutions cached before the request:
+interpolated between cached neighbours, linearly in u = sqrt(t), or the
+nearer end outside the cached range; a single point is a one-row stack.
+Nothing is retried: a failed solve raises NonConvergence.
 
 Index arrays built once per polyhedron, by array operations, and kept on
 it drive every pass.  The residual is gathers and batched matmuls.  Every
@@ -512,18 +512,16 @@ def dof_audit(p: AbstractPolyhedron) -> dict[str, int]:
     }
 
 
-def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float],
-             warm_start: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
-    """Solve the Gram system at one angle assignment.
+def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float]) -> tuple[np.ndarray, float, int]:
+    """The cold solve of the Gram system at one angle assignment.
 
     Returns the raw (ungauged) stacked normals, max residual, iteration
-    count.  One Newton solve runs, from ``warm_start`` or else from the
-    sphere-lift seed; its NonConvergence goes to the caller.
+    count.  One Newton solve runs, from the sphere-lift seed; its
+    NonConvergence goes to the caller.  Warm starts are PathRealizer's.
     """
     sys_ = _system(p)
     targets = sys_.targets(angles)
-    X0 = _seed(p, targets) if warm_start is None else warm_start
-    X, rmax, iters = _newton(sys_, X0[None], targets[None])
+    X, rmax, iters = _newton(sys_, _seed(p, targets)[None], targets[None])
     return X[0], float(rmax[0]), int(iters[0])
 
 
@@ -601,10 +599,9 @@ class PathRealizer:
         if todo:
             known = sorted(self.cache)
             starts = [self._start(known, t) for t in todo]
-            angles, _ = self.path.angle_rows(todo)
             try:
                 X, _, iters = _newton(_system(self.path.polyhedron), np.array(starts),
-                                      np.cos(angles))
+                                      np.cos(self.path.angle_rows(todo)))
             except NonConvergence as exc:
                 exc.t = todo[exc.row]
                 raise

@@ -6,11 +6,12 @@ side along an angle path depends only on its two ends (Milnor).  A path
 is one straight segment, from start angles to end angles over t in
 [0, 1], and ``schlafli_volume`` of it is V(end) - V(start); a detour is
 a chain of segments, and its integral the sum of theirs.
-``angle_rows`` is the segment's one interpolation: the angles at one t
-are its one-row case.  A labeling's volume is the integral along its
-default path, from the collapse configuration obtained by shrinking
-every angle's deviation from pi/2 until an admissibility constraint
-becomes an equality, where the volume is zero, to its angles.
+``angle_rows`` is the segment's one interpolation, the angles at one t
+its one-row case; their t-derivative is the constant row end - start.
+A labeling's volume is the integral along its default path, from the
+collapse configuration obtained by shrinking every angle's deviation
+from pi/2 until an admissibility constraint becomes an equality, where
+the volume is zero, to its angles.
 
 Near the collapse end the integrand grows like sqrt(t); integrating in
 u, with t = u^2, makes it smooth on all of [0, 1], where Gauss-Legendre
@@ -33,7 +34,6 @@ only linearly, and every row of a stack would wait for it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -98,16 +98,15 @@ class DeformationPath:
 
     def angles_at(self, t: float) -> dict[Edge, float]:
         """The angles at ``t``: the one-row case of ``angle_rows``."""
-        return dict(zip(self.polyhedron.edges, self.angle_rows([t])[0][0].tolist()))
+        return dict(zip(self.polyhedron.edges, self.angle_rows([t])[0].tolist()))
 
-    def angle_rows(self, ts) -> tuple[np.ndarray, np.ndarray]:
+    def angle_rows(self, ts) -> np.ndarray:
         """The angles at each of ``ts``, a (len(ts), E) array with
-        columns in ``polyhedron.edges`` order, and their t-derivative,
-        the same (E,) row b - a at every t: with start a and end b, an
-        angle is (1 - t) a + t b."""
+        columns in ``polyhedron.edges`` order: with start a and end b,
+        an angle is (1 - t) a + t b."""
         a, b = self.table
         t = np.asarray(ts, dtype=float)[:, None]
-        return (1 - t) * a + t * b, b - a
+        return (1 - t) * a + t * b
 
     @functools.cached_property
     def varying_edges(self) -> tuple[Edge, ...]:
@@ -207,18 +206,9 @@ class VolumeResult:
     volume: float
     error_estimate: float
     nodes: int  # integrand nodes
-    doubled: bool = False
     solves: int = 0  # rows solved, anchor and (for a labeling) collapse check included
     newton_iters: int = 0  # Gauss-Newton iterations, summed over the rows
     passes: int = 0  # stacked Gauss-Newton passes: each stack's largest row count, summed
-
-
-def orb_convention(v: VolumeResult) -> VolumeResult:
-    """Report twice the true volume (the doubling convention)."""
-    if v.doubled:
-        return v
-    return dataclasses.replace(v, volume=2.0 * v.volume, error_estimate=2.0 * v.error_estimate,
-                               doubled=True)
 
 
 class _Integrand:
@@ -235,7 +225,6 @@ class _Integrand:
     """
 
     def __init__(self, path: DeformationPath):
-        self.path = path
         self.calls = 0
         p = path.polyhedron
         target = path.target_angles
@@ -254,8 +243,9 @@ class _Integrand:
             if ideal.intersection(e):
                 raise IdealEdge(
                     f"path varies the angle of edge {e}, which has an ideal endpoint")
-        # each varying edge's column in the angle rows
+        # each varying edge's column in the angle rows, and its constant velocity
         self.cols = [p.edges.index(e) for e in path.varying_edges]
+        self.velocity = (path.table[1] - path.table[0])[self.cols]
         self.system = _system(p)
         try:
             self.walker = PathRealizer(path)
@@ -279,8 +269,7 @@ class _Integrand:
 
     def __call__(self, ts) -> np.ndarray:
         self.calls += len(ts)
-        lens = self.lengths_at(ts)
-        return (lens * self.path.angle_rows(ts)[1][self.cols]).sum(axis=1)
+        return (self.lengths_at(ts) * self.velocity).sum(axis=1)
 
 
 def schlafli_volume(target: DeformationPath | LabeledPolyhedron,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvol import andreev, circuits
-from coxvol.circuits import (Circuit, circuits_up_to, enumerate_circuits, iter_circuits,
+from coxvol.circuits import (Circuit, circuits_up_to, enumerate_circuits, iter_cycles,
                              separating_triangles, vertex_sides)
 from coxvol.census import _edge_perms
 from coxvol.corpus import CORPUS, load, loebell
@@ -97,6 +97,15 @@ def test_vertex_sides_partition(cube_all2):
             assert (e[0] in a) != (e[1] in a)
 
 
+def test_vertex_sides_refuses_a_curve_that_leaves_one_component(cube_all2):
+    # cutting one edge of the cube leaves its vertices connected
+    p = cube_all2.base
+    c = Circuit((0, 2), (p.face_adjacency[0, 2],), False)
+    with pytest.raises(ValueError, match=r"does not cut the vertex set into two sides "
+                                         r"\(got 1 components\)"):
+        vertex_sides(p, c)
+
+
 def test_circuit_count_is_automorphism_invariant(triangular_prism):
     p = triangular_prism.base
     base_counts = {k: len(enumerate_circuits(p, k)) for k in (3, 4, 5)}
@@ -134,9 +143,14 @@ def test_iterator_and_list_agree(name):
     nf = len(load(name).base.faces)
     p, q = load(name).base, load(name).base
     for k in range(3, nf + 1):
-        assert list(iter_circuits(p, k)) == enumerate_circuits(q, k)
+        assert list(iter_cycles(p, k)) == records(enumerate_circuits(q, k))
         # and again, replayed
-        assert list(iter_circuits(q, k)) == enumerate_circuits(p, k)
+        assert list(iter_cycles(q, k)) == records(enumerate_circuits(p, k))
+
+
+def records(found):
+    """The (faces, prismatic) records of a list of circuits."""
+    return [(c.faces, c.prismatic) for c in found]
 
 
 def counting(monkeypatch, record):
@@ -162,7 +176,8 @@ def test_later_calls_replay_the_first_search(monkeypatch):
     p = loebell(7)
     first = enumerate_circuits(p, 5)
     assert len(first) == 98
-    assert enumerate_circuits(p, 5) == list(iter_circuits(p, 5)) == first
+    assert enumerate_circuits(p, 5) == first
+    assert list(iter_cycles(p, 5)) == records(first)
     separating_triangles(p)
     circuits_up_to(p, 5)
     andreev.constraints(p)
@@ -179,7 +194,7 @@ def test_mutating_a_returned_list_leaves_the_next_call_unchanged(cube_all2):
     quads.pop()
     quads.reverse()
     assert enumerate_circuits(p, 4) == expected
-    assert list(iter_circuits(p, 4)) == expected
+    assert list(iter_cycles(p, 4)) == records(expected)
 
 
 @pytest.mark.parametrize("taken", [0, 1, 8, 97])
@@ -187,12 +202,12 @@ def test_an_abandoned_iterator_stores_nothing(taken, monkeypatch):
     searched = []
     counting(monkeypatch, searched)
     p = loebell(7)
-    it = iter_circuits(p, 5)
+    it = iter_cycles(p, 5)
     head = [next(it) for _ in range(taken)]
     it.close()
     full = enumerate_circuits(p, 5)  # the abandoned search kept nothing, so this one searches again
     assert searched == [5, 5]
-    assert full[:taken] == head
+    assert records(full[:taken]) == head
     assert full == enumerate_circuits(loebell(7), 5) and len(full) == 98
     assert searched == [5, 5, 5]
 

@@ -261,12 +261,16 @@ def test_lob_and_idealtet(capsys):
     code, out = run(capsys, "lob", "pi/6")
     assert code == 0
     assert out.splitlines()[0] == "0.507470803204827"
-    # the "n*pi/d" and plain-float forms of an angle
-    for text, theta in (("2*pi/7", 2 * math.pi / 7), ("0.5", 0.5)):
-        code, out = run(capsys, "lob", text)
+    # the "n*pi/d" and plain-float forms of an angle, and a signed pi
+    # expression, which follows -- so that argparse does not read it as an option
+    for args, theta in ((["2*pi/7"], 2 * math.pi / 7), (["0.5"], 0.5),
+                        (["--", "-pi/3"], -math.pi / 3), (["--", "+pi/3"], math.pi / 3)):
+        code, out = run(capsys, "lob", *args)
         assert code == 0
         assert out.splitlines()[0] == f"{lob(theta):.15g}"
         assert result_line(out) == f"RESULT lob ok theta={theta:.15g} value={lob(theta):.15g}"
+    code, out = run(capsys, "lob", "--", "-pi/3")
+    assert out.splitlines()[0] == "-0.338313868803218"
     code, out = run(capsys, "idealtet", "pi/3", "pi/3", "pi/3")
     assert code == 0
     assert out.splitlines()[0] == "1.01494160640965"

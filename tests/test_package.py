@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import coxvol
@@ -52,3 +53,34 @@ def test_exports_resolve():
     assert all(hasattr(coxvol, name) for name in coxvol.__all__)
     assert len(set(coxvol.__all__)) == len(coxvol.__all__)
     assert set(coxvol.__all__) == {name for name in imported if not name.startswith("_")}
+
+
+def _private_definitions(tree: ast.Module):
+    """The ``_``-prefixed module-level functions and classes of a module,
+    and the ``_``-prefixed methods of its module-level classes; dunders,
+    which Python calls by protocol, are left out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, kinds))
+        if isinstance(node, kinds):
+            yield node
+
+
+def _references(node: ast.AST) -> Counter:
+    """Every name read and attribute looked up under ``node``, counted."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_private_helpers_have_callers():
+    # ROADMAP: code that nothing uses is deleted; a private helper that
+    # only its own body or the tests refer to is such code
+    package = Path(coxvol.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))]
+    refs = sum(map(_references, trees), Counter())
+    uncalled = sorted(node.name for tree in trees for node in _private_definitions(tree)
+                      if node.name.startswith("_") and not node.name.endswith("__")
+                      and refs[node.name] <= _references(node)[node.name])
+    assert not uncalled, uncalled

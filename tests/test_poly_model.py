@@ -98,6 +98,14 @@ def test_angles_are_pi_over_label(lambert_cube):
         assert theta == pytest.approx(math.pi / lambert_cube.labels[e])
 
 
+def test_labeled_polyhedron_equality_defers_to_other_types(lambert_cube):
+    # against another type __eq__ returns NotImplemented, so == falls back
+    # to identity instead of raising
+    assert lambert_cube.__eq__(lambert_cube.base) is NotImplemented
+    assert lambert_cube != lambert_cube.base and not lambert_cube == 3
+    assert lambert_cube == load("lambert_cube")
+
+
 def test_parse_rejects_bad_label_line():
     text = corpus_text("cube_all2") + "\nlabel 0 1\n"
     with pytest.raises(ParseError):
@@ -144,6 +152,7 @@ def test_oriented_faces_of_scrambled_cycles(name, loebell):
     ((0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),  # two disjoint tetrahedra
      (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)),
     (),  # no faces, no surface
+    ((0, 0),),  # the dart 0 -> 0, on no edge, twice
 ])
 def test_oriented_faces_none_without_one_closed_orientable_surface(faces):
     p = AbstractPolyhedron(name="bad", faces=faces)
@@ -179,6 +188,8 @@ TET = "polyhedron t\nface 0: 0 1 3\nface 1: 1 2 3\nface 2: 2 0 3\nface 3: 0 2 1\
     (TET + "label 0 1 x\n", "label arguments must be integers", 6),
     (TET + "label 0 1 1\n", "label 1 < 2 on edge (0,1)", 6),
     (TET + "label 1 1 3\n", "label on degenerate edge (1,1)", 6),
+    (TET + "label 0 1 3\nlabel 1 0 4\n", "duplicate label on edge (0,1)", 7),
+    (TET + "vertex 0\nvertex 0 ideal-candidate\n", "duplicate vertex 0", 7),
     (TET + "edge 0 1\n", "unknown directive 'edge'", 6),
     ("face 0: 0 1 3\n", "missing 'polyhedron <name>' header", None),
     ("polyhedron t\n", "no faces given", None),

@@ -25,6 +25,14 @@ from coxvol.realization import (METRIC, RESIDUAL_TOL, PathRealizer, dof_audit, e
 from coxvol.volume import DeformationPath, default_path, schlafli_volume
 
 
+def warm_solve(p, angles, X0):
+    """One Newton solve of ``p``'s system at ``angles`` from the stacked
+    normals X0: (X, max residual, iterations), as ``solve_at`` returns them."""
+    sys_ = realization._system(p)
+    X, rmax, iters = realization._newton(sys_, X0[None], sys_.targets(angles)[None])
+    return X[0], float(rmax[0]), int(iters[0])
+
+
 def gram_residual(r):
     """Recheck the realized Gram entries independently of the solver."""
     p = r.polyhedron
@@ -60,17 +68,17 @@ def test_realize_reports_newton_iterations(lambert_cube, monkeypatch):
         checks.append(lp)
         return check_(lp, regime)
 
-    def counted_solve(p, angles, warm_start=None):
-        out = solve(p, angles, warm_start)
-        solves.append((angles, warm_start, out[2]))
+    def counted_solve(p, angles):
+        out = solve(p, angles)
+        solves.append((angles, out[2]))
         return out
 
     monkeypatch.setattr(realization.andreev, "check", counted_check)
     monkeypatch.setattr(realization, "solve_at", counted_solve)
     r = realize(lambert_cube)
     assert checks == [lambert_cube]
-    [(angles, warm_start, iters)] = solves
-    assert angles == lambert_cube.angles() and warm_start is None
+    [(angles, iters)] = solves
+    assert angles == lambert_cube.angles()
     assert r.newton_iters == iters > 0
 
 
@@ -271,7 +279,7 @@ def test_perturbed_restart_determinism(lp):
     X, _, iters = solve_at(p, angles)
     r1 = build_realization(p, angles, X, iters)
     rng = np.random.default_rng(3)
-    X2, _, _ = solve_at(p, angles, warm_start=X + 1e-3 * rng.standard_normal(X.shape))
+    X2, _, _ = warm_solve(p, angles, X + 1e-3 * rng.standard_normal(X.shape))
     r2 = build_realization(p, angles, X2, 0)
     for fid in r1.normals:
         assert np.max(np.abs(r1.normals[fid] - r2.normals[fid])) <= 1e-8
@@ -432,7 +440,7 @@ def test_gram_lengths_are_nan_exactly_at_non_timelike_ends(lambert_cube):
     p = lambert_cube.base
     path = vertex0_path(lambert_cube)
     ts = NAN_PATH_TS
-    sums = path.angle_rows(ts)[0][:, [p.edges.index(e) for e in p.vertex_edges[0]]].sum(axis=1)
+    sums = path.angle_rows(ts)[:, [p.edges.index(e) for e in p.vertex_edges[0]]].sum(axis=1)
     assert np.min(np.abs(sums - math.pi)) > 0.01
     assert (sums <= math.pi).any() and (sums > math.pi).any()
     X = PathRealizer(path).solutions_at(ts)
@@ -635,7 +643,7 @@ def test_singular_start_is_nonconvergence(name):
     # all-zero normals make the Newton matrix zero: a typed failure, not LinAlgError
     lp = load(name)
     with pytest.raises(NonConvergence):
-        solve_at(lp.base, lp.angles(), warm_start=np.zeros(4 * len(lp.base.faces)))
+        warm_solve(lp.base, lp.angles(), np.zeros(4 * len(lp.base.faces)))
 
 
 @pytest.mark.parametrize("p", [load(name).base for name in CORPUS]
@@ -754,6 +762,18 @@ def test_stacked_rows_match_one_row_solves(lp, ts, scale, seed, singular):
         assert np.array_equal(X[i], x) and rmax[i] == r and steps[i] == k
 
 
+def test_start_between_points_merged_in_u(lambert_cube):
+    # three consecutive floats just below 0.5 share the square root
+    # 0.7071067811865475, so the two cached neighbours of the middle one
+    # merge in u, and it starts from the lower one's solution
+    lo, t, hi = 0.49999999999999983, 0.4999999999999999, 0.49999999999999994
+    assert lo < t < hi and math.sqrt(lo) == math.sqrt(t) == math.sqrt(hi)
+    walker = PathRealizer(default_path(lambert_cube.base, lambert_cube.angles()))
+    anchor = walker.cache[PathRealizer.ANCHOR_T]
+    walker.cache.update({lo: anchor + 1.0, hi: anchor + 2.0})
+    assert walker._start(sorted(walker.cache), t) is walker.cache[lo]
+
+
 def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     # 0.3 and 0.35 both start from the anchor at 0.5, not 0.35 from 0.3;
     # each row then equals a one-row solve from that start
@@ -762,7 +782,7 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     anchor = walker.cache[PathRealizer.ANCHOR_T]
     X = walker.solutions_at([0.35, 0.3])
     for t, x in zip((0.35, 0.3), X):
-        ref, _, _ = solve_at(lambert_cube.base, path.angles_at(t), warm_start=anchor)
+        ref, _, _ = warm_solve(lambert_cube.base, path.angles_at(t), anchor)
         assert np.array_equal(x, ref)
     assert walker.solves == 3
     assert np.array_equal(walker.solutions_at([0.3])[0], X[1])
@@ -780,8 +800,8 @@ def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     X = walker.solutions_at(ts)
     counts = []
     for t, x in zip(ts, X):
-        ref, _, iters = solve_at(lambert_cube.base, path.angles_at(t),
-                                 warm_start=interpolated_start(before, t))
+        ref, _, iters = warm_solve(lambert_cube.base, path.angles_at(t),
+                                   interpolated_start(before, t))
         assert np.array_equal(x, ref)
         counts.append(iters)
     total = sum(counts)
@@ -866,6 +886,38 @@ def test_seed_matches_loop_oracle(name, loebell):
     assert np.array_equal(realization._seed(p, targets), seed_by_loops(p, angles))
     if name == "cube-row":
         assert pinned_by_loops(p, angles) != p.outer_face
+
+
+def test_seed_points_a_flat_face_along_the_pole(cube_all2, monkeypatch):
+    # a face whose lifted vertices sum to zero has no centre direction: its
+    # normal points along the pole, away from the pinned face; with the
+    # face's vertices on the unit circle, symmetric about the origin, they
+    # lift onto the equator, so the face plane is the equator's
+    p = cube_all2.base
+    targets = realization._system(p).targets(cube_all2.angles())
+    pinned = realization._pinned_face(p, targets)
+    flat = next(f for f in range(len(p.faces)) if not set(p.faces[f]) & set(p.faces[pinned]))
+    rows = np.searchsorted(p.vertices, p.faces[flat])
+    spring = realization._tutte_positions
+
+    def on_the_unit_circle(*args):
+        xy = spring(*args)
+        xy[rows] = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        return xy
+
+    monkeypatch.setattr(realization, "_tutte_positions", on_the_unit_circle)
+    X = realization._seed(p, targets).reshape(-1, 4)
+    assert X[flat].tolist() == [0.0, 0.0, 0.0, -1.0]
+    assert X[pinned, 3] > 0
+
+
+def test_gauge_refuses_a_spacelike_least_squares_point(cube_all2):
+    # every normal has <x0, e_f> = -1 at the spacelike x0 = (0, 0, 0, 2),
+    # so x0 is the least-squares point, and no time axis goes through it
+    E = np.random.default_rng(5).standard_normal((6, 4))
+    E[:, 3] = -0.5
+    with pytest.raises(RealizationError, match="not timelike: <x,x> = 4.000e"):
+        realization._gauge_transform(cube_all2.base, E)
 
 
 def test_cube_row_realizes_by_one_cold_solve():

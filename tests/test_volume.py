@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from coxvol.andreev import check, default_regime
 from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
+from coxvol.cli import main
 from coxvol.corpus import CORPUS, load
 from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
@@ -19,8 +20,7 @@ from coxvol.realization import RealizationError, edge_lengths, realize
 from coxvol.volume import (COLLAPSE_CHECK_T, QUAD_MAX_NODES, QUAD_START_NODES,
                            DeformationPath, IdealEdge, NonCollapsingStart,
                            PathRealizationFailure, _Integrand, _squared_rule, collapse_fraction,
-                           default_path, orb_convention, schlafli_volume, segment_quadrature,
-                           VolumeError)
+                           default_path, schlafli_volume, segment_quadrature, VolumeError)
 
 
 def test_collapse_fraction_lambert(lambert_cube):
@@ -54,14 +54,17 @@ def test_zero_path_gives_zero_volume(lambert_cube):
     assert res.nodes == 0
 
 
-def test_lambert_volume_and_doubling(lambert_cube):
+def test_lambert_volume_and_doubling(lambert_cube, capsys):
     res = schlafli_volume(lambert_cube, tol=1e-8)
     assert 0.3 < res.volume < 0.35
     assert res.error_estimate < 1e-6
-    doubled = orb_convention(res)
-    assert doubled.doubled
-    assert doubled.volume == pytest.approx(2 * res.volume, abs=0.0)
-    assert orb_convention(doubled).volume == doubled.volume
+    # the doubling convention is the command line's: twice the volume and
+    # twice its error, exactly
+    assert main(["volume", "lambert_cube", "--doubled", "--tol", "1e-8"]) == 0
+    out = capsys.readouterr().out
+    assert f"volume: {2 * res.volume:.17g}\n" in out
+    assert f"error estimate: {2 * res.error_estimate:.6g}\n" in out
+    assert "doubled=true" in out
 
 
 def test_path_independence(lambert_cube):
@@ -253,14 +256,15 @@ def test_failing_row_of_a_rule_raises_at_its_t(lambert_cube, monkeypatch, ts, fa
     # t = 0.05 and 0.95 need more: with a 3-step limit the stack fails
     # at its smallest failing t, with that row's own residual
     from coxvol import realization
-    from coxvol.realization import NonConvergence, solve_at
+    from coxvol.realization import NonConvergence
 
     path = default_path(lambert_cube.base, lambert_cube.angles())
     f = _Integrand(path)
     anchor = f.walker.cache[0.5]
     monkeypatch.setattr(realization, "MAX_NEWTON_ITERS", 3)
     with pytest.raises(NonConvergence) as alone:
-        solve_at(path.polyhedron, path.angles_at(failing), warm_start=anchor)
+        sys_ = realization._system(path.polyhedron)
+        realization._newton(sys_, anchor[None], sys_.targets(path.angles_at(failing))[None])
     with pytest.raises(PathRealizationFailure) as info:
         f(list(ts))
     assert info.value.t == failing
@@ -275,7 +279,6 @@ def test_lambert_volume_counts_its_solves(lambert_cube):
     assert res.nodes == 24
     assert res.solves == res.nodes + 2
     assert res.newton_iters >= res.solves
-    assert orb_convention(res).solves == res.solves
 
 
 def test_lambert_volume_makes_three_stacked_solves(lambert_cube, newton_calls):
@@ -304,7 +307,6 @@ def test_lambert_volume_counts_its_passes(lambert_cube, monkeypatch):
     res = schlafli_volume(lambert_cube)
     assert res.passes == sum(slowest) == 21
     assert res.newton_iters == 106
-    assert orb_convention(res).passes == res.passes
 
 
 def quadrature_by_rules(f, a, b, tol):
@@ -350,7 +352,7 @@ def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     with pytest.raises(PathRealizationFailure, match="vertex 0 is not compact") as info:
         schlafli_volume(path)
     # the refusal rests on geometry: vertex 0's angle sum is at most pi there
-    angles = path.angle_rows([info.value.t])[0][0]
+    angles = path.angle_rows([info.value.t])[0]
     assert 0.0 < info.value.t < 1.0
     assert sum(angles[p.edges.index(e)] for e in p.vertex_edges[0]) <= math.pi
 
@@ -393,6 +395,10 @@ def test_accumulated_integral_derivative(lambert_cube):
     p = lambert_cube.base
     path = default_path(p, lambert_cube.angles())
     f = _Integrand(path)
+    # each varying edge's angle moves at the constant rate end - start
+    a, b = path.table.tolist()
+    assert [p.edges[k] for k in f.cols] == list(path.varying_edges)
+    assert f.velocity.tolist() == [b[k] - a[k] for k in f.cols]
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
         acc = lambda u: segment_quadrature(f, 0.0, u, 1e-10)[0]
@@ -630,8 +636,9 @@ def test_angle_rows_match_the_per_edge_oracles(case):
     path, ts = case
     for t in ts:
         assert path.angles_at(t) == angles_by_edge(path, t)
-    a, b = path.table.tolist()
-    assert path.angle_rows(ts)[1].tolist() == [y - x for x, y in zip(a, b)]
+    p = path.polyhedron
+    rows = path.angle_rows(ts).tolist()
+    assert [dict(zip(p.edges, row)) for row in rows] == [angles_by_edge(path, t) for t in ts]
     assert path.varying_edges == varying_by_loop(path)
 
 
