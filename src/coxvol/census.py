@@ -27,6 +27,9 @@ edge permutations, ``_edge_perms``, read by the orbit test and the cube
 placement search alike.  The pyramid table screens the base rows of the
 bundled pyramid once, over every base sequence, apex edges at 2, and
 puts sequences in dihedral canonical form as one array operation.
+The census is exact combinatorics and imports neither ``realization``
+nor ``volume``: a row's volume is its caller's (``coxvol census
+--volumes``).
 """
 
 from __future__ import annotations
@@ -41,12 +44,9 @@ import numpy as np
 
 from . import andreev as _andreev
 from . import corpus
-from . import volume as _volume
 from .circuits import enumerate_circuits
 from .haken import classify
-from .poly_model import (AbstractPolyhedron, Edge, LabeledPolyhedron, automorphisms,
-                         canonical_cycle, edge_key, validate)
-from .realization import RealizationError
+from .poly_model import AbstractPolyhedron, Edge, automorphisms, canonical_cycle, edge_key, validate
 
 # the largest label space (max_label - 1)^E a census may explore, checked
 # before any work; the growth allocates only its surviving prefixes.  Every
@@ -65,8 +65,6 @@ class CensusRow:
     outcome: str
     vertex_summary: dict[str, int]
     haken: str
-    volume: float | None = None
-    volume_error: tuple[str, str] | None = None  # (error type, message) when the volume failed
 
 
 def _edge_perms(p: AbstractPolyhedron) -> np.ndarray:
@@ -220,8 +218,7 @@ def _ideal_counts(p: AbstractPolyhedron, digits: np.ndarray,
 
 
 def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
-                        regime: str = _andreev.STRICT_COMPACT,
-                        with_volumes: bool = False) -> list[CensusRow]:
+                        regime: str = _andreev.STRICT_COMPACT) -> list[CensusRow]:
     """One census row per automorphism orbit of admissible labelings,
     each the lexicographically smallest member of its orbit, in
     ascending order, as ``_grow`` leaves them.
@@ -230,10 +227,6 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     (``_ideal_counts``); the outcome and vertex summary of each distinct
     count are formed once, and every row gets its own copy of the
     summary.
-
-    With volumes, a row whose volume raises a VolumeError or
-    RealizationError keeps ``volume=None`` and records the error's type
-    and message in ``volume_error``; the other rows are unaffected.
     """
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
@@ -255,15 +248,8 @@ def enumerate_labelings(p: AbstractPolyhedron, max_label: int,
     haken = classify(p).verdict
     rows: list[CensusRow] = []
     for labs, n in zip(zip(*(digits + 2).T.tolist()), ideal):
-        vol = err = None
-        if with_volumes:
-            lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labs)))
-            try:
-                vol = _volume.schlafli_volume(lp).volume
-            except (_volume.VolumeError, RealizationError) as exc:
-                err = (type(exc).__name__, str(exc))
         outcome, summary = kinds[n]
-        rows.append(CensusRow(labs, outcome, summary.copy(), haken, vol, err))
+        rows.append(CensusRow(labs, outcome, summary.copy(), haken))
     return rows
 
 
@@ -360,10 +346,6 @@ class PyramidTableDiff:
     regime: str
     published_rows: tuple[PyramidRowResult, ...]
     extra_rows: tuple[tuple[int, int, int, int], ...]  # admissible, not listed
-
-    @property
-    def all_published_rows_admissible(self) -> bool:
-        return all(r.admissible for r in self.published_rows)
 
 
 def _canonical_cycles(rows: np.ndarray) -> np.ndarray:

@@ -203,33 +203,40 @@ def _cmd_volume(args) -> int:
     return EXIT_OK
 
 
+def _census_volume(p, labels):
+    """A census row's volume, or the VolumeError or RealizationError that stopped it."""
+    try:
+        return schlafli_volume(LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))).volume
+    except (VolumeError, RealizationError) as exc:
+        return exc
+
+
 def _cmd_census(args) -> int:
     lp = _load(args.file)
-    rows = census.enumerate_labelings(lp.base, args.max_label,
-                                      regime=_REGIMES[args.regime],
-                                      with_volumes=args.volumes)
+    rows = census.enumerate_labelings(lp.base, args.max_label, regime=_REGIMES[args.regime])
+    # a row's volume, the error that stopped it, or None without --volumes
+    vols = [_census_volume(lp.base, r.labels) if args.volumes else None for r in rows]
     edges = lp.base.edges
     if args.format == "tsv":
         print("labels\toutcome\tvertex_summary\thaken\tvolume")
-        for r in rows:
+        for r, v in zip(rows, vols):
             summary = ",".join(f"{k}:{r.vertex_summary[k]}"
                                for k in sorted(r.vertex_summary))
-            vol = "" if r.volume is None else _fmt(r.volume, 15)
-            if r.volume_error:
-                vol = f"error:{r.volume_error[0]}"
+            vol = ("" if v is None else f"error:{type(v).__name__}" if isinstance(v, Exception)
+                   else _fmt(v, 15))
             print(f"{','.join(map(str, r.labels))}\t{r.outcome}"
                   f"\t{summary}\t{r.haken}\t{vol}")
     else:
         print("edge order: " + " ".join(f"({a},{b})" for a, b in edges))
-        for r in rows:
+        for r, v in zip(rows, vols):
             line = (f"labels={','.join(map(str, r.labels))} outcome={r.outcome} "
                     f"haken={r.haken}")
-            if r.volume is not None:
-                line += f" volume={_fmt(r.volume, 15)}"
-            if r.volume_error:
-                line += f" volume_error={r.volume_error[0]}\n    error: {r.volume_error[1]}"
+            if isinstance(v, Exception):
+                line += f" volume_error={type(v).__name__}\n    error: {v}"
+            elif v is not None:
+                line += f" volume={_fmt(v, 15)}"
             print(line)
-    failures = sum(r.volume_error is not None for r in rows)
+    failures = sum(isinstance(v, Exception) for v in vols)
     counts = {"volume_failures": failures} if args.volumes else {}
     _result("census", "failed" if failures else "ok", rows=len(rows),
             max_label=args.max_label, regime=_REGIMES[args.regime], **counts)

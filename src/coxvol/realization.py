@@ -23,16 +23,21 @@ Gram target 0 of a right angle leaves the sign of a face whose edges are
 all right angles free, so each normal is first turned away from the
 vertices off its face.  The solution is then moved to a canonical gauge,
 fixed by the normals alone, so output is deterministic and all-ideal
-rows have one too: the point x minimizing sum_f (<x, e_f> + 1)^2 goes on
-the time axis, face 0 and its first neighbour, projected orthogonal to
-x, span the x3 axis and the x2=0, x1>0 half-plane, and the third face at
-the first end of their shared edge gets x2>0.  A realization's vertices
-and residual come after that.
+rows have one too: the sum x of the vertices, each the null vector of
+its first three face planes on the future sheet, goes on the time axis
+(a sum of future causal vectors, so timelike, and Lorentz-covariant as
+the vertices are); face 0 and its first neighbour, projected orthogonal
+to x, span the x3 axis and the x2=0, x1>0 half-plane, and the third face
+at the first end of their shared edge gets x2>0.  A realization's
+vertices and residual come after that, and a residual of the returned
+normals above REALIZED_RESIDUAL_TOL raises RealizationError: a face
+turned outward against a Gram target other than 0 misses it.
 
 The cold solve, ``solve_at``, starts from one sphere-lift seed: a spring
 embedding pinned on the face ``_pinned_face`` picks from the angles,
 lifted to the sphere at infinity, where each face plane is a circle
-around the face's own lifted vertices (see ``_seed``).  ``realize`` is
+around the face's own lifted vertices, on the side that holds fewer of
+the lifted vertices off the face (see ``_seed``).  ``realize`` is
 one at the target; on right-angled L(n) it takes 4 to 6 passes up to
 n = 100.  ``PathRealizer`` anchors a path by one at its midpoint and
 reaches other points by one stacked solve per request, each row
@@ -74,6 +79,10 @@ _GAUGE_T = np.array([(METRIC[:, None] * (np.outer(a, b) - np.outer(b, a))).T
 _GAUGE_NONZEROS = np.nonzero(_GAUGE_T)
 
 RESIDUAL_TOL = 1e-11
+# the largest residual a returned realization may have: above Newton's
+# stop, which the gauge's rounding can exceed, and far below the miss of
+# a normal turned against a non-right angle
+REALIZED_RESIDUAL_TOL = 5e-11
 MAX_NEWTON_ITERS = 200
 MIN_STEP = 1e-14
 
@@ -401,7 +410,12 @@ def _seed(p: AbstractPolyhedron, targets: np.ndarray) -> np.ndarray:
     sum; with rho the largest angle between c and one of them, the normal
     is (h, sqrt(1 + h^2) c) with h = 0.8 cot rho, a circle of angular
     radius arccot h, a little wider than the face.  A face whose vertex
-    sum vanishes points along the pole, up for the pinned face."""
+    sum vanishes points along the pole, up for the pinned face.  A plane
+    with more of the lifted vertices off its face on its outer side,
+    <(1, s), e_f> > 0, than on its inner side is negated: a large face's
+    circle can hold most of them, and Newton keeps the side it starts on
+    (the 7-prism with 3 on its heptagons converged on a heptagon turned
+    inward)."""
     sys_ = _system(p)
     n, nf = len(p.vertices), sys_.nf
     cycles, inside = sys_.cycles, sys_.inside
@@ -431,6 +445,11 @@ def _seed(p: AbstractPolyhedron, targets: np.ndarray) -> np.ndarray:
     X = np.empty((nf, 4))
     X[:, 0] = h
     X[:, 1:] = np.sqrt(1.0 + h * h)[:, None] * c
+    # <(1, s), e_f> of each lifted vertex s
+    side = sph[:n] @ X[:, 1:].T - X[:, 0]
+    off = ~sys_.incidence
+    flip = np.count_nonzero((side > 0) & off, axis=0) > np.count_nonzero((side < 0) & off, axis=0)
+    X[flip] = -X[flip]
     return X.ravel()
 
 
@@ -456,34 +475,30 @@ def _compute_vertices(p: AbstractPolyhedron, W: np.ndarray) -> tuple[np.ndarray,
     return W / np.where(compact, np.sqrt(np.abs(mw)), W[:, 0])[:, None], compact
 
 
-def _orient(p: AbstractPolyhedron, E: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _orient(p: AbstractPolyhedron, E: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The normals E (F, 4), each turned away from the vertices W (V, 4)
-    off its face.  A Gram target 0 leaves the sign of a face whose edges
-    are all right angles free, so the solve can return it reversed; a
-    face with vertices off it on both sides raises RealizationError."""
-    side = (W * np.sign(W[:, :1]) * METRIC) @ E.T  # <w, e_f>, w on the future sheet
+    off its face, W on the future sheet, and the indices of the faces it
+    turned.  A Gram target 0 leaves the sign of a face whose edges are
+    all right angles free, so the solve can return it reversed; a face
+    with vertices off it on both sides raises RealizationError."""
+    side = (W * METRIC) @ E.T  # <w, e_f>
     off = ~_system(p).incidence
     above = ((side > 0) & off).any(axis=0)
     split = np.flatnonzero(above & ((side < 0) & off).any(axis=0))
     if split.size:
         raise RealizationError(f"face {split[0]} has vertices off it on both sides of its plane")
-    return np.where(above[:, None], -E, E)
+    return np.where(above[:, None], -E, E), np.flatnonzero(above)
 
 
-def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray) -> np.ndarray:
-    """The Lorentz change of basis T (4, 4) to the canonical gauge, which
-    the normals E (F, 4) alone determine (see the module docstring): a
-    vector x moves to T x, so the normals to E @ T.T."""
-    A = E * METRIC
-    x = np.linalg.solve(A.T @ A, -A.sum(axis=0))
-    xx = mdot(x, x)
-    if not xx < 0:
-        raise RealizationError(f"the least-squares point of the face planes is not "
-                               f"timelike: <x,x> = {xx:.3e}")
-    b0 = x / math.sqrt(-xx)
+def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Lorentz change of basis T (4, 4) to the canonical gauge, with
+    time axis along the future timelike vector x and the other axes read
+    from the normals E (F, 4) (see the module docstring): a vector moves
+    to T times it, so the normals to E @ T.T."""
+    b0 = x / math.sqrt(-mdot(x, x))
     fb = p.face_neighbors[0][0]
     fc = next(f for f in p.vertex_faces[p.face_adjacency[0, fb][0]] if f not in (0, fb))
-    # x spans time, so adding <e,b0> b0 projects e onto its orthogonal space
+    # b0 spans time, so adding <e,b0> b0 projects e onto its orthogonal space
     w = E[0] + mdot(E[0], b0) * b0
     b3 = w / math.sqrt(mdot(w, w))
     w = E[fb] + mdot(E[fb], b0) * b0 - mdot(E[fb], b3) * b3
@@ -527,20 +542,28 @@ def solve_at(p: AbstractPolyhedron, angles: dict[Edge, float]) -> tuple[np.ndarr
 
 def build_realization(p: AbstractPolyhedron, angles: dict[Edge, float],
                       X: np.ndarray, iters: int) -> Realization:
-    """The gauge-fixed realization of the raw normals X, each turned
-    outward first (``_orient``); its vertices are the ones ``_orient``
-    reads, moved by the gauge's Lorentz matrix T, and its residual is the
-    largest residual of the normals it returns."""
+    """The gauge-fixed realization of the raw normals X, a solution of
+    the Gram system, each turned outward first (``_orient``); its
+    vertices are the ones ``_orient`` reads, moved by the gauge's Lorentz
+    matrix T, whose time axis is their sum, and its residual is the
+    largest residual of the normals it returns.  A residual above
+    REALIZED_RESIDUAL_TOL raises RealizationError naming the faces
+    ``_orient`` turned."""
     sys_ = _system(p)
     E = X.reshape(sys_.nf, 4)
     W = _null_vectors(E[sys_.corners] * METRIC)
-    E = _orient(p, E, W)
-    T = _gauge_transform(p, E)
-    W, compact = _compute_vertices(p, W @ T.T)
+    W = W * np.where(W[:, :1] < 0, -1.0, 1.0)  # on the future sheet
+    E, turned = _orient(p, E, W)
+    T = _gauge_transform(p, E, W.sum(axis=0))
     E = E @ T.T
+    residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
+    if not residual <= REALIZED_RESIDUAL_TOL:
+        raise RealizationError(f"the outward normals miss their targets by {residual:.3e} > "
+                               f"{REALIZED_RESIDUAL_TOL:g}; faces turned outward: "
+                               f"{turned.tolist()}")
+    W, compact = _compute_vertices(p, W @ T.T)
     vertices = {v: (w, andreev.COMPACT if c else andreev.IDEAL)
                 for v, w, c in zip(p.vertices, W, compact.tolist())}
-    residual = float(np.abs(sys_.residual(E.ravel(), sys_.targets(angles))).max())
     return Realization(polyhedron=p, angles=dict(angles), normals=dict(enumerate(E)),
                        vertices=vertices, residual=residual,
                        dof_audit=dof_audit(p), newton_iters=iters)

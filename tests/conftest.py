@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from coxvol import corpus
@@ -33,3 +36,21 @@ def triangular_prism():
 @pytest.fixture(scope="session")
 def pyramid():
     return load("pyramid")
+
+
+@pytest.fixture(scope="session")
+def imported_modules():
+    """The modules a coxvol module's source imports, anywhere in it, even
+    inside a function: each module, and each name imported from one as
+    ``module.name``, relative imports under ``coxvol``."""
+    def imported(module):
+        found = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                name = ".".join(filter(None, ["coxvol" if node.level else "", node.module]))
+                found.update([name, *(f"{name}.{a.name}" for a in node.names)])
+            elif isinstance(node, ast.Import):
+                found.update(a.name for a in node.names)
+        return found
+
+    return imported

@@ -36,17 +36,12 @@ def test_cube_census_small(cube_all2):
         assert r.vertex_summary == {"compact": 8}
 
 
-def test_census_volumes_leave_the_rows_as_they_are(cube_all2):
-    # volumes only fill volume and volume_error; every other field is
-    # the plain census's
-    def fields(rows):
-        return [(r.labels, r.outcome, r.vertex_summary, r.haken) for r in rows]
-
-    plain = enumerate_labelings(cube_all2.base, 3)
-    rows = enumerate_labelings(cube_all2.base, 3, with_volumes=True)
-    assert fields(rows) == fields(plain)
-    assert all(r.volume is None and r.volume_error is None for r in plain)
-    assert all((r.volume is None) != (r.volume_error is None) for r in rows)
+def test_census_imports_nothing_from_the_numeric_layers(imported_modules):
+    # the census is exact integer combinatorics; volumes are the CLI's
+    imported = imported_modules(census)
+    assert "coxvol.andreev" in imported
+    assert not [m for m in imported if m.split(".")[:2] in (["coxvol", "volume"],
+                                                             ["coxvol", "realization"])]
 
 
 def test_census_rows_own_their_vertex_summaries(cube_all2):
@@ -120,7 +115,7 @@ def test_census_never_calls_the_exact_checker(monkeypatch, cube_all2):
     assert len(enumerate_labelings(cube_all2.base, 3, andreev.ALLOW_IDEAL)) == 111
     assert len(cube_three_threes(cube_all2.base).selected) == 8
     for convention in (AS_LISTED_CYCLIC, ANY_ARRANGEMENT):
-        assert pyramid_census(6, convention).all_published_rows_admissible
+        assert all(r.admissible for r in pyramid_census(6, convention).published_rows)
     assert ".check(" not in Path(census.__file__).read_text()
 
 
@@ -327,7 +322,7 @@ def test_three_threes_volumes_agree(cube_all2):
 def test_pyramid_table_listed_ideal():
     diff = pyramid_census(6, convention=AS_LISTED_CYCLIC,
                           regime=andreev.ALLOW_IDEAL)
-    assert diff.all_published_rows_admissible
+    assert all(r.admissible for r in diff.published_rows)
     assert len(diff.published_rows) == len(PUBLISHED_PYRAMID_ROWS)
 
 
@@ -358,7 +353,7 @@ def test_pyramid_table_any_arrangement_strict():
     # under the ideal-friendly regime both rows come back
     relaxed = pyramid_census(6, convention=ANY_ARRANGEMENT,
                              regime=andreev.ALLOW_IDEAL)
-    assert relaxed.all_published_rows_admissible
+    assert all(r.admissible for r in relaxed.published_rows)
 
 
 def test_pyramid_table_deterministic():

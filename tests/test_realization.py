@@ -1,6 +1,5 @@
 """Face-plane solver in the hyperboloid model."""
 
-import ast
 import itertools
 import math
 from pathlib import Path
@@ -11,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxvol import corpus, realization
+from coxvol import cli, corpus, realization
 from coxvol.andreev import (ALLOW_IDEAL, COMPACT, IDEAL, INADMISSIBLE, STRICT_COMPACT, check,
                             default_regime)
 from coxvol.census import enumerate_labelings
 from coxvol.corpus import CORPUS, load
-from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, edge_key
+from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, edge_key,
+                               serialize_polyhedron)
 from coxvol.realization import (METRIC, RESIDUAL_TOL, PathRealizer, dof_audit, edge_lengths,
                                 mdot, realize, solve_at, build_realization,
                                 DegenerateVertex, LabelingRejected, NonConvergence,
@@ -82,16 +82,10 @@ def test_realize_reports_newton_iterations(lambert_cube, monkeypatch):
     assert r.newton_iters == iters > 0
 
 
-def test_realization_imports_nothing_from_volume():
+def test_realization_imports_nothing_from_volume(imported_modules):
     # volume imports realization; an import the other way, even one inside
     # a function, would bring the cycle back
-    imported = set()
-    for node in ast.walk(ast.parse(Path(realization.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            module = ".".join(filter(None, ["coxvol" if node.level else "", node.module]))
-            imported.update([module, *(f"{module}.{a.name}" for a in node.names)])
-        elif isinstance(node, ast.Import):
-            imported.update(a.name for a in node.names)
+    imported = imported_modules(realization)
     assert "coxvol.andreev" in imported
     assert not [m for m in imported if m == "coxvol.volume" or m.startswith("coxvol.volume.")]
 
@@ -249,15 +243,17 @@ def test_dof_audit_counts(cube_all2, triangular_prism, pyramid):
     (load("lambert_cube"), None), (load("pyramid"), None), (CUBE_ALL3, ALLOW_IDEAL),
     (right_angled(corpus.loebell(8)), None)], ids=["lambert_cube", "pyramid", "cube-all3", "L8"])
 def test_gauge_normalization(lp, regime):
-    # the point x minimizing sum_f (<x, e_f> + 1)^2 lies on the time axis;
-    # face 0 spans x3 with its first neighbour in the x1 >= 0 half of the
-    # x2 = 0 plane, and the third face at the first end of their shared
-    # edge has x2 > 0
+    # the sum of the vertices, each the null vector of its first three
+    # face planes on the future sheet, lies on the time axis; face 0 spans
+    # x3 with its first neighbour in the x1 >= 0 half of the x2 = 0 plane,
+    # and the third face at the first end of their shared edge has x2 > 0
     r = realize(lp, regime)
     p = r.polyhedron
     E = np.array([r.normals[f] for f in range(len(p.faces))])
-    x = np.linalg.lstsq(E * METRIC, -np.ones(len(E)), rcond=None)[0]
-    assert x[0] > 0
+    x = np.zeros(4)
+    for v in p.vertices:
+        w = _null_vectors(E[list(p.vertex_faces[v][:3])] * METRIC)
+        x += w * np.sign(w[0])
     assert np.max(np.abs(x[1:])) <= 1e-12 * x[0]
     fb = p.face_neighbors[0][0]
     first_end = next(e for e in p.edges if set(p.edge_faces[e]) == {0, fb})[0]
@@ -830,9 +826,10 @@ def pinned_by_loops(p, angles):
     return max((f for f in range(len(p.faces)) if len(p.faces[f]) == size), key=angle_sum)
 
 
-def seed_by_loops(p, angles):
+def seed_by_loops(p, angles, turn=True):
     """Oracle: the sphere-lift seed built one vertex and one face at a
-    time."""
+    time; with ``turn``, a plane with more of the lifted vertices off its
+    face on its outer side than on its inner side is negated."""
     outer = pinned_by_loops(p, angles)
     boundary = list(p.faces[outer])
     verts = list(p.vertices)
@@ -866,6 +863,10 @@ def seed_by_loops(p, angles):
         h = 0.8 * cos_rho / math.sqrt(1.0 - cos_rho * cos_rho)
         out[fid, 0] = h
         out[fid, 1:] = math.sqrt(1.0 + h * h) * c
+        # <(1, s), e> of each lifted vertex s off the face
+        sides = [mdot(np.array([1.0, *s]), out[fid]) for v, s in sph.items() if v not in cyc]
+        if turn and sum(x > 0 for x in sides) > sum(x < 0 for x in sides):
+            out[fid] = -out[fid]
     return out.ravel()
 
 
@@ -909,15 +910,6 @@ def test_seed_points_a_flat_face_along_the_pole(cube_all2, monkeypatch):
     X = realization._seed(p, targets).reshape(-1, 4)
     assert X[flat].tolist() == [0.0, 0.0, 0.0, -1.0]
     assert X[pinned, 3] > 0
-
-
-def test_gauge_refuses_a_spacelike_least_squares_point(cube_all2):
-    # every normal has <x0, e_f> = -1 at the spacelike x0 = (0, 0, 0, 2),
-    # so x0 is the least-squares point, and no time axis goes through it
-    E = np.random.default_rng(5).standard_normal((6, 4))
-    E[:, 3] = -0.5
-    with pytest.raises(RealizationError, match="not timelike: <x,x> = 4.000e"):
-        realization._gauge_transform(cube_all2.base, E)
 
 
 def test_cube_row_realizes_by_one_cold_solve():
@@ -1061,6 +1053,99 @@ def test_loebell_with_a_pentagon_first_realizes(n, loebell):
     assert realization._pinned_face(q, np.zeros(len(q.edges))) == len(p.faces) - 2
     r = realize(right_angled(q))
     assert r.residual <= RESIDUAL_TOL
+
+
+def prism(n):
+    """The n-prism: the n-gons 0 and n + 1 and the ring of quadrilaterals
+    1..n between them."""
+    quads = tuple((i, n + i, n + (i + 1) % n, (i + 1) % n) for i in range(n))
+    return AbstractPolyhedron(name=f"prism{n}", faces=(tuple(range(n)), *quads,
+                                                       tuple(range(2 * n - 1, n - 1, -1))))
+
+
+def prism_row(n, ngon=3, vertical=2):
+    """The n-prism with ``ngon`` on the n-gons' edges and ``vertical`` on the others."""
+    p = prism(n)
+    return LabeledPolyhedron(base=p, labels={e: ngon if (e[0] < n) == (e[1] < n) else vertical
+                                             for e in p.edges})
+
+
+def prism_sample(n, size, seed):
+    """``size`` admissible labelings of the n-prism with labels 2 and 3,
+    drawn uniformly with ``seed``."""
+    p = prism(n)
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < size:
+        labels = rng.integers(2, 4, len(p.edges)).tolist()
+        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))
+        if check(lp, STRICT_COMPACT).realizable:
+            rows.append(lp)
+    return rows
+
+
+def assert_convex(r):
+    """The realization meets its targets, and its faces sharing no edge,
+    which share no vertex on a compact simple polyhedron, are ultraparallel."""
+    assert r.residual <= RESIDUAL_TOL
+    assert gram_residual(r) <= r.residual
+    assert non_adjacent_gram(r).max() <= -1.0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12])
+def test_prism_with_threes_on_its_ngons_realizes(n):
+    # the seed's plane of a large n-gon, a cap wider than a hemisphere, can
+    # hold most of the vertices off its face; turned round, it starts on
+    # the side the solution has
+    assert_convex(realize(prism_row(n)))
+
+
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_prism_samples_realize(n):
+    for lp in prism_sample(n, 25, n):
+        assert_convex(realize(lp))
+
+
+def test_prism_row_with_a_spacelike_least_squares_point_realizes():
+    # the point x minimizing sum_f (<x, e_f> + 1)^2 is spacelike on this
+    # 10-prism row, so no time axis goes through it; the vertex sum, the
+    # frame's time axis, is timelike on every realization
+    p = prism(10)
+    labels = (3, 2, 2, 3, 2, 3, 2, 2, 3, 3, 2, 2, 2, 2, 2, 3, 2, 2, 3, 2, 3, 2, 2, 2, 3, 2, 3, 3, 3, 2)
+    r = realize(LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels))))
+    assert_convex(r)
+    E = np.array([r.normals[f] for f in range(len(p.faces))])
+    x = np.linalg.lstsq(E * METRIC, -np.ones(len(E)), rcond=None)[0]
+    assert mdot(x, x) > 0
+
+
+def unturned_seed(lp):
+    """The cold solve's seed for ``lp`` without the planes turned round."""
+    return seed_by_loops(lp.base, lp.angles(), turn=False)
+
+
+def test_a_face_turned_against_its_angles_is_refused():
+    # from the seed without its turn the 7-prism row converges on normals
+    # with its second heptagon, face 8, on the side of the vertices off
+    # it; turned outward, it misses the Gram targets of its 3-labelled
+    # edges by 1
+    lp = prism_row(7)
+    X, residual, _ = warm_solve(lp.base, lp.angles(), unturned_seed(lp))
+    assert residual <= RESIDUAL_TOL
+    with pytest.raises(RealizationError, match=r"miss their targets by 1\.000e\+00 > 5e-11; "
+                                               r"faces turned outward: \[8\]"):
+        build_realization(lp.base, lp.angles(), X, 0)
+
+
+def test_cli_reports_a_refused_realization_as_failed(tmp_path, capsys, monkeypatch):
+    lp = prism_row(7)
+    path = tmp_path / "prism7.apoly"
+    path.write_text(serialize_polyhedron(lp))
+    monkeypatch.setattr(realization, "_seed", lambda p, targets: unturned_seed(lp))
+    assert cli.main(["realize", str(path)]) == cli.EXIT_NUMERICAL
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("error: the outward normals miss their targets by 1.000e+00")
+    assert out[-1] == "RESULT realize failed"
 
 
 def permuted(lp, seed):
