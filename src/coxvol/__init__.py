@@ -6,7 +6,7 @@ from .census import (CensusRow, PyramidTableDiff, ThreeThreesReport,
                      cube_three_threes, enumerate_labelings, pyramid_census)
 from .circuits import Circuit, circuits_up_to, enumerate_circuits, separating_triangles
 from .corpus import CORPUS, load
-from .haken import HakenVerdict, classify, find_compressions, orbifolds_of
+from .haken import HakenVerdict, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
                          ValidationReport, automorphisms, parse_polyhedron,
@@ -20,7 +20,7 @@ __all__ = [
     "enumerate_labelings", "pyramid_census",
     "Circuit", "circuits_up_to", "enumerate_circuits", "separating_triangles",
     "CORPUS", "load",
-    "HakenVerdict", "classify", "find_compressions", "orbifolds_of",
+    "HakenVerdict", "classify",
     "ideal_tetrahedron_volume", "lob",
     "AbstractPolyhedron", "LabeledPolyhedron", "ParseError", "ValidationReport",
     "automorphisms", "parse_polyhedron", "serialize_polyhedron", "validate",

@@ -494,8 +494,11 @@ def _gauge_transform(p: AbstractPolyhedron, E: np.ndarray, x: np.ndarray) -> np.
     """The Lorentz change of basis T (4, 4) to the canonical gauge, with
     time axis along the future timelike vector x and the other axes read
     from the normals E (F, 4) (see the module docstring): a vector moves
-    to T times it, so the normals to E @ T.T."""
-    b0 = x / math.sqrt(-mdot(x, x))
+    to T times it, so the normals to E @ T.T.  An x that is not timelike,
+    a sum with a spacelike vertex in it, raises DegenerateVertex."""
+    if not (xx := mdot(x, x)) < 0:
+        raise DegenerateVertex(f"the vertex sum is not timelike: <x,x> = {xx:.3e}")
+    b0 = x / math.sqrt(-xx)
     fb = p.face_neighbors[0][0]
     fc = next(f for f in p.vertex_faces[p.face_adjacency[0, fb][0]] if f not in (0, fb))
     # b0 spans time, so adding <e,b0> b0 projects e onto its orthogonal space

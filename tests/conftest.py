@@ -5,12 +5,25 @@ import pytest
 
 from coxvol import corpus
 from coxvol.corpus import load
+from coxvol.poly_model import AbstractPolyhedron
 
 
 @pytest.fixture(scope="session")
 def loebell():
     """``coxvol.corpus.loebell``, the builder of the Loebell polyhedra L(n)."""
     return corpus.loebell
+
+
+@pytest.fixture(scope="session")
+def prism():
+    """The builder of the n-prism: the n-gons 0 and n + 1 and the ring of
+    quadrilaterals 1..n between them, n-gon 0 on vertices 0..n - 1."""
+    def build(n):
+        quads = tuple((i, n + i, n + (i + 1) % n, (i + 1) % n) for i in range(n))
+        return AbstractPolyhedron(name=f"prism{n}", faces=(tuple(range(n)), *quads,
+                                                           tuple(range(2 * n - 1, n - 1, -1))))
+
+    return build
 
 
 @pytest.fixture(scope="session")

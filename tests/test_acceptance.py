@@ -13,8 +13,8 @@ from scipy.integrate import quad
 
 from coxvol import andreev
 from coxvol.census import (AS_LISTED_CYCLIC, cube_three_threes, pyramid_census)
-from coxvol.circuits import enumerate_circuits, separating_triangles
-from coxvol.haken import classify, find_compressions, orbifolds_of
+from coxvol.circuits import enumerate_circuits, separating_triangles, vertex_sides
+from coxvol.haken import classify, is_compressible
 from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import (_newton, _system, build_realization, dof_audit, realize,
@@ -105,8 +105,9 @@ def test_criterion_5_large_small(cube_all2, tetrahedron, triangular_prism):
     cube_v = classify(cube_all2.base)
     assert cube_v.verdict == "Large"
     assert cube_v.witness.prismatic and cube_v.witness.k == 4
-    for orb in orbifolds_of(cube_all2.base, cube_v.witness):
-        assert find_compressions(cube_all2.base, orb) == []
+    side, other = vertex_sides(cube_all2.base, cube_v.witness)
+    assert not is_compressible(cube_all2.base, cube_v.witness, side, other)
+    assert not is_compressible(cube_all2.base, cube_v.witness, other, side)
 
     assert classify(tetrahedron.base).verdict == "Small"
     prism_v = classify(triangular_prism.base)

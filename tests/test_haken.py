@@ -2,34 +2,85 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxvol import circuits, corpus, haken
-from coxvol.circuits import Circuit, circuits_up_to, enumerate_circuits, iter_cycles
+from coxvol.circuits import (Circuit, circuits_up_to, enumerate_circuits, iter_cycles,
+                             vertex_sides)
 from coxvol.corpus import CORPUS, load
-from coxvol.haken import (HakenVerdict, base_form, classify, find_compressions,
-                          is_compressible, orbifolds_of)
+from coxvol.haken import HakenVerdict, classify, is_compressible
 from coxvol.poly_model import AbstractPolyhedron
+
+
+def relabeling(p, seed):
+    """p with its vertex ids permuted and its faces reordered, and the
+    id in p of each of its faces."""
+    rng = random.Random(seed)
+    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
+    order = list(range(len(p.faces)))
+    rng.shuffle(order)
+    faces = tuple(tuple(image[v] for v in p.faces[f]) for f in order)
+    return AbstractPolyhedron(name=p.name, faces=faces), order
 
 
 def relabeled(p, seed):
     """p with its vertex ids permuted and its faces reordered."""
-    rng = random.Random(seed)
-    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
-    faces = [tuple(image[v] for v in f) for f in p.faces]
-    rng.shuffle(faces)
-    return AbstractPolyhedron(name=p.name, faces=tuple(faces))
+    return relabeling(p, seed)[0]
+
+
+# The reference: compressibility read off the definition, every shape and
+# chord condition checked as stated, none of them taken as given.
+
+def link_shape(p, disk):
+    """'vertex-link' or 'edge-link' when the disk or its complement is one
+    vertex or the two ends of one edge, else None."""
+    for side in (disk, set(p.vertices) - disk):
+        if len(side) == 1:
+            return "vertex-link"
+        if len(side) == 2 and tuple(sorted(side)) in p.edge_faces:
+            return "edge-link"
+    return None
+
+
+def chords(p, c, disk):
+    """The chords of ``c`` through the disk, as (edge, arc lengths): an
+    edge, not a crossed one, joining two curve faces, with both ends in
+    the disk and splitting the curve into two arcs that each cross at
+    least two edges."""
+    crossed = set(c.crossed_edges)
+    out = []
+    for i, j in combinations(range(c.k), 2):
+        arcs = (j - i, c.k - (j - i))
+        g = p.face_adjacency.get((c.faces[i], c.faces[j]))
+        if min(arcs) >= 2 and g is not None and g not in crossed and set(g) <= disk:
+            out.append((g, arcs))
+    return out
+
+
+def compressible_by_definition(p, c, disk):
+    return link_shape(p, disk) is not None or bool(chords(p, c, disk))
+
+
+def incompressible_side(p, c):
+    """Whether either side of ``c`` is incompressible, by the reference."""
+    return not all(compressible_by_definition(p, c, disk) for disk in vertex_sides(p, c))
 
 
 def first_witness(p, circuits):
     """The scan-order oracle: the first circuit with an incompressible
     side, prismatic ones first, each group by length and then faces."""
     order = sorted(circuits, key=lambda c: (not c.prismatic, c.k, c.faces))
-    return next((c for c in order
-                 if any(not is_compressible(p, orb) for orb in orbifolds_of(p, c))), None)
+    return next((c for c in order if incompressible_side(p, c)), None)
+
+
+def both_ways(p, c):
+    """The two (side, other) orders of the sides of ``c``."""
+    a, b = vertex_sides(p, c)
+    return (a, b), (b, a)
 
 
 def equatorial_band(p):
@@ -40,38 +91,43 @@ def equatorial_band(p):
 def test_cube_band_has_no_compressions(cube_all2):
     p = cube_all2.base
     c = equatorial_band(p)
-    for orb in orbifolds_of(p, c):
-        assert base_form(p, orb) is None
-        assert find_compressions(p, orb) == []
-        assert not is_compressible(p, orb)
+    for side, other in both_ways(p, c):
+        assert link_shape(p, side) is None
+        assert chords(p, c, side) == []
+        assert not is_compressible(p, c, side, other)
 
 
 def test_cube_vertex_link_is_compressible(cube_all2):
     p = cube_all2.base
     for c in enumerate_circuits(p, 3):
-        for orb in orbifolds_of(p, c):
-            assert base_form(p, orb) == "vertex-link"
+        for side, other in both_ways(p, c):
+            assert link_shape(p, side) == "vertex-link"
+            assert is_compressible(p, c, side, other)
 
 
 def test_tetra_four_circuits_are_edge_links(tetrahedron):
     p = tetrahedron.base
     for c in enumerate_circuits(p, 4):
-        for orb in orbifolds_of(p, c):
-            assert base_form(p, orb) == "edge-link"
-            assert is_compressible(p, orb)
+        for side, other in both_ways(p, c):
+            assert link_shape(p, side) == "edge-link"
+            assert is_compressible(p, c, side, other)
 
 
 def test_long_cube_curve_is_compressible(cube_all2):
-    # a 6-circuit wobbling around the equator has a one-edge chord
+    # a 6-circuit wobbling around the equator has a one-edge chord, on the
+    # side that holds both its ends
     p = cube_all2.base
     found = 0
     for c in enumerate_circuits(p, 6):
-        for orb in orbifolds_of(p, c):
-            arcs = find_compressions(p, orb)
-            for arc in arcs:
-                assert arc.crossed_edge not in set(c.crossed_edges)
-                assert all(n >= 2 for n in arc.arc_lengths)
-                assert sum(arc.arc_lengths) == c.k
+        for side, other in both_ways(p, c):
+            arcs = chords(p, c, side)
+            for edge, lengths in arcs:
+                assert edge not in set(c.crossed_edges)
+                assert all(n >= 2 for n in lengths)
+                assert sum(lengths) == c.k
+                assert set(edge) <= side and not set(edge) & other
+            if arcs:
+                assert is_compressible(p, c, side, other)
             found += len(arcs)
     assert found > 0
 
@@ -173,30 +229,39 @@ def test_non_prismatic_witness_is_only_a_fallback(prismatic_from_k, loebell, mon
     assert (first.k, first.prismatic) == ((5, False) if prismatic_from_k is None else (6, True))
 
 
-def test_classify_splits_each_circuit_once(loebell, monkeypatch):
-    counts = {"vertex_sides": 0, "orbifolds_of": 0}
+@pytest.mark.parametrize("name", ["L7", "pyramid"])
+def test_classify_splits_each_circuit_once(name, loebell, monkeypatch):
+    # one vertex_sides call per circuit tested, and its two sides are
+    # tested in that split, the second only when the first compresses:
+    # on the Small pyramid every circuit is tested on both sides
+    splits, tests = [], []
 
-    def counted(name):
-        fn = getattr(haken, name)
+    def splitting(p, c):
+        splits.append(vertex_sides(p, c))
+        return splits[-1]
 
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def recording(p, c, side, other):
+        tests.append((c.faces, side, other))
+        return is_compressible(p, c, side, other)
 
-    for name in counts:
-        monkeypatch.setattr(haken, name, counted(name))
-    classify(loebell(7))
-    assert counts["orbifolds_of"] > 0
-    assert counts["vertex_sides"] == counts["orbifolds_of"]
+    monkeypatch.setattr(haken, "vertex_sides", splitting)
+    monkeypatch.setattr(haken, "is_compressible", recording)
+    v = classify(loebell(7) if name == "L7" else load(name).base)
+    tested = list(dict.fromkeys(faces for faces, _, _ in tests))
+    assert tested and len(splits) == len(tested)
+    for faces, (a, b) in zip(tested, splits):
+        calls = [(side, other) for f, side, other in tests if f == faces]
+        assert calls == [(a, b), (b, a)][:len(calls)]
+        assert len(calls) == 2 or v.witness and faces == v.witness.faces
+    assert v.witness or len(tests) == 2 * v.circuits
 
 
 def test_classify_tests_only_prismatic_circuits_on_a_large_polyhedron(loebell, monkeypatch):
     tested = []
 
-    def recording(p, orb):
-        tested.append(orb.curve)
-        return is_compressible(p, orb)
+    def recording(p, c, side, other):
+        tested.append(c)
+        return is_compressible(p, c, side, other)
 
     monkeypatch.setattr(haken, "is_compressible", recording)
     v = classify(loebell(7))
@@ -257,14 +322,15 @@ def test_corpus_verdicts_recorded_at_every_cap(name):
 @pytest.mark.parametrize("name", ["cube_all2", "triangular_prism", "pyramid", "L5", "L6"])
 def test_circuits_around_one_vertex_are_vertex_links(name, loebell):
     # a circuit whose crossed edges all meet at one vertex cuts that
-    # vertex off, so base_form finds a one-vertex side
+    # vertex off, so one of its sides is that vertex alone
     p = loebell(int(name[1:])) if name.startswith("L") else load(name).base
     seen = 0
     for c in circuits_up_to(p, 7):
         if c.k >= 3 and set.intersection(*map(set, c.crossed_edges)):
             seen += 1
-            for orb in orbifolds_of(p, c):
-                assert base_form(p, orb) == "vertex-link"
+            for side, other in both_ways(p, c):
+                assert link_shape(p, side) == "vertex-link"
+                assert is_compressible(p, c, side, other)
     assert seen == len(p.vertices)  # one link per vertex
 
 
@@ -282,9 +348,13 @@ def eager_classify(p, cap):
     return HakenVerdict("Large", w, "incompressible-orbifold", cap, visited)
 
 
-def shape(name, seed):
-    """A fresh copy of a corpus polyhedron or of L(n), relabeled unless seed is 0."""
-    p = load(name).base if name in CORPUS else corpus.loebell(int(name[1:]))
+def shape(name, seed, prism=None):
+    """A fresh copy of a corpus polyhedron, of L(n) or of the n-prism
+    ``Pn``, relabeled unless seed is 0."""
+    if name in CORPUS:
+        p = load(name).base
+    else:
+        p = (corpus.loebell if name[0] == "L" else prism)(int(name[1:]))
     return relabeled(p, seed) if seed else p
 
 
@@ -294,3 +364,35 @@ def shape(name, seed):
 def test_lazy_classify_matches_the_eager_scan(name, seed, cap):
     # each on a fresh polyhedron, so the lazy scan finds no stored circuits
     assert classify(shape(name, seed), cap) == eager_classify(shape(name, seed), cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from([*CORPUS, *(f"L{n}" for n in range(5, 13)),
+                             *(f"P{n}" for n in range(3, 11))]),
+       seed=st.integers(0, 3), cap=st.integers(3, 7))
+def test_is_compressible_matches_the_definition(name, seed, cap, prism):
+    p = shape(name, seed, prism)
+    for c in circuits_up_to(p, cap):
+        for side, other in both_ways(p, c):
+            assert is_compressible(p, c, side, other) == compressible_by_definition(p, c, side)
+
+
+def is_prismatic(c):
+    return len(set().union(*c.crossed_edges)) == 2 * c.k
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_prism_verdicts_recorded(n, prism):
+    # recorded before compressibility became one test on the two sides
+    v = classify(prism(n))
+    expected = (("Small", "separating-triangle", (1, 2, 3), 0) if n == 3 else
+                ("Large", "incompressible-orbifold", (0, 1, n + 1, 3), 2 * n + 4))
+    assert (v.verdict, v.witness_kind, v.witness.faces, v.circuits) == expected
+    # a relabeled, face-reordered copy gets the same verdict from its own
+    # scan order, and its witness, read back in the original, is one there
+    q, order = relabeling(prism(n), seed=n)
+    w = classify(q)
+    assert w == eager_classify(q, w.cap)
+    assert (w.verdict, w.witness_kind, w.witness.k) == (v.verdict, v.witness_kind, v.witness.k)
+    back = Circuit.from_faces(prism(n), tuple(order[f] for f in w.witness.faces), True)
+    assert is_prismatic(back) and w.witness.prismatic and incompressible_side(prism(n), back)

@@ -263,6 +263,23 @@ def test_gauge_normalization(lp, regime):
     assert E[fc, 2] > 0
 
 
+def test_gauge_refuses_a_spacelike_vertex_sum(lambert_cube):
+    # normals that solve nothing can hold spacelike vertices, whose sum
+    # need not be timelike (seeds 12, 15 and 195 here); no frame has its
+    # time axis there, and the refusal is typed, never a bare ValueError
+    p, angles = lambert_cube.base, lambert_cube.angles()
+    refused = []
+    for s in range(200):
+        try:
+            build_realization(p, angles, np.random.default_rng(s).standard_normal(24), 0)
+        except DegenerateVertex as exc:
+            if "vertex sum is not timelike" in str(exc):
+                refused.append(s)
+        except RealizationError:
+            pass
+    assert refused == [12, 15, 195]
+
+
 @pytest.mark.parametrize("lp", [load("lambert_cube"), load("pyramid"), CUBE_ALL3,
                                 right_angled(corpus.loebell(8))],
                          ids=["lambert_cube", "pyramid", "cube-all3", "L8"])
@@ -1055,25 +1072,17 @@ def test_loebell_with_a_pentagon_first_realizes(n, loebell):
     assert r.residual <= RESIDUAL_TOL
 
 
-def prism(n):
-    """The n-prism: the n-gons 0 and n + 1 and the ring of quadrilaterals
-    1..n between them."""
-    quads = tuple((i, n + i, n + (i + 1) % n, (i + 1) % n) for i in range(n))
-    return AbstractPolyhedron(name=f"prism{n}", faces=(tuple(range(n)), *quads,
-                                                       tuple(range(2 * n - 1, n - 1, -1))))
-
-
-def prism_row(n, ngon=3, vertical=2):
-    """The n-prism with ``ngon`` on the n-gons' edges and ``vertical`` on the others."""
-    p = prism(n)
+def prism_row(p, ngon=3, vertical=2):
+    """The n-prism ``p`` with ``ngon`` on the n-gons' edges and ``vertical``
+    on the others."""
+    n = len(p.faces) - 2
     return LabeledPolyhedron(base=p, labels={e: ngon if (e[0] < n) == (e[1] < n) else vertical
                                              for e in p.edges})
 
 
-def prism_sample(n, size, seed):
-    """``size`` admissible labelings of the n-prism with labels 2 and 3,
-    drawn uniformly with ``seed``."""
-    p = prism(n)
+def prism_sample(p, size, seed):
+    """``size`` admissible labelings of the prism ``p`` with labels 2 and
+    3, drawn uniformly with ``seed``."""
     rng = np.random.default_rng(seed)
     rows = []
     while len(rows) < size:
@@ -1093,20 +1102,20 @@ def assert_convex(r):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12])
-def test_prism_with_threes_on_its_ngons_realizes(n):
+def test_prism_with_threes_on_its_ngons_realizes(n, prism):
     # the seed's plane of a large n-gon, a cap wider than a hemisphere, can
     # hold most of the vertices off its face; turned round, it starts on
     # the side the solution has
-    assert_convex(realize(prism_row(n)))
+    assert_convex(realize(prism_row(prism(n))))
 
 
 @pytest.mark.parametrize("n", [7, 8, 10])
-def test_prism_samples_realize(n):
-    for lp in prism_sample(n, 25, n):
+def test_prism_samples_realize(n, prism):
+    for lp in prism_sample(prism(n), 25, n):
         assert_convex(realize(lp))
 
 
-def test_prism_row_with_a_spacelike_least_squares_point_realizes():
+def test_prism_row_with_a_spacelike_least_squares_point_realizes(prism):
     # the point x minimizing sum_f (<x, e_f> + 1)^2 is spacelike on this
     # 10-prism row, so no time axis goes through it; the vertex sum, the
     # frame's time axis, is timelike on every realization
@@ -1124,12 +1133,12 @@ def unturned_seed(lp):
     return seed_by_loops(lp.base, lp.angles(), turn=False)
 
 
-def test_a_face_turned_against_its_angles_is_refused():
+def test_a_face_turned_against_its_angles_is_refused(prism):
     # from the seed without its turn the 7-prism row converges on normals
     # with its second heptagon, face 8, on the side of the vertices off
     # it; turned outward, it misses the Gram targets of its 3-labelled
     # edges by 1
-    lp = prism_row(7)
+    lp = prism_row(prism(7))
     X, residual, _ = warm_solve(lp.base, lp.angles(), unturned_seed(lp))
     assert residual <= RESIDUAL_TOL
     with pytest.raises(RealizationError, match=r"miss their targets by 1\.000e\+00 > 5e-11; "
@@ -1137,8 +1146,8 @@ def test_a_face_turned_against_its_angles_is_refused():
         build_realization(lp.base, lp.angles(), X, 0)
 
 
-def test_cli_reports_a_refused_realization_as_failed(tmp_path, capsys, monkeypatch):
-    lp = prism_row(7)
+def test_cli_reports_a_refused_realization_as_failed(tmp_path, capsys, monkeypatch, prism):
+    lp = prism_row(prism(7))
     path = tmp_path / "prism7.apoly"
     path.write_text(serialize_polyhedron(lp))
     monkeypatch.setattr(realization, "_seed", lambda p, targets: unturned_seed(lp))
