@@ -18,7 +18,7 @@ from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
 from .realization import LabelingRejected, RealizationError, realize
-from .volume import DEFAULT_TOL, VolumeError, schlafli_volume
+from .volume import DEFAULT_TOL, VolumeError, orthoscheme_volume, schlafli_volume
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -203,19 +203,22 @@ def _cmd_volume(args) -> int:
     return EXIT_OK
 
 
-def _census_volume(p, labels):
-    """A census row's volume, or the VolumeError or RealizationError that stopped it."""
+def _census_volume(p, labels, regime):
+    """A census row's volume, realized in the census's ``regime``, or the
+    RealizationError that stopped it."""
     try:
-        return schlafli_volume(LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))).volume
-    except (VolumeError, RealizationError) as exc:
+        lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))
+        return orthoscheme_volume(realize(lp, regime)).volume
+    except RealizationError as exc:
         return exc
 
 
 def _cmd_census(args) -> int:
     lp = _load(args.file)
-    rows = census.enumerate_labelings(lp.base, args.max_label, regime=_REGIMES[args.regime])
+    regime = _REGIMES[args.regime]
+    rows = census.enumerate_labelings(lp.base, args.max_label, regime=regime)
     # a row's volume, the error that stopped it, or None without --volumes
-    vols = [_census_volume(lp.base, r.labels) if args.volumes else None for r in rows]
+    vols = [_census_volume(lp.base, r.labels, regime) if args.volumes else None for r in rows]
     edges = lp.base.edges
     if args.format == "tsv":
         print("labels\toutcome\tvertex_summary\thaken\tvolume")
@@ -239,7 +242,7 @@ def _cmd_census(args) -> int:
     failures = sum(isinstance(v, Exception) for v in vols)
     counts = {"volume_failures": failures} if args.volumes else {}
     _result("census", "failed" if failures else "ok", rows=len(rows),
-            max_label=args.max_label, regime=_REGIMES[args.regime], **counts)
+            max_label=args.max_label, regime=regime, **counts)
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
@@ -326,10 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--regime", choices=("strict", "ideal"), default=None)
 
-    p = add("volume", _cmd_volume, help="integrate the volume along a collapse path")
+    p = add("volume", _cmd_volume,
+            help="volume of the labeling: one realization and the orthoscheme sum")
     p.add_argument("file")
     p.add_argument("--doubled", action="store_true")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="must be positive; a labeling's volume does not depend on it")
 
     p = add("census", _cmd_census, help="orbit census of admissible labelings")
     p.add_argument("file")

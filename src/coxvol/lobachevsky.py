@@ -8,7 +8,9 @@ zeta series
 
 converges geometrically (ratio (x/pi)^2 <= 1/4).  Absolute accuracy is
 around 1e-15; the defining integral, evaluated by adaptive quadrature,
-is the normative reference and lives in the test suite.
+is the normative reference and lives in the test suite.  ``lob`` takes
+one angle; ``lob_array`` takes an array of them and sums the series as a
+polynomial in (x/pi)^2, in groups of four terms.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def _zeta_even(n_terms: int) -> np.ndarray:
 
 
 _ZETA_COEFF = _zeta_even(_N_TERMS) / (_POWERS * (2 * _POWERS + 1))
+# lob_array's series: the first 24 terms, in six groups of four, each row
+# the coefficients of q^(4j+1) .. q^(4j+4); at (x/pi)^2 <= 1/4 the terms
+# past the 24th add less than 1e-17
+_ZETA_GROUPS = _ZETA_COEFF[:24].reshape(6, 4)
 
 
 def _lob_principal(x: float) -> float:
@@ -63,6 +69,34 @@ def lob(theta: float) -> float:
     if r < 0:
         return -_lob_principal(-r)
     return _lob_principal(r)
+
+
+def lob_array(theta: np.ndarray) -> np.ndarray:
+    """lob of every entry of a float array, within 1e-15 of ``lob``.
+
+    fmod and one shift by a multiple of pi in {-1, 0, 1}, each exact, put
+    each angle in [-pi/2, pi/2].  There the series, a polynomial in
+    q = (x/pi)^2, is summed in groups of four terms: one matrix product
+    gives each group's cubic in q, and Horner's rule in q^4 <= 1/256 adds
+    the groups.  The angles must be finite.
+    """
+    r = np.fmod(np.ravel(theta), math.pi)
+    r -= math.pi * np.rint(r / math.pi)
+    x = np.abs(r)
+    q = x / math.pi
+    q *= q
+    q2 = q * q
+    groups = _ZETA_GROUPS @ np.stack([q, q2, q2 * q, q2 * q2])
+    q4 = q2 * q2
+    series = groups[-1]
+    for g in groups[-2::-1]:
+        series *= q4
+        series += g
+    # x (1 - log 2x + series), where x log 2x is 0 at x = 0
+    series += 1.0
+    series -= np.log(2.0 * np.where(x > 0.0, x, 0.5))
+    series *= x
+    return np.copysign(series, r).reshape(np.shape(theta))
 
 
 def ideal_tetrahedron_volume(alpha: float, beta: float, gamma: float) -> float:

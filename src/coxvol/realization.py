@@ -95,7 +95,12 @@ class RealizationError(PolyhedronError):
 
 
 class LabelingRejected(RealizationError):
-    """The labeling fails the admissibility check, so there is nothing to solve."""
+    """The labeling fails the admissibility check, so there is nothing to
+    solve; ``report`` is the check's."""
+
+    def __init__(self, report: andreev.AndreevReport):
+        self.report = report
+        super().__init__(f"labeling rejected ({report.reason or report.outcome}); cannot realize")
 
 
 class NonConvergence(RealizationError):
@@ -576,14 +581,22 @@ def realize(lp: LabeledPolyhedron, regime: str | None = None) -> Realization:
     """Realize a labeled polyhedron by one cold ``solve_at`` at its
     angles, reporting that solve's iterations.  The labeling is checked
     first, in ``regime`` or else ``andreev.default_regime``; one that
-    fails raises LabelingRejected."""
-    report = andreev.check(lp, regime or andreev.default_regime(lp.base))
-    if not report.realizable:
-        raise LabelingRejected(
-            f"labeling rejected ({report.reason or report.outcome}); cannot realize")
-    angles = lp.angles()
-    X, _, iters = solve_at(lp.base, angles)
-    return build_realization(lp.base, angles, X, iters)
+    fails raises LabelingRejected.
+
+    The realization is kept on ``lp``, one per regime, like the residual
+    system on its polyhedron: a second call returns the same object, so
+    every caller shares it and none may change it.
+    """
+    regime = regime or andreev.default_regime(lp.base)
+    kept = vars(lp).setdefault("_realizations", {})
+    if regime not in kept:
+        report = andreev.check(lp, regime)
+        if not report.realizable:
+            raise LabelingRejected(report)
+        angles = lp.angles()
+        X, _, iters = solve_at(lp.base, angles)
+        kept[regime] = build_realization(lp.base, angles, X, iters)
+    return kept[regime]
 
 
 class PathRealizer:

@@ -146,37 +146,76 @@ def test_census_over_budget_is_input_error(capsys):
     assert result_line(out) == "RESULT census input-error"
 
 
-def test_census_volume_failure_is_numerical(capsys):
-    # some ideal-regime pyramid labelings vary an edge at an ideal vertex
+@pytest.fixture
+def realize_fails_on_label_4(monkeypatch):
+    """The command line's ``realize`` raising NonConvergence for every
+    labeling with a label 4, and realizing every other one."""
+    from coxvol import cli
+    from coxvol.realization import NonConvergence
+
+    realize = cli.realize
+
+    def fail_on_4(lp, regime=None):
+        if 4 in lp.labels.values():
+            raise NonConvergence("Newton step stagnated", 1e-3)
+        return realize(lp, regime)
+
+    monkeypatch.setattr(cli, "realize", fail_on_4)
+
+
+def test_census_volume_failure_is_numerical(capsys, realize_fails_on_label_4):
+    # 12 of the 15 ideal-regime pyramid rows at max-label 4 have a label 4
     code, out = run(capsys, "census", "pyramid", "--max-label", "4",
                     "--regime", "ideal", "--volumes")
     assert code == 4
-    assert "error: path varies the angle of edge" in out
+    assert "error: Newton step stagnated" in out
     assert result_line(out) == ("RESULT census failed rows=15 max_label=4 "
-                                "regime=allow-ideal volume_failures=6")
+                                "regime=allow-ideal volume_failures=12")
 
 
-def test_census_tsv_marks_failed_volumes(capsys):
+def test_census_tsv_marks_failed_volumes(capsys, realize_fails_on_label_4):
     code, out = run(capsys, "census", "pyramid", "--max-label", "4",
                     "--regime", "ideal", "--volumes", "--format", "tsv")
     assert code == 4
-    vols = [ln.split("\t")[4] for ln in out.splitlines()[1:-1]]
-    assert len(vols) == 15
-    assert vols.count("error:IdealEdge") == 6
-    assert all(float(v) > 0 for v in vols if v != "error:IdealEdge")
+    rows = [ln.split("\t") for ln in out.splitlines()[1:-1]]
+    assert len(rows) == 15
+    for labels, *_, vol in rows:
+        if "4" in labels.split(","):
+            assert vol == "error:NonConvergence"
+        else:
+            assert float(vol) > 0
 
 
-def test_census_volume_failures_keep_the_other_rows(capsys):
-    argv = ("census", "cube_all2", "--max-label", "3", "--regime", "ideal")
+@pytest.mark.parametrize("argv,rows", [
+    (("pyramid", "--max-label", "4", "--regime", "ideal"), 15),
+    (("cube_all2", "--max-label", "3", "--regime", "ideal"), 111),
+    (("triangular_prism", "--max-label", "5"), 93),
+])
+def test_census_volumes_in_the_census_regime(capsys, argv, rows):
+    # every row is realized in the census's own regime and gets a volume;
+    # the rows' lines are those of the census without volumes
+    _, plain = run(capsys, "census", *argv)
+    code, out = run(capsys, "census", *argv, "--volumes")
+    assert code == 0
+    assert result_line(out) == result_line(plain) + " volume_failures=0"
+    lines = [ln for ln in out.splitlines() if ln.startswith("labels=")]
+    assert len(lines) == rows
+    assert all(float(ln.split(" volume=")[1]) > 0 for ln in lines)
+    assert [ln.split(" volume")[0] for ln in lines] == \
+        [ln for ln in plain.splitlines() if ln.startswith("labels=")]
+
+
+def test_census_volume_failures_keep_the_other_rows(capsys, realize_fails_on_label_4):
+    argv = ("census", "cube_all2", "--max-label", "4")
     _, plain = run(capsys, *argv)
     code, out = run(capsys, *argv, "--volumes")
     assert code == 4
-    assert result_line(out) == ("RESULT census failed rows=111 max_label=3 "
-                                "regime=allow-ideal volume_failures=77")
     rows = [ln for ln in out.splitlines() if ln.startswith("labels=")]
-    assert len(rows) == 111
+    failed = [ln for ln in rows if ln.endswith(" volume_error=NonConvergence")]
+    assert len(rows) == 436 and len(failed) == 436 - 34
+    assert result_line(out) == ("RESULT census failed rows=436 max_label=4 "
+                                "regime=strict-compact volume_failures=402")
     assert sum(" volume=" in ln for ln in rows) == 34
-    assert sum(ln.endswith(" volume_error=IdealEdge") for ln in rows) == 77
     assert [ln.split(" volume")[0] for ln in rows] == \
         [ln for ln in plain.splitlines() if ln.startswith("labels=")]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coxvol.lobachevsky import ideal_tetrahedron_volume, lob
+from coxvol.lobachevsky import ideal_tetrahedron_volume, lob, lob_array
 
 
 def lob_oracle(theta: float) -> float:
@@ -113,3 +113,14 @@ def test_lob_unchanged_with_scipy_coefficients(monkeypatch):
                         np.array([zeta(2 * k) for k in n]) / (n * (2 * n + 1)))
     for t, v in zip(grid, ours):
         assert abs(lob(t) - v) <= 1e-15
+
+
+def test_lob_array_matches_lob():
+    # on a grid over [-2 pi, 2 pi], its multiples of pi/2 and zero
+    # included, and in any array shape
+    grid = np.concatenate([np.linspace(-2 * math.pi, 2 * math.pi, 20001),
+                           np.arange(-4, 5) * (math.pi / 2), [0.0, -0.0, 1e-300]])
+    ours = lob_array(grid)
+    assert np.max(np.abs(ours - [lob(t) for t in grid])) <= 1e-15
+    assert np.array_equal(lob_array(grid.reshape(-1, 7)), ours.reshape(-1, 7))
+    assert lob_array(grid[5]) == ours[5]

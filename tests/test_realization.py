@@ -58,9 +58,11 @@ def test_lambert_cube_realization(lambert_cube):
         assert vec[0] > 0  # future sheet
 
 
-def test_realize_reports_newton_iterations(lambert_cube, monkeypatch):
+def test_realize_reports_newton_iterations(monkeypatch):
     # realize checks the labeling once, then makes one cold solve at the
-    # labeling's own angles, and reports that solve's iterations
+    # labeling's own angles, and reports that solve's iterations; a fresh
+    # labeling, since realize keeps its realization on the labeling
+    lambert_cube = load("lambert_cube")
     checks, solves = [], []
     check_, solve = realization.andreev.check, realization.solve_at
 
@@ -484,10 +486,10 @@ def lengths_by_cofactors(sys_, X, cols):
 
 
 def test_lengths_match_the_full_cofactors(lambert_cube, monkeypatch):
-    # bit for bit, nan where the oracle is nan: the stacks the Lambert
-    # cube's volume reads its lengths from (the collapse check, then the
-    # 24 nodes of the 8- and 16-node rules), and every edge along a path
-    # on which vertex 0 stops being compact
+    # bit for bit, nan where the oracle is nan: the stack the Lambert
+    # cube's default path reads its lengths from (the 24 nodes of the 8-
+    # and 16-node rules), and every edge along a path on which vertex 0
+    # stops being compact
     calls = []
     lengths = _System.lengths
 
@@ -496,8 +498,8 @@ def test_lengths_match_the_full_cofactors(lambert_cube, monkeypatch):
         return lengths(self, X, cols)
 
     monkeypatch.setattr(_System, "lengths", recorded)
-    schlafli_volume(lambert_cube)
-    assert [len(X) for _, X, _ in calls] == [1, 24]
+    schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
+    assert [len(X) for _, X, _ in calls] == [24]
     p = lambert_cube.base
     path = vertex0_path(lambert_cube)
     calls.append((_System(p), PathRealizer(path).solutions_at(NAN_PATH_TS),

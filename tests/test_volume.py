@@ -1,7 +1,9 @@
-"""Volume integration along angle-deformation paths."""
+"""Volumes: a labeling's orthoscheme sum, and Schlaefli integrals along
+angle-deformation paths."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coxvol.andreev import check, default_regime
+from coxvol.andreev import ALLOW_IDEAL, check, default_regime
 from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.cli import main
-from coxvol.corpus import CORPUS, load
+from coxvol.corpus import CORPUS, load, loebell
 from coxvol.lobachevsky import lob
-from coxvol.poly_model import LabeledPolyhedron
+from coxvol.poly_model import AbstractPolyhedron, LabeledPolyhedron, edge_key
 from coxvol.realization import RealizationError, edge_lengths, realize
-from coxvol.volume import (COLLAPSE_CHECK_T, QUAD_MAX_NODES, QUAD_START_NODES,
-                           DeformationPath, IdealEdge, NonCollapsingStart,
+from coxvol.volume import (QUAD_MAX_NODES, QUAD_START_NODES, DeformationPath, IdealEdge,
                            PathRealizationFailure, _Integrand, _squared_rule, collapse_fraction,
-                           default_path, schlafli_volume, segment_quadrature, VolumeError)
+                           default_path, orthoscheme_volume, schlafli_volume,
+                           segment_quadrature, VolumeError)
 
 
 def test_collapse_fraction_lambert(lambert_cube):
@@ -125,15 +127,23 @@ def test_varying_ideal_edge_rejected(pyramid):
 
 def test_ideal_trivalent_vertex_rejected(pyramid, cube_all2):
     # pyramid row (2,2,3,6) and a cube with a (3,3,3) vertex: the
-    # ideal vertex's row must not end the path just short of the target
+    # ideal vertex's row must not end the default path just short of the
+    # target, so the path is refused; the labelings' own volumes come
+    # from their realizations, in the regime that admits the vertex
     labels = dict(pyramid.labels)
     labels[(0, 3)] = 6
+    row = LabeledPolyhedron(base=pyramid.base, labels=labels)
     cube = cube_all2.base
-    for lp in (LabeledPolyhedron(base=pyramid.base, labels=labels),
-               LabeledPolyhedron(base=cube, labels={
-                   e: 3 if 0 in e else 2 for e in cube.edges})):
+    corner = LabeledPolyhedron(base=cube, labels={e: 3 if 0 in e else 2 for e in cube.edges})
+    for lp in (row, corner):
         with pytest.raises(IdealEdge):
-            schlafli_volume(lp)
+            schlafli_volume(default_path(lp.base, lp.angles()))
+    res = schlafli_volume(row)
+    assert abs(res.volume - 5 * lob(math.pi / 3) / 4) <= min(res.error_estimate, 1e-13)
+    # the cube's default regime is strict, which refuses the ideal vertex
+    with pytest.raises(VolumeError, match=r"labeling rejected \(condition 2\)"):
+        schlafli_volume(corner)
+    assert orthoscheme_volume(realize(corner, ALLOW_IDEAL)).volume > 0
 
 
 @pytest.fixture
@@ -155,9 +165,14 @@ def newton_calls(monkeypatch):
 def test_ideal_edge_refused_before_any_solve(pyramid, newton_calls):
     labels = dict(pyramid.labels)
     labels[(0, 3)] = 6  # pyramid row (2,2,3,6)
+    lp = LabeledPolyhedron(base=pyramid.base, labels=labels)
     with pytest.raises(IdealEdge):
-        schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
+        schlafli_volume(default_path(lp.base, lp.angles()))
     assert newton_calls == []
+    # the labeling itself has a volume: one solve and the orthoscheme sum
+    res = schlafli_volume(lp)
+    assert abs(res.volume - 5 * lob(math.pi / 3) / 4) <= min(res.error_estimate, 1e-13)
+    assert len(newton_calls) == 1
 
 
 @pytest.mark.parametrize("labels", [
@@ -218,14 +233,15 @@ def test_anchor_failure_is_path_realization_failure(lambert_cube, monkeypatch):
 
     monkeypatch.setattr(realization, "solve_at", fail)
     with pytest.raises(PathRealizationFailure) as info:
-        schlafli_volume(lambert_cube)
+        schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
     assert len(calls) == 1  # one anchor, no retry at other path points
     assert info.value.t == PathRealizer.ANCHOR_T
     assert "Newton step stagnated" in str(info.value)
 
 
 def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
-    # the first node after the anchor fails: no smaller steps are tried
+    # the first stack after the anchor fails at its smallest node, the
+    # 16-node rule's first: no smaller steps are tried
     from coxvol import realization
     from coxvol.realization import NonConvergence
 
@@ -243,8 +259,8 @@ def test_failed_warm_step_raises_at_its_node(lambert_cube, monkeypatch):
 
     monkeypatch.setattr(realization, "_newton", warm_fails)
     with pytest.raises(PathRealizationFailure) as info:
-        schlafli_volume(lambert_cube)
-    assert info.value.t == COLLAPSE_CHECK_T
+        schlafli_volume(path)
+    assert info.value.t == _squared_rule(16)[0][0] < _squared_rule(8)[0][0]
     assert "3.000e-03" in str(info.value)
     assert calls == [False, True]
 
@@ -272,27 +288,25 @@ def test_failing_row_of_a_rule_raises_at_its_t(lambert_cube, monkeypatch, ts, fa
     assert f"{alone.value.best_residual:.3e}" in str(info.value)
 
 
-def test_lambert_volume_counts_its_solves(lambert_cube):
-    # the anchor, the collapse check and one solve per node of the 8- and
-    # 16-node rules
-    res = schlafli_volume(lambert_cube)
+def test_lambert_path_counts_its_solves(lambert_cube):
+    # the anchor and one solve per node of the 8- and 16-node rules
+    res = schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
     assert res.nodes == 24
-    assert res.solves == res.nodes + 2
+    assert res.solves == res.nodes + 1
     assert res.newton_iters >= res.solves
 
 
-def test_lambert_volume_makes_three_stacked_solves(lambert_cube, newton_calls):
-    # the anchor, the collapse check alone, then the 8- and 16-node rules
-    # in one 24-row stack
-    res = schlafli_volume(lambert_cube)
-    assert [len(X0) for _, X0, _ in newton_calls] == [1, 1, 24]
-    assert res.solves == 26
+def test_lambert_path_makes_two_stacked_solves(lambert_cube, newton_calls):
+    # the anchor alone, then the 8- and 16-node rules in one 24-row stack
+    res = schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
+    assert [len(X0) for _, X0, _ in newton_calls] == [1, 24]
+    assert res.solves == 25
 
 
-def test_lambert_volume_counts_its_passes(lambert_cube, monkeypatch):
+def test_lambert_path_counts_its_passes(lambert_cube, monkeypatch):
     # a stacked solve costs its slowest row's Gauss-Newton passes, and
-    # the passes of the anchor, the collapse check and the 24-row stack add
-    # up; newton_iters adds every row's own count instead
+    # the passes of the anchor and the 24-row stack add up; newton_iters
+    # adds every row's own count instead
     from coxvol import realization
 
     slowest = []
@@ -304,9 +318,9 @@ def test_lambert_volume_counts_its_passes(lambert_cube, monkeypatch):
         return X, rmax, steps
 
     monkeypatch.setattr(realization, "_newton", recorded)
-    res = schlafli_volume(lambert_cube)
-    assert res.passes == sum(slowest) == 21
-    assert res.newton_iters == 106
+    res = schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
+    assert res.passes == sum(slowest) == 15
+    assert res.newton_iters == 129
 
 
 def quadrature_by_rules(f, a, b, tol):
@@ -357,14 +371,8 @@ def test_inadmissible_waypoint_reports_path_parameter(lambert_cube):
     assert sum(angles[p.edges.index(e)] for e in p.vertex_edges[0]) <= math.pi
 
 
-def test_noncollapsing_start_rejected(triangular_prism, lambert_cube, newton_calls):
-    # the triangle circuit binds first, but the prism does not collapse
-    # there: the labeling is refused after the anchor and check solves
-    with pytest.raises(NonCollapsingStart):
-        schlafli_volume(triangular_prism)
-    assert [len(X0) for _, X0, _ in newton_calls] == [1, 1]
-    # an explicit path is not checked for collapse: from a realized start
-    # it integrates V(end) - V(start)
+def test_explicit_path_integrates_a_volume_difference(lambert_cube):
+    # from a realized start, a path integrates V(end) - V(start)
     p = lambert_cube.base
     target = lambert_cube.angles()
     mid = {e: (a + math.pi / 2) / 2 for e, a in target.items()}
@@ -376,8 +384,9 @@ def test_noncollapsing_start_rejected(triangular_prism, lambert_cube, newton_cal
 
 
 def test_quadrature_error_estimate(lambert_cube):
-    coarse = schlafli_volume(lambert_cube, tol=1e-5)
-    fine = schlafli_volume(lambert_cube, tol=1e-9)
+    path = default_path(lambert_cube.base, lambert_cube.angles())
+    coarse = schlafli_volume(path, tol=1e-5)
+    fine = schlafli_volume(path, tol=1e-9)
     assert abs(coarse.volume - fine.volume) <= max(coarse.error_estimate, 1e-7)
     assert fine.nodes >= coarse.nodes
 
@@ -433,20 +442,71 @@ def _kellerhals_lambert(alpha, beta, gamma):
     return 0.25 * (s - _lob_quad(2.0 * theta) + 2.0 * _lob_quad(math.pi / 2 - theta))
 
 
-@pytest.mark.parametrize("lmn", list(itertools.product(range(3, 9), repeat=3)))
-def test_lambert_family_closed_form(lambert_cube, lmn):
-    labels = dict(lambert_cube.labels)
+def lambert_with(lmn):
+    """The bundled Lambert cube with its essential angles pi/l, pi/m, pi/n."""
+    lp = load("lambert_cube")
+    labels = dict(lp.labels)
     essential = sorted(e for e, n in labels.items() if n == 3)
-    for e, n in zip(essential, lmn):
-        labels[e] = n
-    res = schlafli_volume(LabeledPolyhedron(base=lambert_cube.base, labels=labels))
+    labels.update(zip(essential, lmn))
+    return LabeledPolyhedron(base=lp.base, labels=labels)
+
+
+@pytest.mark.parametrize("lmn", list(itertools.product(range(3, 9), repeat=3)))
+def test_lambert_family_closed_form(lmn):
+    # on a relabeled, face-reordered copy, so the seed's pinned face and
+    # the edge order vary with the triple
+    lp = relabeled(lambert_with(lmn), random.Random(100 * lmn[0] + 10 * lmn[1] + lmn[2]))
+    res = schlafli_volume(lp)
     err = res.volume - _kellerhals_lambert(*(math.pi / n for n in lmn))
+    assert abs(err) <= 1e-11
+    assert abs(err) <= res.error_estimate
+
+
+def vesnin_loebell(n):
+    """Vesnin's closed form for the volume of right-angled L(n)."""
+    theta = math.pi / 2 - math.acos(1.0 / (2.0 * math.cos(math.pi / n)))
+    return n / 2 * (2 * _lob_quad(theta) + _lob_quad(theta + math.pi / n)
+                    + _lob_quad(theta - math.pi / n) + _lob_quad(math.pi / 2 - 2 * theta))
+
+
+def right_angled(p):
+    return LabeledPolyhedron(base=p, labels=dict.fromkeys(p.edges, 2))
+
+
+@pytest.mark.parametrize("n", range(5, 31))
+def test_loebell_family_closed_form(n):
+    res = schlafli_volume(right_angled(loebell(n)))
+    err = res.volume - vesnin_loebell(n)
     assert abs(err) <= 1e-10
     assert abs(err) <= res.error_estimate
 
 
+def test_a_labelings_volume_reports_one_solve_and_its_orthoschemes():
+    lp = load("lambert_cube")  # fresh, so no realization is kept on it yet
+    res = schlafli_volume(lp)
+    r = realize(lp)
+    assert (res.nodes, res.solves) == (4 * len(lp.base.edges), 1)
+    assert res.newton_iters == res.passes == r.newton_iters > 0
+    assert orthoscheme_volume(r) == res
+    # the rounding floor: at least 1e-15 per orthoscheme
+    assert res.error_estimate >= 1e-15 * res.nodes
+
+
+def test_a_labeling_is_realized_once_per_regime(newton_calls):
+    # realize keeps its realization on the labeling, one per regime, and
+    # the volume reads the default regime's from there
+    lp = load("lambert_cube")
+    r = realize(lp)
+    assert realize(lp) is r and realize(lp, default_regime(lp.base)) is r
+    ideal = realize(lp, ALLOW_IDEAL)
+    assert ideal is not r and realize(lp, ALLOW_IDEAL) is ideal
+    res = schlafli_volume(lp)
+    assert len(newton_calls) == 2
+    assert res == orthoscheme_volume(r)
+
+
 def test_pyramid_volume_pinned(pyramid):
-    # agrees with an adaptive GL-10 integration of the same path to 1e-11
+    # agrees with an adaptive GL-10 integration of its default path to 1e-11
     res = schlafli_volume(pyramid)
     assert res.volume == pytest.approx(0.25096025083, abs=1e-9)
     # the 1-D oracle's value, pyramid_oracle((2, 2, 3, 4)), met within the
@@ -455,16 +515,14 @@ def test_pyramid_volume_pinned(pyramid):
 
 
 @pytest.mark.parametrize("lmn", [(8, 3, 6), (8, 3, 7)])
-def test_warm_starts_that_do_not_extrapolate_reach_kellerhals(lambert_cube, lmn):
+def test_warm_starts_that_do_not_extrapolate_reach_kellerhals(lmn):
     # a tangent predictor in u, extrapolating past the cached points,
-    # sent these triples to the Newton iteration limit; interpolated
-    # starts reach the closed form within the volume's own estimate at
-    # the default tol (test_lambert_family_closed_form) and at a tol that
-    # runs the 32-node rule from many cached neighbours
-    labels = dict(lambert_cube.labels)
-    essential = sorted(e for e, n in labels.items() if n == 3)
-    labels.update(zip(essential, lmn))
-    res = schlafli_volume(LabeledPolyhedron(base=lambert_cube.base, labels=labels), tol=1e-10)
+    # sent these triples' default paths to the Newton iteration limit;
+    # interpolated starts reach the closed form within the integral's own
+    # estimate at a tol that runs the 32-node rule from many cached
+    # neighbours
+    lp = lambert_with(lmn)
+    res = schlafli_volume(default_path(lp.base, lp.angles()), tol=1e-10)
     assert res.nodes == 56
     err = res.volume - _kellerhals_lambert(*(math.pi / n for n in lmn))
     assert abs(err) <= min(res.error_estimate, 1e-10)
@@ -496,32 +554,34 @@ COMPACT_BASE_ROWS = [row for row in PUBLISHED_PYRAMID_ROWS if all(
 
 
 def test_pyramid_rows_match_the_one_dimensional_oracle(pyramid):
-    assert len(COMPACT_BASE_ROWS) == 15
+    # the paper's second result: all 17 published rows, ideal base
+    # vertices included, each realized in the pyramid's regime, which
+    # admits ideal vertices
+    assert len(PUBLISHED_PYRAMID_ROWS) == 17 and len(COMPACT_BASE_ROWS) == 15
     vols = {}
-    for row in COMPACT_BASE_ROWS:
+    # and the two rows of the fourth identity, each with an ideal base vertex
+    for row in PUBLISHED_PYRAMID_ROWS + ((2, 3, 3, 6), (3, 3, 3, 6)):
         labels = dict(pyramid.labels)
         labels.update(zip(PYRAMID_BASE, row))
         res = vols[row] = schlafli_volume(LabeledPolyhedron(base=pyramid.base, labels=labels))
         err = res.volume - pyramid_oracle(row)
-        assert abs(err) <= 1e-10, row
+        assert abs(err) <= 1e-12, row
         assert abs(err) <= res.error_estimate, row
-    # additivity: the compact rows built from copies of smaller ones
+    # additivity: rows built from copies of smaller ones
     for big, small, k in (((2, 3, 3, 3), (2, 2, 3, 3), 2), ((3, 3, 3, 3), (2, 2, 3, 3), 4),
-                          ((3, 4, 3, 4), (2, 2, 3, 4), 4)):
+                          ((3, 4, 3, 4), (2, 2, 3, 4), 4), ((3, 3, 3, 6), (2, 3, 3, 6), 2)):
         a, b = vols[big], vols[small]
         assert abs(a.volume - k * b.volume) <= a.error_estimate + k * b.error_estimate, big
-    # closed forms in the Lobachevsky function: the oracle meets every
-    # one, and the volume each compact-base one within its estimate
+        assert abs(a.volume - k * b.volume) <= 1e-11, big
+    # closed forms in the Lobachevsky function, met by the oracle to
+    # 1e-13, and by every sum within its estimate and 1e-12
     quarter, third = lob(math.pi / 4), lob(math.pi / 3)
     for row, closed in (((2, 2, 3, 3), quarter / 3), ((2, 3, 3, 3), 2 * quarter / 3),
                         ((3, 3, 3, 3), 4 * quarter / 3), ((2, 2, 4, 4), quarter),
                         ((2, 2, 3, 6), 5 * third / 4)):
         assert abs(pyramid_oracle(row) - closed) <= 1e-13, row
-        if row in vols:
-            assert abs(vols[row].volume - closed) <= vols[row].error_estimate, row
-    # both rows have an ideal base vertex, so only the oracle meets this one
+        assert abs(vols[row].volume - closed) <= min(vols[row].error_estimate, 1e-12), row
     assert abs(pyramid_oracle((3, 3, 3, 6)) - 2 * pyramid_oracle((2, 3, 3, 6))) <= 1e-13
-    assert {(2, 2, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3)} <= vols.keys()
 
 
 def test_segment_out_of_an_ideal_base_row(pyramid, newton_calls):
@@ -545,12 +605,16 @@ def test_segment_out_of_an_ideal_base_row(pyramid, newton_calls):
     assert newton_calls == []
 
 
-def test_all_right_angled_cube_sits_on_a_boundary(cube_all2):
+def test_all_right_angled_cube_sits_on_a_boundary(cube_all2, newton_calls):
     # every deviation from pi/2 is zero, so the 4-circuit rows stay at
-    # their bound 2*pi along the whole path; without this check the
-    # Euclidean cube would come out with volume 0.0
+    # their bound 2*pi along the whole default path; without this check
+    # the Euclidean cube would come out with volume 0.0.  The labeling is
+    # refused by the same rows, before any solve
     with pytest.raises(VolumeError, match="target sits on an admissibility boundary"):
+        default_path(cube_all2.base, cube_all2.angles())
+    with pytest.raises(VolumeError, match=r"labeling rejected \(condition 4\)"):
         schlafli_volume(cube_all2)
+    assert newton_calls == []
 
 
 LAMBERT_ROW = [load("lambert_cube").angles()[e] for e in load("lambert_cube").base.edges]
@@ -590,15 +654,15 @@ def test_path_table_is_a_read_only_copy(lambert_cube):
 
 
 @pytest.mark.parametrize("name", ["lambert_cube", "pyramid"])
-def test_a_labeling_is_shorthand_for_its_default_path(name):
-    # the same path and rules; only the labeling checks its start for
-    # collapse, which solves one row more and moves the warm starts
+def test_a_labelings_volume_matches_its_default_path(name):
+    # the two backends: the orthoscheme sum of one realization, and the
+    # Schlaefli integral along the path from the collapse configuration
     lp = load(name)
     labeled = schlafli_volume(lp)
     explicit = schlafli_volume(default_path(lp.base, lp.angles()))
     assert abs(labeled.volume - explicit.volume) <= labeled.error_estimate + explicit.error_estimate
-    assert labeled.nodes == explicit.nodes
-    assert labeled.solves == explicit.solves + 1
+    assert (labeled.nodes, labeled.solves) == (4 * len(lp.base.edges), 1)
+    assert explicit.solves == explicit.nodes + 1
 
 
 PATH_BASES = [load("lambert_cube").base, load("pyramid").base]
@@ -661,3 +725,54 @@ def test_lattice_edges_add_up(cube_all2):
         dv = schlafli_volume(DeformationPath.from_configs(p, [la.angles(), lb.angles()]))
         assert abs(va.volume + dv.volume - vb.volume) <= \
             va.error_estimate + dv.error_estimate + vb.error_estimate, (la.labels, lb.labels)
+
+
+def relabeled(lp, rng):
+    """``lp`` with its vertex ids permuted, its faces shuffled and each
+    face's cycle rotated, its labels carried along."""
+    p = lp.base
+    image = dict(zip(p.vertices, rng.sample(p.vertices, len(p.vertices))))
+    order = list(range(len(p.faces)))
+    rng.shuffle(order)
+    faces = []
+    for fid in order:
+        f, r = p.faces[fid], rng.randrange(len(p.faces[fid]))
+        faces.append(tuple(image[v] for v in f[r:] + f[:r]))
+    q = AbstractPolyhedron(
+        name=p.name, faces=tuple(faces),
+        outer_face=None if p.outer_face is None else order.index(p.outer_face),
+        ideal_candidates=frozenset(image[v] for v in p.ideal_candidates))
+    return LabeledPolyhedron(base=q, labels={edge_key(image[a], image[b]): n
+                                             for (a, b), n in lp.labels.items()})
+
+
+REALIZABLE_CORPUS = [name for name in CORPUS if check(load(name), default_regime(load(name).base)).realizable]
+RELABEL_TARGETS = st.one_of(
+    st.sampled_from(REALIZABLE_CORPUS).map(load),
+    st.tuples(*[st.integers(3, 8)] * 3).map(lambert_with),
+    st.integers(5, 12).map(lambda n: right_angled(loebell(n))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lp=RELABEL_TARGETS, seed=st.integers(0, 2**16))
+def test_volume_is_unchanged_by_relabeling(lp, seed):
+    # another seed, edge order and gauge: the same polyhedron
+    a = schlafli_volume(lp)
+    b = schlafli_volume(relabeled(lp, random.Random(seed)))
+    assert abs(a.volume - b.volume) <= a.error_estimate + b.error_estimate
+    assert a.nodes == b.nodes
+
+
+CUBE_ML4 = [row.labels for row in enumerate_labelings(load("cube_all2").base, 4)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(labels=st.sampled_from(CUBE_ML4))
+def test_orthoscheme_sum_matches_the_quadrature_on_cube_rows(labels):
+    # the second backend on the cube's strict census rows at max-label 4
+    p = load("cube_all2").base
+    lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))
+    a = schlafli_volume(lp)
+    b = schlafli_volume(default_path(p, lp.angles()))
+    assert abs(a.volume - b.volume) <= 1e-10
+    assert abs(a.volume - b.volume) <= a.error_estimate + b.error_estimate
