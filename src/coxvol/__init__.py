@@ -12,8 +12,7 @@ from .poly_model import (AbstractPolyhedron, LabeledPolyhedron, ParseError,
                          ValidationReport, automorphisms, parse_polyhedron,
                          serialize_polyhedron, validate)
 from .realization import Realization, RealizationError, dof_audit, edge_lengths, realize
-from .volume import (DeformationPath, VolumeResult, default_path, orthoscheme_volume,
-                     schlafli_volume)
+from .volume import DeformationPath, VolumeResult, orthoscheme_volume, schlafli_volume
 
 __all__ = [
     "ALLOW_IDEAL", "STRICT_COMPACT", "AndreevReport", "check",
@@ -26,5 +25,5 @@ __all__ = [
     "AbstractPolyhedron", "LabeledPolyhedron", "ParseError", "ValidationReport",
     "automorphisms", "parse_polyhedron", "serialize_polyhedron", "validate",
     "Realization", "RealizationError", "dof_audit", "edge_lengths", "realize",
-    "DeformationPath", "VolumeResult", "default_path", "orthoscheme_volume", "schlafli_volume",
+    "DeformationPath", "VolumeResult", "orthoscheme_volume", "schlafli_volume",
 ]

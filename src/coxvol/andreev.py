@@ -20,8 +20,8 @@ none on right-angled L(n), three on the cube.  Its readers:
   angles in units of pi/U, U a common denominator of all 1/n, and
   never calls ``check``;
 - the volume integrator compares float angle sums with bound*pi, for
-  its collapse path and for the target's ideal vertices; the
-  realization reads a vertex's kind from the realized vertex instead.
+  the ideal vertices at a path's end; the realization reads a vertex's
+  kind from the realized vertex instead.
 
 Condition 1 (positive angles) holds for every label n >= 2 and has no
 rows.

@@ -18,7 +18,7 @@ from .haken import LARGE, classify
 from .lobachevsky import ideal_tetrahedron_volume, lob
 from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
 from .realization import LabelingRejected, RealizationError, realize
-from .volume import DEFAULT_TOL, VolumeError, orthoscheme_volume, schlafli_volume
+from .volume import VolumeError, orthoscheme_volume
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -165,7 +165,7 @@ def _cmd_realize(args) -> int:
         r = realize(lp, regime=regime)
     except LabelingRejected as exc:
         print(f"error: {exc}")
-        _result("realize", "rejected")
+        _result("realize", "rejected", reason=exc.report.reason or exc.report.outcome)
         return EXIT_REJECTED
     for fid in sorted(r.normals):
         coords = " ".join(_fmt(x, 17) for x in r.normals[fid])
@@ -185,12 +185,13 @@ def _cmd_realize(args) -> int:
 
 def _cmd_volume(args) -> int:
     lp = _load(args.file)
-    rep = andreev.check(lp, andreev.default_regime(lp.base))
-    if not rep.realizable:
-        print(f"error: labeling rejected ({rep.reason or rep.outcome})")
-        _result("volume", "rejected", reason=rep.reason or rep.outcome)
+    try:
+        res = orthoscheme_volume(realize(lp))
+    except LabelingRejected as exc:
+        reason = exc.report.reason or exc.report.outcome
+        print(f"error: labeling rejected ({reason})")
+        _result("volume", "rejected", reason=reason)
         return EXIT_REJECTED
-    res = schlafli_volume(lp, tol=args.tol)
     scale = 2.0 if args.doubled else 1.0  # the doubling convention: twice the true volume
     volume, error = scale * res.volume, scale * res.error_estimate
     print(f"volume: {_fmt(volume, 17)}")
@@ -333,8 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="volume of the labeling: one realization and the orthoscheme sum")
     p.add_argument("file")
     p.add_argument("--doubled", action="store_true")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="must be positive; a labeling's volume does not depend on it")
 
     p = add("census", _cmd_census, help="orbit census of admissible labelings")
     p.add_argument("file")

@@ -607,7 +607,7 @@ class PathRealizer:
     warm-started from the solutions cached before the call: a t between
     two cached points starts from their solutions interpolated linearly
     in u = sqrt(t), the variable of the volume quadrature, in which the
-    solutions are smooth at the collapse end; a t outside the cached
+    solutions are smooth at a collapse start; a t outside the cached
     range starts from the nearer end, since extrapolation can overshoot.
     ``solution_at(t)`` is the one-row case.  Solutions are cached only
     when they converge, and requests issued in a fixed order produce

@@ -45,14 +45,12 @@ is one straight segment, from start angles to end angles over t in
 [0, 1], and its integral is V(end) - V(start); a detour is a chain of
 segments, and its integral the sum of theirs.  ``angle_rows`` is the
 segment's one interpolation, the angles at one t its one-row case; their
-t-derivative is the constant row end - start.  ``default_path`` runs
-from the collapse configuration, obtained by shrinking every angle's
-deviation from pi/2 until an admissibility constraint becomes an
-equality, to a labeling's angles.
+t-derivative is the constant row end - start.
 
-Near a collapse end the integrand grows like sqrt(t); integrating in
-u, with t = u^2, makes it smooth on all of [0, 1], where Gauss-Legendre
-rules converge in a few dozen nodes.
+A segment may start where the polyhedron collapses, as the Lambert cube
+does at all right angles; there the integrand grows like sqrt(t), and
+integrating in u, with t = u^2, makes it smooth on all of [0, 1], where
+Gauss-Legendre rules converge in a few dozen nodes.
 
 Edges whose angle is constant along the path contribute nothing and are
 excluded before evaluation; this is what keeps ideal-apex families
@@ -156,44 +154,6 @@ class DeformationPath:
 
 
 # ---------------------------------------------------------------------------
-# default (linear-from-collapse) path construction
-
-
-def collapse_fraction(p: AbstractPolyhedron, target: dict[Edge, float]) -> float:
-    """Largest s in [0, 1) at which scaling every angle's deviation from
-    pi/2 by s makes some decisive circuit or face row of the
-    admissibility table an equality.
-
-    A target on such a row's bound or past it raises VolumeError before
-    any solve.  Vertex rows are skipped: for an admissible target they
-    bind at s = 1 at the earliest, and an ideal vertex's row would bind
-    there exactly, which rounding can put just below 1.
-    """
-    dev = {e: target[e] - math.pi / 2 for e in target}
-    s0 = 0.0
-    for row in constraints(p):
-        if row.informational or row.condition == VERTEX:
-            continue
-        base = len(row.edges) * math.pi / 2
-        bound = row.bound * math.pi
-        slope = sum(dev[e] for e in row.edges)
-        if base + slope >= bound - 1e-12:
-            raise VolumeError(f"target sits on an admissibility boundary or past it: "
-                              f"condition {row.condition} row {row.witness}")
-        if base >= bound:  # fails at the start, so slope < 0
-            s0 = max(s0, (bound - base) / slope)
-    return s0
-
-
-def default_path(p: AbstractPolyhedron, target: dict[Edge, float]) -> DeformationPath:
-    """Linear path on ``p`` from the collapse configuration to the
-    target angles; a labeling passes ``lp.base, lp.angles()``."""
-    s0 = collapse_fraction(p, target)
-    row = np.array([target[e] for e in p.edges])
-    return DeformationPath(p, [math.pi / 2 + s0 * (row - math.pi / 2), row])
-
-
-# ---------------------------------------------------------------------------
 # quadrature
 
 
@@ -263,11 +223,10 @@ class _Integrand:
     The varying edges' endpoints must be compact at the target: checked
     on the float slack of the vertex rows there, a vertex below its
     bound raises RealizationError, and a varying edge at a vertex on it
-    IdealEdge.  A vertex row's slack is linear in t, and on the default
-    path it is positive at the start too, so these vertices are compact
-    at every node.  On an explicit path that starts where one is not,
-    its edges' lengths come out nan near the start and the node raises
-    PathRealizationFailure naming it.
+    IdealEdge.  A vertex row's slack is linear in t, so a vertex compact
+    at both ends is compact at every node.  On a path that starts where
+    one is not, its edges' lengths come out nan near the start and the
+    node raises PathRealizationFailure naming it.
     """
 
     def __init__(self, path: DeformationPath):
@@ -320,12 +279,14 @@ class _Integrand:
 
 def schlafli_volume(target: DeformationPath | LabeledPolyhedron,
                     tol: float = DEFAULT_TOL) -> VolumeResult:
-    """A labeling's volume, or a path's change of volume.
+    """A path's change of volume, or a labeling's volume.
 
-    A labeling's volume is ``orthoscheme_volume`` of ``realize(target)``,
-    which reuses the realization kept on the labeling; ``tol`` is not
-    used.  A labeling the admissibility check rejects raises VolumeError
-    naming every decisive condition it fails, before any solve.
+    A labeling is taken only because the benchmark times a labeling's
+    volume under this name: it is ``orthoscheme_volume`` of
+    ``realize(target)``, which reuses the realization kept on the
+    labeling, and ``tol`` is not used.  A labeling the admissibility
+    check rejects raises VolumeError naming every decisive condition it
+    fails, before any solve.
 
     A path's is V(end) - V(start): -1/2 sum len_e dtheta_e integrated
     along it, over its whole length by segment_quadrature to ``tol``.

@@ -19,8 +19,7 @@ from coxvol.lobachevsky import lob
 from coxvol.poly_model import LabeledPolyhedron
 from coxvol.realization import (_newton, _system, build_realization, dof_audit, realize,
                                 solve_at)
-from coxvol.volume import (DeformationPath, _Integrand, default_path, schlafli_volume,
-                           segment_quadrature)
+from coxvol.volume import DeformationPath, _Integrand, schlafli_volume, segment_quadrature
 
 
 def report(n, text):
@@ -29,7 +28,7 @@ def report(n, text):
 
 def test_criterion_1_lambert_cube_volume(lambert_cube):
     t0 = time.perf_counter()
-    res = schlafli_volume(lambert_cube, tol=1e-8)
+    res = schlafli_volume(lambert_cube)
     doubled = 2 * res.volume
     elapsed = time.perf_counter() - t0
     assert doubled == pytest.approx(0.648847, abs=2e-3)
@@ -93,7 +92,7 @@ def test_criterion_4_three_threes(cube_all2):
         for e in triple:
             labels[e] = 3
         lp = LabeledPolyhedron(base=cube_all2.base, labels=labels)
-        vols.append(schlafli_volume(lp, tol=1e-8).volume)
+        vols.append(schlafli_volume(lp).volume)
     for a, b in combinations(vols, 2):
         assert a == pytest.approx(b, abs=1e-6)
     report(4, f"220 placements: 56 admissible, 8 non-adjacent forming 1 orbit "
@@ -148,7 +147,8 @@ def test_criterion_6_log_sine_suite():
 
 def test_criterion_7_differential_self_consistency(lambert_cube):
     p = lambert_cube.base
-    path = default_path(p, lambert_cube.angles())
+    start = {e: math.pi / 2 for e in p.edges}
+    path = DeformationPath.from_configs(p, [start, lambert_cube.angles()])
     f = _Integrand(path)
     h = 1e-4
     for t in (0.2, 0.35, 0.5, 0.65, 0.8):
@@ -156,8 +156,7 @@ def test_criterion_7_differential_self_consistency(lambert_cube):
         deriv = (acc(t + h) - acc(t - h)) / (2 * h)
         assert deriv == pytest.approx(-0.5 * f([t])[0], rel=1e-6)
 
-    direct = schlafli_volume(lambert_cube, tol=1e-8)
-    start = {e: math.pi / 2 for e in p.edges}
+    direct = schlafli_volume(lambert_cube)
     mid = dict(start)
     for e, n in lambert_cube.labels.items():
         if n == 3:

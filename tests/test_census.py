@@ -315,7 +315,7 @@ def test_three_threes_volumes_agree(cube_all2):
         for e in triple:
             labels[e] = 3
         lp = LabeledPolyhedron(base=cube_all2.base, labels=labels)
-        vols.append(schlafli_volume(lp, tol=1e-8).volume)
+        vols.append(schlafli_volume(lp).volume)
     assert vols[0] == pytest.approx(vols[1], abs=1e-6)
 
 

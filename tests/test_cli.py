@@ -117,14 +117,17 @@ def test_realize_all_ideal_cube(capsys, tmp_path):
 
 
 def test_realize_rejected(capsys, data_dir):
+    # the reason is the rejection report's, as on the volume's line
     code, out = run(capsys, "realize", str(data_dir / "cube_all2.apoly"))
     assert code == 1
-    assert "RESULT realize rejected" in result_line(out)
+    assert result_line(out) == "RESULT realize rejected reason=condition-4"
+    code, out = run(capsys, "realize", "pyramid", "--regime", "strict")
+    assert code == 1
+    assert result_line(out) == "RESULT realize rejected reason=condition-2"
 
 
 def test_volume_lambert_doubled(capsys, data_dir):
-    code, out = run(capsys, "volume", str(data_dir / "lambert_cube.apoly"),
-                    "--doubled", "--tol", "1e-7")
+    code, out = run(capsys, "volume", str(data_dir / "lambert_cube.apoly"), "--doubled")
     assert code == 0
     line = result_line(out)
     assert "doubled=true" in line
@@ -137,7 +140,23 @@ def test_volume_lambert_doubled(capsys, data_dir):
 def test_volume_rejected_labeling(capsys, data_dir):
     code, out = run(capsys, "volume", str(data_dir / "cube_all2.apoly"))
     assert code == 1
-    assert "RESULT volume rejected" in result_line(out)
+    assert result_line(out) == "RESULT volume rejected reason=condition-4"
+
+
+def test_volume_checks_the_labeling_once(capsys, monkeypatch):
+    from coxvol import andreev
+
+    calls = []
+    check = andreev.check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(andreev, "check", counted)
+    code, _ = run(capsys, "volume", "lambert_cube")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_census_over_budget_is_input_error(capsys):
@@ -227,7 +246,7 @@ def test_volume_realization_failure_is_numerical(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NonConvergence("Newton step stagnated", 1e-3)
 
-    monkeypatch.setattr(cli, "schlafli_volume", fail)
+    monkeypatch.setattr(cli, "realize", fail)
     code, out = run(capsys, "volume", "lambert_cube")
     assert code == 4
     assert "error: Newton step stagnated" in out

@@ -9,7 +9,6 @@ from coxvol import andreev
 from coxvol.census import _admissible_mask, _ideal_counts, _units
 from coxvol.corpus import load, loebell
 from coxvol.poly_model import LabeledPolyhedron
-from coxvol.volume import collapse_fraction
 
 MAX_LABEL = 7
 
@@ -79,5 +78,3 @@ def test_exact_and_vectorized_evaluators_agree(lp, regime):
         n_ideal = int(_ideal_counts(p, row - 2, _units(andreev.constraints(p), MAX_LABEL))[0])
         assert n_ideal == list(report.vertex_types.values()).count(andreev.IDEAL)
         assert andreev.admissible_outcome(n_ideal > 0) == report.outcome
-    if report.outcome == "realizable-compact":
-        assert 0.0 <= collapse_fraction(p, lp.angles()) < 1.0

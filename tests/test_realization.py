@@ -22,7 +22,7 @@ from coxvol.realization import (METRIC, RESIDUAL_TOL, PathRealizer, dof_audit, e
                                 DegenerateVertex, LabelingRejected, NonConvergence,
                                 RealizationError, _System,
                                 _cofactors, _compute_vertices, _null_vectors)
-from coxvol.volume import DeformationPath, default_path, schlafli_volume
+from coxvol.volume import DeformationPath, schlafli_volume
 
 
 def warm_solve(p, angles, X0):
@@ -94,7 +94,7 @@ def test_realization_imports_nothing_from_volume(imported_modules):
 
 def test_path_realizer_is_deterministic(lambert_cube):
     # requests in a fixed order give bit-identical solutions
-    path = default_path(lambert_cube.base, lambert_cube.angles())
+    path = walk_to(lambert_cube)
     ts = (0.9, 0.1, 0.55, 1e-3, 0.3, 0.95)
     runs = []
     for _ in range(2):
@@ -132,7 +132,7 @@ def test_warm_start_interpolates_between_cached_neighbours(lambert_cube, monkeyp
         return newton(sys_, X0, targets)
 
     monkeypatch.setattr(realization, "_newton", recorded)
-    path = default_path(lambert_cube.base, lambert_cube.angles())
+    path = walk_to(lambert_cube)
     walker = PathRealizer(path)
     anchor = realization._system(lambert_cube.base).targets(path.angles_at(PathRealizer.ANCHOR_T))
     assert np.array_equal(starts[0], realization._seed(lambert_cube.base, anchor)[None])
@@ -194,6 +194,31 @@ def test_pyramid_realization_with_ideal_apex(pyramid):
 
 def right_angled(p):
     return LabeledPolyhedron(base=p, labels={e: 2 for e in p.edges})
+
+
+def one_label_away(lp, rng):
+    """An admissible labeling that differs from ``lp`` in one label: a
+    random edge and a random other label in 2..4, drawn until the check
+    passes, as ``test_volume.test_lattice_edges_add_up`` draws them."""
+    p = lp.base
+    while True:
+        e = p.edges[rng.integers(len(p.edges))]
+        near = {**lp.labels, e: int(rng.choice([n for n in (2, 3, 4) if n != lp.labels[e]]))}
+        if check(LabeledPolyhedron(base=p, labels=near)).realizable:
+            return LabeledPolyhedron(base=p, labels=near)
+
+
+# the triangular prism's prismatic 3-circuit is past its bound at all
+# right angles, so its walks start one label away instead
+PRISM_START = one_label_away(load("triangular_prism"), np.random.default_rng(4))
+
+
+def walk_to(lp):
+    """The segment to ``lp``'s angles from all right angles, or on the
+    triangular prism from PRISM_START."""
+    p = lp.base
+    start = PRISM_START if p.name == "triangular_prism" else right_angled(p)
+    return DeformationPath.from_configs(p, [start.angles(), lp.angles()])
 
 
 PYRAMID = load("pyramid")
@@ -315,7 +340,7 @@ def test_edge_lengths_constant_on_label_orbits(lambert_cube):
 
 def test_edge_lengths_shrink_toward_collapse(lambert_cube):
     p = lambert_cube.base
-    path = default_path(p, lambert_cube.angles())
+    path = walk_to(lambert_cube)
     walker = PathRealizer(path)
     varying = path.varying_edges
     prev = None
@@ -405,8 +430,7 @@ def test_vertices_match_svd_oracle(name, loebell):
     # what the Newton stop leaves of the solve's residual
     lp = load(name) if name in CORPUS else relabeled_loebell(loebell, int(name[1:]))
     p = lp.base
-    path = default_path(p, lp.angles())
-    walker = PathRealizer(path)
+    walker = PathRealizer(walk_to(lp))
     for t in (0.3, 0.7, 1.0):
         E = walker.solution_at(t).reshape(len(p.faces), 4)
         W, compact = _compute_vertices(p, corner_vectors(p, E))
@@ -487,9 +511,9 @@ def lengths_by_cofactors(sys_, X, cols):
 
 def test_lengths_match_the_full_cofactors(lambert_cube, monkeypatch):
     # bit for bit, nan where the oracle is nan: the stack the Lambert
-    # cube's default path reads its lengths from (the 24 nodes of the 8-
-    # and 16-node rules), and every edge along a path on which vertex 0
-    # stops being compact
+    # cube's segment from all right angles reads its lengths from (the 24
+    # nodes of the 8- and 16-node rules), and every edge along a path on
+    # which vertex 0 stops being compact
     calls = []
     lengths = _System.lengths
 
@@ -498,7 +522,7 @@ def test_lengths_match_the_full_cofactors(lambert_cube, monkeypatch):
         return lengths(self, X, cols)
 
     monkeypatch.setattr(_System, "lengths", recorded)
-    schlafli_volume(default_path(lambert_cube.base, lambert_cube.angles()))
+    schlafli_volume(walk_to(lambert_cube))
     assert [len(X) for _, X, _ in calls] == [24]
     p = lambert_cube.base
     path = vertex0_path(lambert_cube)
@@ -701,7 +725,7 @@ targets_on_paths = st.one_of(
        scale=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]), seed=st.integers(0, 2**16))
 def test_step_is_the_minimum_norm_least_squares_step(lp, t, scale, seed):
     p = lp.base
-    path = default_path(p, lp.angles())
+    path = walk_to(lp)
     X = PathRealizer(path).solution_at(t)
     X = X + scale * np.random.default_rng(seed).standard_normal(X.shape)
     sys_ = _System(p)
@@ -754,7 +778,7 @@ def test_stacked_rows_match_one_row_solves(lp, ts, scale, seed, singular):
     # here to keep the test fast), and an all-zero start has a singular
     # Newton matrix.
     p = lp.base
-    path = default_path(p, lp.angles())
+    path = walk_to(lp)
     anchor = PathRealizer(path).solution_at(PathRealizer.ANCHOR_T)
     X0 = anchor + scale * np.random.default_rng(seed).standard_normal((len(ts), anchor.size))
     if singular:
@@ -783,7 +807,7 @@ def test_start_between_points_merged_in_u(lambert_cube):
     # merge in u, and it starts from the lower one's solution
     lo, t, hi = 0.49999999999999983, 0.4999999999999999, 0.49999999999999994
     assert lo < t < hi and math.sqrt(lo) == math.sqrt(t) == math.sqrt(hi)
-    walker = PathRealizer(default_path(lambert_cube.base, lambert_cube.angles()))
+    walker = PathRealizer(walk_to(lambert_cube))
     anchor = walker.cache[PathRealizer.ANCHOR_T]
     walker.cache.update({lo: anchor + 1.0, hi: anchor + 2.0})
     assert walker._start(sorted(walker.cache), t) is walker.cache[lo]
@@ -792,7 +816,7 @@ def test_start_between_points_merged_in_u(lambert_cube):
 def test_solutions_at_warm_starts_from_the_cache_before_the_call(lambert_cube):
     # 0.3 and 0.35 both start from the anchor at 0.5, not 0.35 from 0.3;
     # each row then equals a one-row solve from that start
-    path = default_path(lambert_cube.base, lambert_cube.angles())
+    path = walk_to(lambert_cube)
     walker = PathRealizer(path)
     anchor = walker.cache[PathRealizer.ANCHOR_T]
     X = walker.solutions_at([0.35, 0.3])
@@ -952,10 +976,10 @@ def gram(r):
                          ids=["lambert_cube", "triangular_prism", "pyramid", "lambert-358",
                               "lambert-888", "L5", "L9"])
 def test_cold_solve_matches_the_path_realization(lp):
-    # one cold solve lands where the walk from the collapse end does: the
+    # one cold solve lands where the walk along a segment does: the
     # Gram matrices agree to what two solves stopped at RESIDUAL_TOL allow
     p = lp.base
-    path = default_path(p, lp.angles())
+    path = walk_to(lp)
     walked = build_realization(p, lp.angles(), PathRealizer(path).solution_at(1.0), 0)
     assert np.max(np.abs(gram(realize(lp)) - gram(walked))) <= 2e-10
 

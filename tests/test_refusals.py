@@ -13,7 +13,7 @@ from coxvol.haken import classify
 from coxvol.lobachevsky import ideal_tetrahedron_volume, lob
 from coxvol.poly_model import (AbstractPolyhedron, LabeledPolyhedron, PolyhedronError,
                                edge_key, parse_polyhedron)
-from coxvol.volume import schlafli_volume
+from coxvol.volume import DeformationPath, schlafli_volume
 
 DIHEDRON = "polyhedron dihedron\nface 0: 0 1 2\nface 1: 0 2 1\n"
 
@@ -29,6 +29,12 @@ def relabeled(label):
     else:
         labels[first] = label
     return LabeledPolyhedron(base=lp.base, labels=labels)
+
+
+def lambert_segment():
+    """The segment from the bundled Lambert cube's angles to themselves."""
+    lp = corpus.load("lambert_cube")
+    return DeformationPath.from_configs(lp.base, [lp.angles()] * 2)
 
 
 def pentagonal_pyramid():
@@ -56,14 +62,14 @@ def pentagonal_pyramid():
     (lambda: andreev.constraints(AbstractPolyhedron("pyramid", corpus.load("pyramid").base.faces)),
      ValueError, "4-valent but not an ideal candidate"),
     (lambda: andreev.constraints(pentagonal_pyramid()), ValueError, "valence 5"),
-    (lambda: schlafli_volume(corpus.load("lambert_cube"), tol=-1e-8),
-     ValueError, "tol must be positive"),
+    (lambda: schlafli_volume(lambert_segment(), tol=-1e-8), ValueError, "tol must be positive"),
+    (lambda: schlafli_volume(lambert_segment(), tol=math.nan), ValueError, "tol must be positive"),
     (lambda: classify(corpus.load("lambert_cube").base, cap=2), ValueError, "cap must be >= 3"),
     (lambda: circuits_up_to(corpus.load("lambert_cube").base, cap=2),
      ValueError, "cap must be >= 3"),
 ], ids=["census-max-label", "census-invalid", "pyramid-max-label", "pyramid-convention",
         "corpus-name", "loebell-n", "lob-inf", "lob-nan", "idealtet-negative", "edge-key",
-        "missing-label", "label-one", "unflagged-apex", "five-valent", "volume-tol",
+        "missing-label", "label-one", "unflagged-apex", "five-valent", "volume-tol", "volume-tol-nan",
         "classify-cap", "circuits-cap"])
 def test_library_refuses(call, error, message):
     with pytest.raises(error, match=message):
@@ -73,10 +79,10 @@ def test_library_refuses(call, error, message):
 @pytest.mark.parametrize("argv", [
     ("lob", "pi*2"), ("lob", "inf"),
     ("census", "cube_all2", "--max-label", "1"), ("pyramid-table", "--max-label", "2"),
-    ("volume", "lambert_cube", "--tol", "0"), ("volume", "lambert_cube", "--tol", "nan"),
     ("classify", "lambert_cube", "--cap", "2"), ("circuits", "lambert_cube", "--cap", "2"),
-    # usage errors argparse reports for a subcommand it recognised
-    ("volume", "lambert_cube", "--tol", "abc"), ("volume", "lambert_cube", "--tol", "-1e-8"),
+    # usage errors argparse reports for a subcommand it recognised; volume
+    # has no --tol, since a labeling's volume has no tolerance
+    ("volume", "lambert_cube", "--tol", "1e-8"),
     ("check", "lambert_cube", "--regime", "bogus"), ("check", "lambert_cube", "--bogus")])
 def test_cli_refuses(capsys, argv):
     assert main(list(argv)) == 2
