@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from coxvol.andreev import ALLOW_IDEAL, REGIMES, STRICT_COMPACT, check, default_regime
+from coxvol.andreev import ALLOW_IDEAL, REGIMES, STRICT_COMPACT, check, constraints, default_regime
 from coxvol.census import PUBLISHED_PYRAMID_ROWS, enumerate_labelings
 from coxvol.cli import main
 from coxvol.corpus import CORPUS, load, loebell
@@ -30,6 +30,38 @@ def from_right_angles(p, target):
     ``target``, a dict by edge.  On the Lambert cube, the pyramid and the
     cube's census rows it starts where the polyhedron collapses."""
     return DeformationPath(p, [[math.pi / 2] * len(p.edges), [target[e] for e in p.edges]])
+
+
+def test_segment_from_right_angles_endpoints(lambert_cube):
+    path = from_right_angles(lambert_cube.base, lambert_cube.angles())
+    assert len(path.table) == 2
+    assert path.angles_at(1.0) == pytest.approx(lambert_cube.angles())
+    right = dict.fromkeys(lambert_cube.base.edges, math.pi / 2)
+    assert path.angles_at(0.0) == pytest.approx(right)
+    assert set(path.varying_edges) == {e for e, n in lambert_cube.labels.items() if n == 3}
+
+
+def test_prism_segment_from_right_angles_crosses_its_triangle_bound(triangular_prism):
+    # the triangle circuit 3*(pi/2 + t*(pi/4 - pi/2)) reaches pi at t = 2/3:
+    # before it the segment is past the circuit's bound, after it inside
+    p = triangular_prism.base
+    path = from_right_angles(p, triangular_prism.angles())
+    (row,) = [r for r in constraints(p) if r.condition == 3]
+    cols = [p.edges.index(e) for e in row.edges]
+    sums = path.angle_rows([0.0, 0.5, 2.0 / 3.0, 0.8, 1.0])[:, cols].sum(axis=1) / math.pi
+    assert sums[2] == pytest.approx(row.bound, abs=1e-12)
+    assert sums[0] > sums[1] > row.bound > sums[3] > sums[4]
+
+
+def test_prism_segment_from_right_angles_is_refused(triangular_prism):
+    # its anchor at t = 1/2 is past the triangle circuit's bound, so the
+    # anchor's solve fails: a typed error, never a volume
+    from coxvol.realization import PathRealizer
+
+    path = from_right_angles(triangular_prism.base, triangular_prism.angles())
+    with pytest.raises(PathRealizationFailure) as info:
+        schlafli_volume(path)
+    assert info.value.t == PathRealizer.ANCHOR_T
 
 
 def test_zero_path_gives_zero_volume(lambert_cube):
