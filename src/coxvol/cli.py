@@ -3,31 +3,37 @@
 Every subcommand prints a deterministic text report whose last line is
 machine parsable: ``RESULT <subcommand> <verdict> <key=value ...>``.
 Exit codes: 0 success / realizable / Large, 1 admissibility rejection,
-2 input error, 3 Small, 4 numerical failure.
+2 input error, 3 Small, 4 numerical failure, 141 stdout closed before
+the report was written (as a shell reports a process that SIGPIPE ended;
+nothing more is printed).
+
+The subcommands that use numpy (realize, volume, census, pyramid-table,
+lob and idealtet) import the numeric modules when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-from . import andreev, census, corpus
+from . import andreev, corpus
 from .circuits import DEFAULT_CIRCUIT_CAP, circuits_up_to, enumerate_circuits
 from .haken import LARGE, classify
-from .lobachevsky import ideal_tetrahedron_volume, lob
-from .poly_model import LabeledPolyhedron, ParseError, parse_polyhedron, validate
-from .realization import LabelingRejected, RealizationError, realize
-from .volume import VolumeError, orthoscheme_volume
+from .poly_model import LabeledPolyhedron, ParseError, PolyhedronError, parse_polyhedron, validate
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_SMALL = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141
 
 _REGIMES = {"strict": andreev.STRICT_COMPACT, "ideal": andreev.ALLOW_IDEAL}
-_CONVENTIONS = {"listed": census.AS_LISTED_CYCLIC, "any": census.ANY_ARRANGEMENT}
+# census's AS_LISTED_CYCLIC and ANY_ARRANGEMENT, spelled out so that the
+# command line reads census, and numpy with it, only in its own subcommands
+_CONVENTIONS = {"listed": "as-listed-cyclic", "any": "any-arrangement"}
 
 
 def _read(path: str) -> LabeledPolyhedron:
@@ -159,6 +165,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .realization import LabelingRejected, realize
+
     lp = _load(args.file)
     regime = _REGIMES[args.regime] if args.regime else None
     try:
@@ -184,9 +192,13 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from .realization import LabelingRejected, realize
+    from .volume import orthoscheme_volume
+
     lp = _load(args.file)
+    regime = _REGIMES[args.regime] if args.regime else None
     try:
-        res = orthoscheme_volume(realize(lp))
+        res = orthoscheme_volume(realize(lp, regime=regime))
     except LabelingRejected as exc:
         reason = exc.report.reason or exc.report.outcome
         print(f"error: labeling rejected ({reason})")
@@ -207,6 +219,9 @@ def _cmd_volume(args) -> int:
 def _census_volume(p, labels, regime):
     """A census row's volume, realized in the census's ``regime``, or the
     RealizationError that stopped it."""
+    from .realization import RealizationError, realize
+    from .volume import orthoscheme_volume
+
     try:
         lp = LabeledPolyhedron(base=p, labels=dict(zip(p.edges, labels)))
         return orthoscheme_volume(realize(lp, regime)).volume
@@ -215,6 +230,8 @@ def _census_volume(p, labels, regime):
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     lp = _load(args.file)
     regime = _REGIMES[args.regime]
     rows = census.enumerate_labelings(lp.base, args.max_label, regime=regime)
@@ -248,6 +265,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_pyramid_table(args) -> int:
+    from . import census
+
     diff = census.pyramid_census(args.max_label,
                                  convention=_CONVENTIONS[args.convention],
                                  regime=_REGIMES[args.regime])
@@ -260,6 +279,8 @@ def _cmd_pyramid_table(args) -> int:
 
 
 def _cmd_lob(args) -> int:
+    from .lobachevsky import lob
+
     theta = _parse_angle(args.theta)
     val = lob(theta)
     print(_fmt(val, 15))
@@ -268,6 +289,8 @@ def _cmd_lob(args) -> int:
 
 
 def _cmd_idealtet(args) -> int:
+    from .lobachevsky import ideal_tetrahedron_volume
+
     a, b, c = (_parse_angle(x) for x in (args.alpha, args.beta, args.gamma))
     val = ideal_tetrahedron_volume(a, b, c)
     print(_fmt(val, 15))
@@ -333,6 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("volume", _cmd_volume,
             help="volume of the labeling: one realization and the orthoscheme sum")
     p.add_argument("file")
+    p.add_argument("--regime", choices=("strict", "ideal"), default=None)
     p.add_argument("--doubled", action="store_true")
 
     p = add("census", _cmd_census, help="orbit census of admissible labelings")
@@ -365,12 +389,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: stdout goes to devnull, so that the
+        # flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _result(args.subcommand, "input-error")
         return EXIT_INPUT
-    except (VolumeError, RealizationError) as exc:
+    except PolyhedronError as exc:  # the realization's and the volume's errors
         print(f"error: {exc}")
         _result(args.subcommand, "failed")
         return EXIT_NUMERICAL

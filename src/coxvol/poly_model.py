@@ -23,9 +23,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:  # automorphisms, the one numeric function, imports numpy when it runs
+    import numpy as np
 
 Edge = tuple[int, int]
 
@@ -472,6 +473,8 @@ def automorphisms(p: AbstractPolyhedron) -> np.ndarray:
     so it maps vertices bijectively: tail to tail, for a reflection head
     to tail.
     """
+    import numpy as np
+
     faces = p.oriented_faces
     if faces is None:
         raise PolyhedronError("polyhedron is not orientable/closed")

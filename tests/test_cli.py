@@ -3,11 +3,16 @@
 import hashlib
 import importlib.resources
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import coxvol
+from coxvol.census import ANY_ARRANGEMENT
 from coxvol.cli import main
 from coxvol.lobachevsky import lob
 
@@ -143,6 +148,48 @@ def test_volume_rejected_labeling(capsys, data_dir):
     assert result_line(out) == "RESULT volume rejected reason=condition-4"
 
 
+def test_volume_regime_reaches_the_census_volume(capsys, tmp_path):
+    # an ideal-regime census row: the default regime of a polyhedron with
+    # no ideal-candidate vertex refuses it, --regime ideal prints the
+    # census's volume
+    from coxvol.corpus import load
+    from coxvol.poly_model import LabeledPolyhedron, serialize_polyhedron
+
+    cube = load("cube_all2").base
+    labels = (2, 2, 2, 2, 2, 2, 2, 3, 2, 3, 2, 3)
+    path = tmp_path / "cube_row.apoly"
+    path.write_text(serialize_polyhedron(
+        LabeledPolyhedron(base=cube, labels=dict(zip(cube.edges, labels)))))
+    for argv in ((), ("--regime", "strict")):
+        code, out = run(capsys, "volume", str(path), *argv)
+        assert code == 1
+        assert result_line(out) == "RESULT volume rejected reason=condition-2"
+    code, out = run(capsys, "volume", str(path), "--regime", "ideal")
+    assert code == 0
+    assert result_line(out).startswith("RESULT volume ok volume=0.634338504006037 ")
+    _, census = run(capsys, "census", "cube_all2", "--max-label", "3", "--regime", "ideal",
+                    "--volumes")
+    row = "labels=2,2,2,2,2,2,2,3,2,3,2,3 outcome=realizable-with-ideal-vertices"
+    assert f"{row} haken=Large volume=0.634338504006037" in census.splitlines()
+
+
+def test_closed_stdout_is_not_an_input_error():
+    # the census's report goes to a pipe whose read end is already closed,
+    # as when a reader such as head exits early: exit 141, nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(coxvol.__file__).resolve().parents[1])}
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "coxvol.cli", "census", "cube_all2",
+                                   "--max-label", "4"], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")
+
+
 def test_volume_checks_the_labeling_once(capsys, monkeypatch):
     from coxvol import andreev
 
@@ -167,19 +214,20 @@ def test_census_over_budget_is_input_error(capsys):
 
 @pytest.fixture
 def realize_fails_on_label_4(monkeypatch):
-    """The command line's ``realize`` raising NonConvergence for every
-    labeling with a label 4, and realizing every other one."""
-    from coxvol import cli
+    """``realize``, which the command line looks up in its module when a
+    subcommand runs, raising NonConvergence for every labeling with a
+    label 4, and realizing every other one."""
+    from coxvol import realization
     from coxvol.realization import NonConvergence
 
-    realize = cli.realize
+    realize = realization.realize
 
     def fail_on_4(lp, regime=None):
         if 4 in lp.labels.values():
             raise NonConvergence("Newton step stagnated", 1e-3)
         return realize(lp, regime)
 
-    monkeypatch.setattr(cli, "realize", fail_on_4)
+    monkeypatch.setattr(realization, "realize", fail_on_4)
 
 
 def test_census_volume_failure_is_numerical(capsys, realize_fails_on_label_4):
@@ -240,13 +288,13 @@ def test_census_volume_failures_keep_the_other_rows(capsys, realize_fails_on_lab
 
 
 def test_volume_realization_failure_is_numerical(capsys, monkeypatch):
-    from coxvol import cli
+    from coxvol import realization
     from coxvol.realization import NonConvergence
 
     def fail(*args, **kwargs):
         raise NonConvergence("Newton step stagnated", 1e-3)
 
-    monkeypatch.setattr(cli, "realize", fail)
+    monkeypatch.setattr(realization, "realize", fail)
     code, out = run(capsys, "volume", "lambert_cube")
     assert code == 4
     assert "error: Newton step stagnated" in out
@@ -313,6 +361,10 @@ def test_pyramid_table(capsys):
     assert code == 0
     assert "no extra admissible rows" in out
     assert " extra=0 " in result_line(out)
+    # the command line spells out census's convention names
+    code, out = run(capsys, "pyramid-table", "--convention", "any", "--max-label", "3")
+    assert code == 0
+    assert result_line(out).endswith(f" convention={ANY_ARRANGEMENT} regime=allow-ideal")
 
 
 def test_lob_and_idealtet(capsys):

@@ -10,15 +10,43 @@ from pathlib import Path
 import coxvol
 
 
+# In a fresh interpreter: the numeric modules loaded after the import,
+# after the combinatorial stages on a bundled polyhedron, in the library
+# and on the command line, and after the first numeric name resolves.
+LOADED_BY_STAGE = """
+import contextlib, io, sys
+
+def loaded(stage):
+    print(stage, *sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+
+import coxvol
+loaded("import")
+from coxvol import cli
+lp = coxvol.parse_polyhedron(coxvol.serialize_polyhedron(coxvol.load("cube_all2")))
+assert coxvol.validate(lp.base).passed
+coxvol.check(lp)
+coxvol.circuits_up_to(lp.base)
+coxvol.classify(lp.base)
+loaded("library")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check", "cube_all2"]) == cli.EXIT_REJECTED
+    assert cli.main(["classify", "cube_all2"]) == cli.EXIT_OK
+loaded("cli")
+coxvol.realize
+loaded("realize")
+assert [getattr(coxvol, m).__name__ for m in coxvol._LAZY] == [f"coxvol.{m}" for m in coxvol._LAZY]
+"""
+
+
 def test_import_does_not_load_scipy():
-    # importing scipy.integrate alone takes most of a second, which every
-    # CLI call and the benchmark's set-up time would pay
+    # importing scipy.integrate alone takes most of a second, and numpy
+    # most of a CLI call's time, which every CLI call and the benchmark's
+    # set-up time would pay; only the numeric stages load numpy
     src = str(Path(coxvol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import coxvol, sys; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", LOADED_BY_STAGE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["import", "library", "cli", "realize numpy"]
 
 
 # imported names a module keeps without using them: the benchmark's
@@ -46,13 +74,16 @@ def test_no_unused_imports():
 
 
 def test_exports_resolve():
-    # __all__ lists exactly the public names the package imports, once each
+    # __all__ lists exactly the public names the package imports or loads
+    # on first use, once each
     tree = ast.parse(Path(coxvol.__file__).read_text(encoding="utf-8"))
     imported = {a.asname or a.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
+    lazy = set(coxvol._LAZY_MODULE)
     assert all(hasattr(coxvol, name) for name in coxvol.__all__)
     assert len(set(coxvol.__all__)) == len(coxvol.__all__)
-    assert set(coxvol.__all__) == {name for name in imported if not name.startswith("_")}
+    assert not imported & lazy
+    assert set(coxvol.__all__) == {name for name in imported if not name.startswith("_")} | lazy
 
 
 def _private_definitions(tree: ast.Module):
